@@ -134,7 +134,7 @@ int analyze(const std::string& path) {
   AnalysisSink sink;
   engine.add_sink(sink);
   std::printf("%s: %s stream\n", path.c_str(),
-              engine.pipeline().format() == ingest::CaptureFormat::kPcapng
+              engine.format() == ingest::CaptureFormat::kPcapng
                   ? "pcapng"
                   : "pcap");
 

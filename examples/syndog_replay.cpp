@@ -198,7 +198,7 @@ int replay(const std::string& path, double pace,
   engine.add_sink(demux);
 
   std::printf("%s: %s stream, %zu stub agent(s)\n", path.c_str(),
-              engine.pipeline().format() == ingest::CaptureFormat::kPcapng
+              engine.format() == ingest::CaptureFormat::kPcapng
                   ? "pcapng"
                   : "pcap",
               stubs.size());

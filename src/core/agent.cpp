@@ -41,37 +41,27 @@ SynDogAgent::SynDogAgent(sim::LeafRouter& router, sim::Scheduler& scheduler,
       locator_(router.stub_prefix()), on_alarm_(std::move(on_alarm)) {
   policy_.validate();
   backoff_periods_ = policy_.quarantine_initial;
-  if (mode_ == AgentMode::kFirstMile) {
-    // Outgoing SYNs and incoming SYN/ACKs; SYN emitters are on the local
-    // segment, so the locator gathers MAC evidence from the outbound tap.
-    router.add_outbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
-          const classify::SegmentKind kind = outbound_.on_packet(packet);
-          if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
-          locator_.on_packet(at, packet);
-        });
-    router.add_inbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
-          const classify::SegmentKind kind = inbound_.on_packet(packet);
-          if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
-        });
-  } else {
-    // Last mile: the flood *arrives* through the inbound interface and
-    // the victim's SYN/ACK replies leave through the outbound one. The
-    // sources are beyond the router, so there is no MAC evidence.
-    router.add_inbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
-          // counts SYNs (role kOutbound)
-          const classify::SegmentKind kind = outbound_.on_packet(packet);
-          if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
-        });
-    router.add_outbound_tap(
-        [this](util::SimTime at, const net::Packet& packet) {
-          // counts SYN/ACKs (role kInbound)
-          const classify::SegmentKind kind = inbound_.on_packet(packet);
-          if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
-        });
-  }
+  const auto add_tap = [&router](Interface side, sim::LeafRouter::Tap tap) {
+    if (side == Interface::kOutbound) {
+      router.add_outbound_tap(std::move(tap));
+    } else {
+      router.add_inbound_tap(std::move(tap));
+    }
+  };
+  const CountedInterfaces counted = counted_interfaces(mode_);
+  add_tap(counted.syns, [this](util::SimTime at, const net::Packet& packet) {
+    const classify::SegmentKind kind = outbound_.on_packet(packet);
+    if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
+    // SYN emitters are on the local segment only in first-mile mode;
+    // in last-mile mode the sources are beyond the router, so there is
+    // no MAC evidence to gather.
+    if (mode_ == AgentMode::kFirstMile) locator_.on_packet(at, packet);
+  });
+  add_tap(counted.syn_acks,
+          [this](util::SimTime at, const net::Packet& packet) {
+            const classify::SegmentKind kind = inbound_.on_packet(packet);
+            if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
+          });
   last_rollover_ = scheduler_.now();
   schedule_next_period();
 }
@@ -113,7 +103,8 @@ void SynDogAgent::notify_sniffer_outage(bool active) {
   if (active) {
     outage_touched_ = true;
     clean_streak_ = 0;
-    transition(AgentHealth::kBlind, HealthReason::kSnifferOutage);
+    transition(scheduler_.now(), AgentHealth::kBlind,
+               HealthReason::kSnifferOutage);
   }
   // Deactivation is acted on at the next rollover: the partial counters
   // are discarded once more and the agent re-arms through quarantine.
@@ -132,12 +123,13 @@ void SynDogAgent::schedule_next_period() {
                                             [this] { on_period_end(); });
 }
 
-void SynDogAgent::transition(AgentHealth to, HealthReason reason) {
+void SynDogAgent::transition(util::SimTime at, AgentHealth to,
+                             HealthReason reason) {
   if (health_ == to) return;
   const auto from = static_cast<std::uint8_t>(health_);
   health_ = to;
   if (tracer_ != nullptr) {
-    tracer_->record(scheduler_.now(),
+    tracer_->record(at,
                     obs::HealthTransition{from,
                                           static_cast<std::uint8_t>(to),
                                           static_cast<std::uint8_t>(reason),
@@ -148,7 +140,7 @@ void SynDogAgent::transition(AgentHealth to, HealthReason reason) {
   }
 }
 
-void SynDogAgent::begin_quarantine() {
+void SynDogAgent::begin_quarantine(util::SimTime at) {
   // The statistic accumulated before/through the blind interval mixes
   // real and faulted evidence; discard it but keep K (site level changes
   // slowly) and hold alarms until the detector has re-earned trust.
@@ -158,14 +150,14 @@ void SynDogAgent::begin_quarantine() {
   ++recoveries_;
   clean_streak_ = 0;
   if (registry_ != nullptr) registry_->counter("agent.recoveries").add();
-  transition(AgentHealth::kDegraded, HealthReason::kQuarantine);
+  transition(at, AgentHealth::kDegraded, HealthReason::kQuarantine);
 }
 
-void SynDogAgent::note_clean_period() {
+void SynDogAgent::note_clean_period(util::SimTime at) {
   ++clean_streak_;
   if (health_ == AgentHealth::kDegraded && quarantine_remaining_ == 0 &&
       clean_streak_ >= policy_.heal_after) {
-    transition(AgentHealth::kHealthy, HealthReason::kRecovered);
+    transition(at, AgentHealth::kHealthy, HealthReason::kRecovered);
   }
   if (backoff_periods_ > policy_.quarantine_initial &&
       clean_streak_ % policy_.backoff_decay_after == 0) {
@@ -195,21 +187,30 @@ void SynDogAgent::on_period_end() {
   syns = std::max<std::int64_t>(0, syns - policed_discount_);
   policed_discount_ = 0;
 
-  // (a) Late rollover (stalled process/timer): the harvest smears over the
-  // whole stall. Account the missed rollovers as gaps and rescale the
-  // counts to one period's worth so Δn and Xn are not inflated by the
-  // stall length itself.
+  // Late rollover (stalled process/timer): the harvest smears over the
+  // whole stall. Rescale the counts to one period's worth so Δn and Xn
+  // are not inflated by the stall length itself; close_period accounts
+  // the missed rollovers as gaps.
   const double ratio = static_cast<double>(elapsed.ns()) /
                        static_cast<double>(params_.observation_period.ns());
   std::int64_t missed = 0;
   if (ratio > policy_.gap_tolerance) {
     missed = std::max<std::int64_t>(
         static_cast<std::int64_t>(std::llround(ratio)) - 1, 1);
-    syndog_.note_gap_periods(missed);
-    clean_streak_ = 0;
-    transition(AgentHealth::kDegraded, HealthReason::kPeriodGap);
     syns = std::llround(static_cast<double>(syns) / ratio);
     syn_acks = std::llround(static_cast<double>(syn_acks) / ratio);
+  }
+  close_period(now, syns, syn_acks, missed);
+  schedule_next_period();
+}
+
+void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
+                               std::int64_t syn_acks, std::int64_t missed) {
+  // (a) Rollovers a stalled timer skipped are gaps, not quiet periods.
+  if (missed > 0) {
+    syndog_.note_gap_periods(missed);
+    clean_streak_ = 0;
+    transition(at, AgentHealth::kDegraded, HealthReason::kPeriodGap);
   }
 
   // (b) Known sniffer outage: the counters are garbage (partial or zero),
@@ -221,8 +222,7 @@ void SynDogAgent::on_period_end() {
     ++blind_periods_;
     if (registry_ != nullptr) registry_->counter("agent.blind_periods").add();
     syndog_.note_gap_periods(1);
-    if (outage_ended) begin_quarantine();
-    schedule_next_period();
+    if (outage_ended) begin_quarantine(at);
     return;
   }
 
@@ -240,8 +240,7 @@ void SynDogAgent::on_period_end() {
       if (registry_ != nullptr) {
         registry_->counter("agent.collapse_periods").add();
       }
-      transition(AgentHealth::kDegraded, HealthReason::kSynAckCollapse);
-      schedule_next_period();
+      transition(at, AgentHealth::kDegraded, HealthReason::kSynAckCollapse);
       return;
     }
   } else {
@@ -249,8 +248,8 @@ void SynDogAgent::on_period_end() {
   }
 
   if (tracer_ != nullptr) {
-    tracer_->record(now, obs::PeriodRollover{syndog_.periods_observed(),
-                                             syns, syn_acks});
+    tracer_->record(at, obs::PeriodRollover{syndog_.periods_observed(),
+                                            syns, syn_acks});
   }
   const PeriodReport report = syndog_.observe_period(syns, syn_acks);
   history_.push_back(report);
@@ -269,16 +268,15 @@ void SynDogAgent::on_period_end() {
       first_alarm_period_ = report.period_index;
     }
     if (on_alarm_) {
-      on_alarm_(AlarmEvent{now, report,
+      on_alarm_(AlarmEvent{at, report,
                            mode_ == AgentMode::kFirstMile
                                ? locator_.suspects()
                                : std::vector<Suspect>{}});
     }
   }
 
-  if (missed == 0 && consecutive_collapsed_ == 0) note_clean_period();
-  for (const PeriodCallback& cb : on_period_) cb(report, health_, now);
-  schedule_next_period();
+  if (missed == 0 && consecutive_collapsed_ == 0) note_clean_period(at);
+  for (const PeriodCallback& cb : on_period_) cb(report, health_, at);
 }
 
 }  // namespace syndog::core

@@ -50,6 +50,24 @@ enum class AgentMode : std::uint8_t {
   kLastMile,
 };
 
+/// A leaf router's two monitored interfaces (paper Fig. 2).
+enum class Interface : std::uint8_t { kOutbound, kInbound };
+
+/// The interfaces an agent's two counts come from.
+struct CountedInterfaces {
+  Interface syns;      ///< where the watched SYNs cross
+  Interface syn_acks;  ///< where the watched SYN/ACKs cross
+};
+
+/// The mode-to-interface rule. First mile: outgoing SYNs vs incoming
+/// SYN/ACKs. Last mile: the flood arrives through the inbound interface
+/// and the victim's SYN/ACKs leave through the outbound one.
+[[nodiscard]] constexpr CountedInterfaces counted_interfaces(AgentMode mode) {
+  return mode == AgentMode::kFirstMile
+             ? CountedInterfaces{Interface::kOutbound, Interface::kInbound}
+             : CountedInterfaces{Interface::kInbound, Interface::kOutbound};
+}
+
 /// Agent operational health (exported in obs::HealthTransition events).
 enum class AgentHealth : std::uint8_t {
   kHealthy = 0,   ///< counters trusted, alarms live
@@ -166,6 +184,18 @@ class SynDogAgent {
   /// The late rollover then triggers the gap-accounting path.
   void stall_until(util::SimTime at);
 
+  /// Count-level rollover: closes the observation period ending at `at`
+  /// from its SYN and SYN/ACK counts, `missed` being the rollovers a
+  /// stalled timer skipped before it (0 when on time). Runs the health
+  /// path — gap accounting, outage discard, SYN/ACK-collapse absorption —
+  /// then the CUSUM update, quarantine, the alarm callback and the
+  /// period callbacks; it leaves the period timer alone. The agent's
+  /// timer calls it after harvesting the sniffers (and rescaling a late
+  /// harvest to one period's worth); the sharded ingest merge calls it
+  /// with counts summed across shards.
+  void close_period(util::SimTime at, std::int64_t syns,
+                    std::int64_t syn_acks, std::int64_t missed);
+
   [[nodiscard]] AgentMode mode() const { return mode_; }
   [[nodiscard]] const SynDog& detector() const { return syndog_; }
   /// The sniffer counting the watched SYNs (on the outbound interface in
@@ -204,9 +234,9 @@ class SynDogAgent {
  private:
   void on_period_end();
   void schedule_next_period();
-  void transition(AgentHealth to, HealthReason reason);
-  void begin_quarantine();
-  void note_clean_period();
+  void transition(util::SimTime at, AgentHealth to, HealthReason reason);
+  void begin_quarantine(util::SimTime at);
+  void note_clean_period(util::SimTime at);
   [[nodiscard]] bool synack_collapsed(std::int64_t syns,
                                       std::int64_t syn_acks) const;
 

@@ -1,7 +1,5 @@
 #include "syndog/ingest/agent_demux.hpp"
 
-#include <stdexcept>
-
 namespace syndog::ingest {
 
 struct AgentDemux::Stub {
@@ -22,18 +20,13 @@ struct AgentDemux::Stub {
 
 AgentDemux::AgentDemux(sim::Scheduler& scheduler, std::vector<StubSpec> stubs,
                        core::SynDogParams params, DemuxOptions options)
-    : scheduler_(scheduler), params_(params), options_(options) {
-  params_.validate();
-  if (stubs.empty()) {
-    throw std::invalid_argument("AgentDemux: need at least one stub");
-  }
-  if (options_.default_stub >= static_cast<int>(stubs.size())) {
-    throw std::invalid_argument("AgentDemux: default_stub out of range");
-  }
+    : scheduler_(scheduler),
+      params_((params.validate(), params)),
+      router_(stubs, options.default_stub) {
   stubs_.reserve(stubs.size());
   for (std::size_t i = 0; i < stubs.size(); ++i) {
     stubs_.push_back(std::make_unique<Stub>(scheduler, std::move(stubs[i]),
-                                            params_, options_.mode,
+                                            params_, options.mode,
                                             static_cast<std::uint32_t>(i)));
   }
 }
@@ -50,37 +43,25 @@ void AgentDemux::attach_observer(obs::EventTracer* tracer,
   unroutable_counter_ = &registry.counter("ingest.demux.unroutable_frames");
 }
 
-int AgentDemux::find_stub(net::Ipv4Address addr) const {
-  for (std::size_t i = 0; i < stubs_.size(); ++i) {
-    if (stubs_[i]->spec.prefix.contains(addr)) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 void AgentDemux::on_frame(util::SimTime at, const Frame& frame) {
-  const int src = find_stub(frame.packet.ip.src);
-  const int dst = find_stub(frame.packet.ip.dst);
-  if (src >= 0 && src == dst) {
+  const StubRoute route =
+      router_.route(frame.packet.ip.src.value(), frame.packet.ip.dst.value());
+  if (route.local) {
     ++local_;
     if (local_counter_ != nullptr) local_counter_->add();
     return;
   }
-  if (src >= 0) {
-    stubs_[static_cast<std::size_t>(src)]->router.forward_from_intranet(
-        at, frame.packet);
+  if (route.outbound >= 0) {
+    stubs_[static_cast<std::size_t>(route.outbound)]
+        ->router.forward_from_intranet(at, frame.packet);
   }
-  if (dst >= 0) {
-    stubs_[static_cast<std::size_t>(dst)]->router.forward_from_internet(
-        at, frame.packet);
+  if (route.inbound >= 0) {
+    stubs_[static_cast<std::size_t>(route.inbound)]
+        ->router.forward_from_internet(at, frame.packet);
   }
-  if (src < 0 && dst < 0) {
-    if (options_.default_stub >= 0) {
-      stubs_[static_cast<std::size_t>(options_.default_stub)]
-          ->router.forward_from_intranet(at, frame.packet);
-    } else {
-      ++unroutable_;
-      if (unroutable_counter_ != nullptr) unroutable_counter_->add();
-    }
+  if (route.unroutable()) {
+    ++unroutable_;
+    if (unroutable_counter_ != nullptr) unroutable_counter_->add();
   }
 }
 
@@ -96,6 +77,10 @@ const StubSpec& AgentDemux::stub(std::size_t i) const {
 }
 
 const core::SynDogAgent& AgentDemux::agent(std::size_t i) const {
+  return stubs_.at(i)->agent;
+}
+
+core::SynDogAgent& AgentDemux::agent(std::size_t i) {
   return stubs_.at(i)->agent;
 }
 

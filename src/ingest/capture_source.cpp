@@ -1,31 +1,11 @@
 #include "syndog/ingest/capture_source.hpp"
 
-#include <stdexcept>
-
 namespace syndog::ingest {
 
-namespace {
-
-/// pcapng Section Header Block type — the first four bytes of any pcapng
-/// stream (a palindrome, so endianness does not matter when sniffing).
-constexpr std::uint32_t kSectionHeaderBlock = 0x0a0d0d0a;
-
-}  // namespace
-
-CaptureSource::CaptureSource(std::istream& in) : format_(CaptureFormat::kPcap) {
-  char magic_bytes[4];
-  in.read(magic_bytes, 4);
-  if (in.gcount() != 4) {
-    throw std::runtime_error("capture: file too short to sniff format");
-  }
-  for (int i = 3; i >= 0; --i) in.putback(magic_bytes[i]);
-
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) | static_cast<std::uint8_t>(magic_bytes[i]);
-  }
-  if (le_magic == kSectionHeaderBlock) {
-    format_ = CaptureFormat::kPcapng;
+CaptureSource::CaptureSource(std::istream& in)
+    : format_(pcap::is_pcapng(in) ? CaptureFormat::kPcapng
+                                  : CaptureFormat::kPcap) {
+  if (format_ == CaptureFormat::kPcapng) {
     pcapng_.emplace(in);
   } else {
     // Classic pcap; the reader throws on an unrecognized magic.
@@ -39,10 +19,6 @@ bool CaptureSource::next(pcap::Record& out) {
 
 pcap::ReadEnd CaptureSource::end_state() const {
   return pcap_ ? pcap_->end_state() : pcapng_->end_state();
-}
-
-std::uint64_t CaptureSource::records_read() const {
-  return pcap_ ? pcap_->records_read() : pcapng_->records_read();
 }
 
 }  // namespace syndog::ingest

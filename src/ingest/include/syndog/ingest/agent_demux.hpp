@@ -4,43 +4,26 @@
 // gets its own sim::LeafRouter with a core::SynDogAgent tapped onto it —
 // so one pass over one capture drives N independent detectors, emitting
 // the same period_rollover / cusum_update / alarm telemetry as the
-// simulated topologies.
-//
-// Direction rules per frame (src/dst matched against the stub prefixes):
-//   * src in stub A, dst elsewhere   -> outbound through A's router
-//   * dst in stub B, src elsewhere   -> inbound through B's router
-//   * src in A and dst in B (A != B) -> both of the above
-//   * src and dst in the same stub   -> LAN-local; never crosses the
-//     monitored interface, counted in local_frames()
-//   * neither matches any stub       -> attributed to options.default_stub
-//     as outbound (a spoofed-source flood leaving that stub — the
-//     capture's vantage point), or counted unroutable when default_stub
-//     is -1.
-// With a single stub and default_stub = 0 this reproduces the direction
-// heuristic of examples/pcap_sniffer: outbound iff contains(src) or not
-// contains(dst).
+// simulated topologies. Each frame goes through the StubRouter
+// (stub_router.hpp) to the outbound and/or inbound interface of the
+// stubs it crosses; LAN-local frames count in local_frames(), frames
+// matching no stub with default_stub = -1 in unroutable_frames().
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "syndog/core/agent.hpp"
 #include "syndog/ingest/replay.hpp"
-#include "syndog/net/address.hpp"
+#include "syndog/ingest/stub_router.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/obs/trace.hpp"
 #include "syndog/sim/scheduler.hpp"
 
 namespace syndog::ingest {
-
-struct StubSpec {
-  net::Ipv4Prefix prefix;
-  std::string name;  ///< labels telemetry; must be unique per demux
-};
 
 struct DemuxOptions {
   core::AgentMode mode = core::AgentMode::kFirstMile;
@@ -71,13 +54,13 @@ class AgentDemux final : public ReplaySink {
 
   /// Closes the final partial observation period on every agent by
   /// advancing the shared scheduler to the next period boundary. Call
-  /// once, after the replay (not in addition to
-  /// ReplayEngine::close_final_period — they advance the same clock).
+  /// once, after the replay.
   void close_final_period();
 
   [[nodiscard]] std::size_t stub_count() const { return stubs_.size(); }
   [[nodiscard]] const StubSpec& stub(std::size_t i) const;
   [[nodiscard]] const core::SynDogAgent& agent(std::size_t i) const;
+  [[nodiscard]] core::SynDogAgent& agent(std::size_t i);
   [[nodiscard]] const std::vector<core::AlarmEvent>& alarms(
       std::size_t i) const;
   /// Frames whose src and dst fall inside the same stub.
@@ -90,11 +73,9 @@ class AgentDemux final : public ReplaySink {
  private:
   struct Stub;
 
-  [[nodiscard]] int find_stub(net::Ipv4Address addr) const;
-
   sim::Scheduler& scheduler_;
   core::SynDogParams params_;
-  DemuxOptions options_;
+  StubRouter router_;
   std::vector<std::unique_ptr<Stub>> stubs_;
   std::uint64_t local_ = 0;
   std::uint64_t unroutable_ = 0;

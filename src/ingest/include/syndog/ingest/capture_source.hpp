@@ -1,11 +1,11 @@
 // Format-agnostic incremental capture source.
 //
-// Sniffs the first four bytes of a stream to choose between the classic
-// pcap reader and the pcapng reader, then yields records one at a time
+// Sniffs the first four bytes of a stream (pcap::is_pcapng) to choose
+// between the classic pcap reader and the pcapng reader, then yields records one at a time
 // through the readers' buffer-reusing next_into() path — unlike
 // pcap::read_any_capture, which slurps the whole file into a vector. The
 // terminal state (clean EOF vs truncation) is surfaced unchanged so the
-// pipeline can account for damaged captures.
+// replay engine can account for damaged captures.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +27,16 @@ class CaptureSource {
   explicit CaptureSource(std::istream& in);
 
   [[nodiscard]] CaptureFormat format() const { return format_; }
+  /// The classic-pcap file header; nullptr for pcapng.
+  [[nodiscard]] const pcap::FileHeader* pcap_header() const {
+    return pcap_ ? &pcap_->header() : nullptr;
+  }
 
   /// Next record, overwriting `out` (reusing its buffer capacity).
   /// Returns false at end of stream; consult end_state() for why.
   [[nodiscard]] bool next(pcap::Record& out);
 
   [[nodiscard]] pcap::ReadEnd end_state() const;
-  [[nodiscard]] std::uint64_t records_read() const;
 
  private:
   CaptureFormat format_;

@@ -5,15 +5,13 @@
 // recycled forever, so streaming an arbitrarily large capture runs in
 // O(capacity) memory with no steady-state allocation (the same
 // slot-arena discipline as sim::PacketPool). Slots are fixed-footprint
-// value types, so reusing one is a plain overwrite. Two instantiations
-// exist today: FrameRing (decoded net::Packet frames, the reference
-// pipeline) and the sharded datapath's net::FlowDigest rings.
+// value types, so reusing one is a plain overwrite. The sharded datapath
+// hands net::FlowDigest slots from its producer to each shard's consumer.
 //
 // Concurrency contract: exactly one producer thread calls try_claim() /
 // publish(); exactly one consumer thread calls readable() / release().
-// In the pipeline's default single-threaded mode both roles run on the
-// same thread and the atomics collapse to plain loads/stores. Capacity is
-// rounded up to a power of two so index masking replaces modulo.
+// Both roles may also run on one thread. Capacity is rounded up to a
+// power of two so index masking replaces modulo.
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
@@ -31,7 +29,7 @@
 
 namespace syndog::ingest {
 
-/// One decoded capture record occupying a ring slot.
+/// One decoded capture record: what ReplayEngine hands its sinks.
 struct Frame {
   util::SimTime at;                  ///< capture timestamp
   net::Packet packet;                ///< decoded link/network/transport
@@ -113,16 +111,13 @@ class SlotRing {
  private:
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  /// Producer and consumer cursors on separate cache lines so the
-  /// two-thread mode does not false-share. `cached_tail_` is
+  /// Producer and consumer cursors on separate cache lines so a
+  /// producer and a consumer thread do not false-share. `cached_tail_` is
   /// producer-owned (a conservative, monotonic snapshot of `tail_`) and
   /// shares the producer's line deliberately.
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next slot to write
   std::uint64_t cached_tail_ = 0;                   ///< producer's tail view
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next slot to read
 };
-
-/// The reference pipeline's ring of decoded frames.
-using FrameRing = SlotRing<Frame>;
 
 }  // namespace syndog::ingest

@@ -1,13 +1,15 @@
 // Capture replay onto the discrete-event simulator clock.
 //
-// ReplayEngine owns a CapturePipeline and a sim::Scheduler and bridges
-// them: before each frame is handed to the replay sinks, the scheduler is
-// advanced to the frame's (epoch-rebased) capture timestamp, firing any
-// due timers first. Components that live on scheduler time — notably
-// core::SynDogAgent's observation-period timer — therefore behave exactly
-// as they do in simulation: a period boundary at or before a frame's
-// timestamp closes before that frame is seen, which is precisely the
-// semantics of the whole-file analysis loop in examples/pcap_sniffer.
+// ReplayEngine is the reference ingest pump: it reads CaptureSource
+// records into one reused pcap::Record, decodes each into one reused
+// Frame, advances its sim::Scheduler to the frame's (epoch-rebased)
+// capture timestamp — firing any due timers first — and hands the frame
+// to every ReplaySink in registration order. Components on scheduler
+// time, notably core::SynDogAgent's period timer, therefore behave as in
+// simulation: a period boundary at or before a frame's timestamp closes
+// before that frame is seen, the semantics of the whole-file analysis
+// loop in examples/pcap_sniffer. The pump allocates nothing in steady
+// state, whatever the capture size.
 //
 // Two replay clocks:
 //   * kAsFastAsPossible (default): wall time never consulted; the replay
@@ -20,12 +22,13 @@
 
 #include <cstdint>
 #include <istream>
-#include <span>
 #include <vector>
 
-#include "syndog/ingest/pipeline.hpp"
+#include "syndog/ingest/capture_source.hpp"
+#include "syndog/ingest/frame_ring.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/obs/wallclock.hpp"
+#include "syndog/pcap/pcap.hpp"
 #include "syndog/sim/scheduler.hpp"
 #include "syndog/util/time.hpp"
 
@@ -46,35 +49,83 @@ enum class TimeOrigin : std::uint8_t {
   kFirstFrame,   ///< subtract the first frame's timestamp
 };
 
+/// The epoch rebase both ingest datapaths apply to every decoded frame:
+/// the first timestamp fixes the epoch by the TimeOrigin rule, and each
+/// result is clamped to the previous one, so out-of-order or pre-epoch
+/// stamps can never rewind the replay clock.
+class EpochRebase {
+ public:
+  explicit EpochRebase(TimeOrigin origin) : origin_(origin) {}
+
+  /// Replay-clock time of the next decoded frame, stamped `capture_at`.
+  [[nodiscard]] util::SimTime operator()(util::SimTime capture_at) {
+    if (!first_seen_) {
+      first_seen_ = true;
+      // kAuto: a first stamp beyond 24 h is an absolute-epoch stamp from
+      // a real capture, not a synthetic zero-based trace.
+      if (origin_ == TimeOrigin::kFirstFrame ||
+          (origin_ == TimeOrigin::kAuto &&
+           capture_at > util::SimTime::seconds(86400))) {
+        epoch_ = capture_at;
+      }
+    }
+    const util::SimTime at = capture_at - epoch_;
+    if (at > last_) last_ = at;
+    return last_;
+  }
+
+  /// Capture timestamp subtracted from every frame (0 until the first).
+  [[nodiscard]] util::SimTime epoch() const { return epoch_; }
+  /// The latest time returned (0 before the first frame).
+  [[nodiscard]] util::SimTime last() const { return last_; }
+
+ private:
+  TimeOrigin origin_;
+  bool first_seen_ = false;
+  util::SimTime epoch_ = util::SimTime::zero();
+  util::SimTime last_ = util::SimTime::zero();
+};
+
 struct ReplayConfig {
   ReplayClock clock = ReplayClock::kAsFastAsPossible;
   double speed = 1.0;  ///< kPaced: capture seconds per wall second
   TimeOrigin origin = TimeOrigin::kAuto;
-  PipelineConfig pipeline;
   void validate() const;
 };
 
+/// Counts of one pass over a capture, on either ingest datapath.
+struct PipelineStats {
+  std::uint64_t records = 0;          ///< capture records pulled
+  std::uint64_t frames = 0;           ///< records that decoded to frames
+  std::uint64_t bytes = 0;            ///< captured bytes of those frames
+  std::uint64_t decode_failures = 0;  ///< non-Ethernet/IPv4 or mangled
+  bool truncated = false;             ///< source ended mid-record
+};
+
 /// Receives frames in capture order; the engine's scheduler has already
-/// been advanced to `at` (so any timer due earlier has fired).
+/// been advanced to `at` (so any timer due earlier has fired). `frame` is
+/// the engine's reused buffer: copy it to keep it past the call.
 class ReplaySink {
  public:
   virtual ~ReplaySink() = default;
   virtual void on_frame(util::SimTime at, const Frame& frame) = 0;
 };
 
-class ReplayEngine final : private FrameSink {
+class ReplayEngine final {
  public:
   /// The stream must outlive the engine. Throws on an unrecognizable
   /// capture format (before any record is read).
   explicit ReplayEngine(std::istream& in, ReplayConfig cfg = {});
 
   [[nodiscard]] sim::Scheduler& scheduler() { return scheduler_; }
-  [[nodiscard]] CapturePipeline& pipeline() { return pipeline_; }
+  [[nodiscard]] CaptureFormat format() const { return source_.format(); }
 
   /// Registers a replay sink (must outlive run()).
   void add_sink(ReplaySink& sink);
 
-  /// Wires pipeline counters and scheduler instruments into `registry`.
+  /// Wires scheduler instruments into `registry` now, and the counters
+  /// ingest.{records,frames,bytes,decode_failures,truncated_captures}
+  /// when run() finishes.
   void attach_observer(obs::Registry& registry);
 
   /// Pacing seam for tests; nullptr restores the real monotonic clock.
@@ -83,34 +134,36 @@ class ReplayEngine final : private FrameSink {
   /// Streams the whole capture. Call once.
   const PipelineStats& run();
 
-  /// Advances the scheduler to the end of the observation period
-  /// containing the last replayed frame, closing the final partial
-  /// period — the timer analogue of the manual loop's trailing
-  /// close_period(). Call after run(), once, with the agents' t0.
-  void close_final_period(util::SimTime t0);
-
+  [[nodiscard]] const PipelineStats& stats() const { return stats_; }
+  [[nodiscard]] pcap::ReadEnd end_state() const {
+    return source_.end_state();
+  }
   /// Capture timestamp subtracted from every frame (0 until the first
   /// frame is seen under kAuto/kFirstFrame).
-  [[nodiscard]] util::SimTime epoch() const { return epoch_; }
-  [[nodiscard]] util::SimTime last_frame_at() const { return last_at_; }
-  [[nodiscard]] std::uint64_t frames_replayed() const { return frames_; }
+  [[nodiscard]] util::SimTime epoch() const { return rebase_.epoch(); }
+  [[nodiscard]] util::SimTime last_frame_at() const { return rebase_.last(); }
+  [[nodiscard]] std::uint64_t frames_replayed() const {
+    return stats_.frames;
+  }
 
  private:
-  std::size_t on_batch(std::span<const Frame> batch) override;
   void pace(util::SimTime at);
+  void publish_observations();
 
   ReplayConfig cfg_;
+  CaptureSource source_;
   sim::Scheduler scheduler_;
-  CapturePipeline pipeline_;
   std::vector<ReplaySink*> sinks_;
+  pcap::Record record_;  ///< reused record buffer
+  Frame frame_;          ///< reused decode target
+  EpochRebase rebase_;
+  PipelineStats stats_;
+  obs::Registry* registry_ = nullptr;
   obs::WallClock real_clock_;
   const obs::WallClock* wall_;
-  bool first_seen_ = false;
-  util::SimTime epoch_ = util::SimTime::zero();
-  util::SimTime last_at_ = util::SimTime::zero();
   std::int64_t pace_wall0_ns_ = 0;
   util::SimTime pace_sim0_ = util::SimTime::zero();
-  std::uint64_t frames_ = 0;
+  bool ran_ = false;
 };
 
 }  // namespace syndog::ingest

@@ -1,6 +1,6 @@
 // Sharded multi-core capture ingest (RSS-style rings + batched classify).
 //
-// The reference path (CapturePipeline -> ReplayEngine -> AgentDemux) is
+// The reference path (CaptureSource -> ReplayEngine -> AgentDemux) is
 // byte-deterministic but single-threaded: one thread decodes, routes, and
 // counts every frame. ShardedReplay splits that work the way a NIC's RSS
 // indirection does: the producer thread frames the capture, extracts a
@@ -12,19 +12,26 @@
 // bytes per (stub, direction) and count them with classify::sweep_flags
 // (SIMD where available) instead of classifying frame by frame.
 //
-// Determinism contract: after the workers join, per-shard period tables
-// merge in stable shard order and replay through one core::SynDog per
-// stub, reproducing core::SynDogAgent's healthy-path rollover (including
-// the first-mile SYN/ACK-collapse absorption) exactly. Because period
-// counts are integers and integer addition is associative, history(i) is
-// byte-identical — every PeriodReport field, doubles included — to what
-// the single-threaded ReplayEngine + AgentDemux oracle produces for the
-// same capture, for any thread count. Tests assert this with
-// operator== on the full report structs.
+// Every decision the two datapaths share has one implementation: the
+// format sniff (pcap::is_pcapng) and file-header parse (CaptureSource,
+// which both constructors build), record framing
+// and its length bound (pcap::decode_record_header), the epoch rebase
+// (EpochRebase), stub routing (StubRouter), the mode-to-interface rule
+// (core::counted_interfaces), and the period rollover
+// (core::SynDogAgent::close_period).
 //
-// Scope: replay analytics only. No pacing, no fault injection, no
-// per-period callbacks — the reference engine remains the tool for
-// those; benches compare against it and ctest pins the equivalence.
+// Determinism contract: after the workers join, per-shard period tables
+// merge in stable shard order, and each stub's summed counts close its
+// periods on the core::SynDogAgent of an AgentDemux built in run().
+// Because period counts are integers and integer addition is
+// associative, history(i) is byte-identical — every PeriodReport field,
+// doubles included — to the single-threaded ReplayEngine + AgentDemux
+// oracle's for the same capture, for any thread count, and so are the
+// alarms' times and reports. Tests assert this with operator== on the
+// full report structs.
+//
+// Scope: replay analytics. No pacing and no fault injection; the agents
+// see period counts, not packets, so alarms carry no MAC suspects.
 #pragma once
 
 #include <cstddef>
@@ -38,10 +45,11 @@
 #include "syndog/core/agent.hpp"
 #include "syndog/ingest/agent_demux.hpp"
 #include "syndog/ingest/capture_source.hpp"
-#include "syndog/ingest/pipeline.hpp"
 #include "syndog/ingest/replay.hpp"
+#include "syndog/ingest/stub_router.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/pcap/pcap.hpp"
+#include "syndog/sim/scheduler.hpp"
 #include "syndog/util/time.hpp"
 
 namespace syndog::ingest {
@@ -59,9 +67,11 @@ struct ShardedConfig {
   core::AgentHealthPolicy health;
   core::AgentMode mode = core::AgentMode::kFirstMile;
   /// Stub index credited with frames matching no prefix; -1 counts them
-  /// unroutable instead (same rule as DemuxOptions::default_stub).
+  /// unroutable instead (the StubRouter rule, as DemuxOptions).
   int default_stub = 0;
-  void validate(std::size_t stub_count) const;
+  /// Checks every field but default_stub, which the StubRouter checks
+  /// against the stub list.
+  void validate() const;
 };
 
 /// Per-shard delivery counters, surfaced as ingest.shard.<i>.{delivered,
@@ -91,13 +101,13 @@ class ShardedReplay {
   ShardedReplay(const ShardedReplay&) = delete;
   ShardedReplay& operator=(const ShardedReplay&) = delete;
 
-  [[nodiscard]] CaptureFormat format() const { return format_; }
+  [[nodiscard]] CaptureFormat format() const { return source_->format(); }
 
   /// Counters land in `registry` when run() finishes:
   /// ingest.sharded.{records,frames,bytes,decode_failures,
   /// truncated_captures,local_frames,unroutable_frames} and
   /// ingest.shard.<i>.{delivered,dropped}. Distinct from the reference
-  /// pipeline's ingest.* names so both datapaths can share a registry.
+  /// engine's ingest.* names so both datapaths can share a registry.
   void attach_observer(obs::Registry& registry) { registry_ = &registry; }
 
   /// Streams the whole capture through the shards and merges. Call once.
@@ -108,9 +118,17 @@ class ShardedReplay {
 
   [[nodiscard]] std::size_t stub_count() const { return stubs_.size(); }
   [[nodiscard]] const StubSpec& stub(std::size_t i) const;
+  /// Stub `i`'s agent; exists once run() has merged (throws before).
+  [[nodiscard]] const core::SynDogAgent& agent(std::size_t i) const;
   /// Per-period reports for stub `i`, byte-identical to the reference
   /// AgentDemux agent's history() for the same capture and parameters.
   [[nodiscard]] const std::vector<core::PeriodReport>& history(
+      std::size_t i) const {
+    return agent(i).history();
+  }
+  /// Alarms raised by stub `i`'s agent; same times and reports as the
+  /// reference AgentDemux::alarms(i), with no suspects.
+  [[nodiscard]] const std::vector<core::AlarmEvent>& alarms(
       std::size_t i) const;
 
   [[nodiscard]] std::uint64_t local_frames() const { return local_; }
@@ -118,7 +136,7 @@ class ShardedReplay {
     return unroutable_;
   }
   [[nodiscard]] util::SimTime last_frame_at() const {
-    return util::SimTime::nanoseconds(last_at_ns_);
+    return rebase_.last();
   }
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -127,35 +145,47 @@ class ShardedReplay {
  private:
   struct Shard;
 
-  void init(ShardedConfig cfg);
+  ShardedReplay(std::vector<StubSpec> stubs, ShardedConfig cfg);
   void produce();
-  void produce_pcap_fast();
-  void produce_pcap_span();
+  void produce_span();
+  void produce_stream();
   void produce_pcapng();
+  /// Where walk_records stopped: at corrupt framing, or at `pos`, the
+  /// first record not wholly inside the bytes, which is `need` bytes long
+  /// (header included).
+  struct WalkEnd {
+    std::size_t pos;
+    std::size_t need;
+    bool corrupt;
+  };
+  /// Frames the whole classic-pcap records in bytes [pos, size) and
+  /// feeds each.
+  WalkEnd walk_records(const std::uint8_t* base, std::size_t size,
+                       std::size_t pos);
   /// Decode + rebase one record and publish its digest to its shard.
   void feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
                    net::ByteSpan data);
   void consume_shard(Shard& shard);
   void merge();
   void publish_observations();
+  [[nodiscard]] const AgentDemux& agents() const;
 
-  std::istream* in_ = nullptr;              ///< null in span mode
-  net::ByteSpan span_{};                    ///< empty in stream mode
-  std::optional<std::istringstream> owned_in_;  ///< span-mode pcapng bridge
-  CaptureFormat format_;
-  std::optional<pcap::Reader> pcap_;        ///< classic pcap fast path
-  pcap::FileHeader span_header_;            ///< span-mode pcap header
-  std::optional<CaptureSource> pcapng_;     ///< pcapng fallback
+  std::istream* in_ = nullptr;  ///< null in span mode
+  net::ByteSpan span_{};        ///< empty in stream mode
+  /// Span mode's stream over the file header (classic pcap) or the whole
+  /// capture (pcapng), read by source_.
+  std::optional<std::istringstream> owned_in_;
+  std::optional<CaptureSource> source_;
   std::vector<StubSpec> stubs_;
   ShardedConfig cfg_;
+  StubRouter router_;
   std::int64_t t0_ns_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::vector<core::PeriodReport>> histories_;
+  EpochRebase rebase_;
+  sim::Scheduler clock_;  ///< the agents' scheduler; never run
+  std::unique_ptr<AgentDemux> agents_;
   PipelineStats stats_;
   pcap::ReadEnd end_ = pcap::ReadEnd::kStreaming;
-  bool first_seen_ = false;
-  std::int64_t epoch_ns_ = 0;
-  std::int64_t last_at_ns_ = 0;
   std::uint64_t local_ = 0;
   std::uint64_t unroutable_ = 0;
   obs::Registry* registry_ = nullptr;

@@ -1,37 +1,30 @@
 #include "syndog/ingest/replay.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 
+#include "syndog/net/packet.hpp"
+
 namespace syndog::ingest {
-
-namespace {
-
-/// kAuto threshold: a first timestamp beyond this is an absolute-epoch
-/// stamp from a real capture, not a synthetic zero-based trace.
-constexpr util::SimTime kAbsoluteEpochFloor = util::SimTime::seconds(86400);
-
-}  // namespace
 
 void ReplayConfig::validate() const {
   if (clock == ReplayClock::kPaced && !(speed > 0.0)) {
     throw std::invalid_argument("ReplayConfig: paced speed must be > 0");
   }
-  pipeline.validate();
 }
 
 ReplayEngine::ReplayEngine(std::istream& in, ReplayConfig cfg)
     : cfg_((cfg.validate(), cfg)),
-      pipeline_(in, cfg.pipeline),
-      wall_(&real_clock_) {
-  pipeline_.add_sink("replay", *this, BackpressurePolicy::kBlock);
-}
+      source_(in),
+      rebase_(cfg.origin),
+      wall_(&real_clock_) {}
 
 void ReplayEngine::add_sink(ReplaySink& sink) { sinks_.push_back(&sink); }
 
 void ReplayEngine::attach_observer(obs::Registry& registry) {
-  pipeline_.attach_observer(registry);
+  registry_ = &registry;
   scheduler_.attach_observer(&registry);
 }
 
@@ -53,50 +46,46 @@ void ReplayEngine::pace(util::SimTime at) {
   }
 }
 
-std::size_t ReplayEngine::on_batch(std::span<const Frame> batch) {
-  for (const Frame& frame : batch) {
-    if (!first_seen_) {
-      first_seen_ = true;
-      switch (cfg_.origin) {
-        case TimeOrigin::kCaptureZero:
-          break;
-        case TimeOrigin::kFirstFrame:
-          epoch_ = frame.at;
-          break;
-        case TimeOrigin::kAuto:
-          if (frame.at > kAbsoluteEpochFloor) epoch_ = frame.at;
-          break;
-      }
-      pace_wall0_ns_ = wall_->now_ns();
-      pace_sim0_ = frame.at - epoch_;
+const PipelineStats& ReplayEngine::run() {
+  if (ran_) {
+    throw std::logic_error("ReplayEngine::run: already ran (call once)");
+  }
+  ran_ = true;
+  while (source_.next(record_)) {
+    ++stats_.records;
+    if (!net::decode_frame_into(record_.data, frame_.packet)) {
+      ++stats_.decode_failures;
+      continue;
     }
-    util::SimTime at = frame.at - epoch_;
-    // Out-of-order or pre-epoch timestamps cannot rewind the DES clock.
-    if (at < scheduler_.now()) at = scheduler_.now();
+    frame_.at = record_.timestamp;
+    frame_.wire_bytes = record_.orig_len;
+    frame_.captured_bytes = static_cast<std::uint32_t>(record_.data.size());
+    stats_.bytes += record_.data.size();
+    const util::SimTime at = rebase_(frame_.at);
+    if (stats_.frames++ == 0) {
+      pace_wall0_ns_ = wall_->now_ns();
+      pace_sim0_ = at;
+    }
     if (cfg_.clock == ReplayClock::kPaced) pace(at);
     // Fire every timer due at or before this frame (period rollovers
     // land before the frame that crosses the boundary, as in the
     // whole-file analysis loop).
     scheduler_.run_until(at);
-    for (ReplaySink* sink : sinks_) sink->on_frame(at, frame);
-    last_at_ = at;
-    ++frames_;
+    for (ReplaySink* sink : sinks_) sink->on_frame(at, frame_);
   }
-  return batch.size();
+  stats_.truncated = source_.end_state() == pcap::ReadEnd::kTruncated;
+  publish_observations();
+  return stats_;
 }
 
-const PipelineStats& ReplayEngine::run() {
-  pipeline_.run();
-  return pipeline_.stats();
-}
-
-void ReplayEngine::close_final_period(util::SimTime t0) {
-  if (t0 <= util::SimTime::zero()) {
-    throw std::invalid_argument("close_final_period: t0 must be positive");
-  }
-  const std::int64_t boundary_ns =
-      (scheduler_.now().ns() / t0.ns() + 1) * t0.ns();
-  scheduler_.run_until(util::SimTime::nanoseconds(boundary_ns));
+void ReplayEngine::publish_observations() {
+  if (registry_ == nullptr) return;
+  registry_->counter("ingest.records").add(stats_.records);
+  registry_->counter("ingest.frames").add(stats_.frames);
+  registry_->counter("ingest.bytes").add(stats_.bytes);
+  registry_->counter("ingest.decode_failures").add(stats_.decode_failures);
+  registry_->counter("ingest.truncated_captures")
+      .add(stats_.truncated ? 1 : 0);
 }
 
 }  // namespace syndog::ingest

@@ -14,46 +14,42 @@
 #include <utility>
 
 #include "syndog/classify/batch.hpp"
-#include "syndog/core/syndog.hpp"
 #include "syndog/ingest/flow_hash.hpp"
 #include "syndog/ingest/frame_ring.hpp"
 #include "syndog/net/digest.hpp"
+#include "syndog/pcap/pcapng.hpp"
 
 namespace syndog::ingest {
 
 namespace {
 
-/// kAuto threshold, mirrored from replay.cpp: a first timestamp beyond
-/// 24 h is an absolute-epoch stamp from a real capture.
-constexpr std::int64_t kAbsoluteEpochFloorNs = 86'400'000'000'000;
+/// Stream-source block size; a record longer than one block grows the
+/// buffer to fit it (pcap::decode_record_header bounds how far).
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
-/// pcapng Section Header Block type (same sniff as CaptureSource).
-constexpr std::uint32_t kSectionHeaderBlock = 0x0a0d0d0a;
+/// One direction's open-period flag bytes: a flush_threshold-byte slice
+/// of the shard's flag arena, swept with classify::sweep_flags whenever
+/// it fills and when the period closes.
+struct FlagBatch {
+  std::uint8_t* bytes = nullptr;
+  std::size_t size = 0;
+  classify::FlagSweep swept;  ///< counts of the bytes swept this period
 
-constexpr std::uint32_t bswap32(std::uint32_t v) {
-  return (v >> 24) | ((v >> 8) & 0x0000ff00U) | ((v << 8) & 0x00ff0000U) |
-         (v << 24);
-}
-
-/// A stub prefix reduced to the two words contains() compares, so the
-/// per-digest routing scan is branch + AND + compare per stub with no
-/// function calls.
-struct PrefixMatcher {
-  std::uint32_t mask = 0;
-  std::uint32_t net = 0;
-  [[nodiscard]] bool contains(std::uint32_t addr) const {
-    return (addr & mask) == net;
+  void flush() {
+    if (size == 0) return;
+    swept += classify::sweep_flags(std::span<const std::uint8_t>{bytes, size});
+    size = 0;
+  }
+  void append(std::uint8_t flag, std::size_t flush_threshold) {
+    bytes[size] = flag;
+    if (++size == flush_threshold) flush();
   }
 };
 
 /// Flag-byte batches and period table for one stub within one shard.
 struct StubShardState {
-  /// Open-period flag bytes, swept in batches; bounded by the reserve in
-  /// Shard's constructor (flush_threshold), so appends never reallocate.
-  std::vector<std::uint8_t> out_flags;
-  std::vector<std::uint8_t> in_flags;
-  classify::FlagSweep out_partial;  ///< swept counts, open period
-  classify::FlagSweep in_partial;
+  FlagBatch out;
+  FlagBatch in;
   /// periods[p] = mode-selected {syn, synack} this shard saw in period p.
   /// Sparse at the tail: periods past the last nonzero entry are omitted.
   std::vector<std::array<std::int64_t, 2>> periods;
@@ -67,11 +63,17 @@ struct StubShardState {
 struct ShardedReplay::Shard {
   Shard(std::size_t ring_capacity, std::size_t stub_count,
         std::size_t flush_threshold)
-      : ring(ring_capacity) {
+      : ring(ring_capacity),
+        // Construction-time sizing, left uninitialized: a batch writes
+        // each byte before sweeping it, and batches never grow.
+        flag_arena(std::make_unique_for_overwrite<std::uint8_t[]>(
+            2 * stub_count * flush_threshold)) {
     stubs.resize(stub_count);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
+    std::uint8_t* next = flag_arena.get();
     for (StubShardState& s : stubs) {
-      s.out_flags.reserve(flush_threshold + 1);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing; appends stay under the threshold
-      s.in_flags.reserve(flush_threshold + 1);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing; appends stay under the threshold
+      s.out.bytes = next;
+      s.in.bytes = next + flush_threshold;
+      next += 2 * flush_threshold;
     }
   }
 
@@ -80,6 +82,8 @@ struct ShardedReplay::Shard {
   std::exception_ptr failure;     ///< consumer: set before early exit
 
   // -- consumer-owned state ----------------------------------------------
+  /// Every stub's two flag batches, in one allocation.
+  std::unique_ptr<std::uint8_t[]> flag_arena;
   std::vector<StubShardState> stubs;
   std::int64_t cur_period = 0;
   std::int64_t next_boundary_ns = 0;
@@ -88,7 +92,7 @@ struct ShardedReplay::Shard {
   std::uint64_t unroutable = 0;
 };
 
-void ShardedConfig::validate(std::size_t stub_count) const {
+void ShardedConfig::validate() const {
   if (threads == 0) {
     throw std::invalid_argument("ShardedConfig: threads must be >= 1");
   }
@@ -102,87 +106,43 @@ void ShardedConfig::validate(std::size_t stub_count) const {
   }
   params.validate();
   health.validate();
-  if (stub_count == 0) {
-    throw std::invalid_argument("ShardedReplay: at least one stub");
-  }
-  if (default_stub < -1 ||
-      default_stub >= static_cast<int>(stub_count)) {
-    throw std::invalid_argument(
-        "ShardedConfig: default_stub out of range (use -1 to drop "
-        "unmatched frames)");
-  }
 }
 
-ShardedReplay::ShardedReplay(std::istream& in, std::vector<StubSpec> stubs,
-                             ShardedConfig cfg)
-    : in_(&in), format_(CaptureFormat::kPcap), stubs_(std::move(stubs)) {
-  cfg.validate(stubs_.size());
-
-  // Same format sniff as CaptureSource: pcapng's Section Header Block
-  // type is a byte-order palindrome.
-  char magic_bytes[4];
-  in_->read(magic_bytes, 4);
-  if (in_->gcount() != 4) {
-    throw std::runtime_error("capture: file too short to sniff format");
-  }
-  for (int i = 3; i >= 0; --i) in_->putback(magic_bytes[i]);
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) | static_cast<std::uint8_t>(magic_bytes[i]);
-  }
-  if (le_magic == kSectionHeaderBlock) {
-    format_ = CaptureFormat::kPcapng;
-    pcapng_.emplace(*in_);
-  } else {
-    pcap_.emplace(*in_);  // throws on an unrecognized magic
-  }
-  init(cfg);
-}
-
-ShardedReplay::ShardedReplay(net::ByteSpan capture,
-                             std::vector<StubSpec> stubs, ShardedConfig cfg)
-    : span_(capture), format_(CaptureFormat::kPcap), stubs_(std::move(stubs)) {
-  cfg.validate(stubs_.size());
-
-  if (span_.size() < 4) {
-    throw std::runtime_error("capture: file too short to sniff format");
-  }
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) le_magic = (le_magic << 8) | span_[static_cast<std::size_t>(i)];
-  if (le_magic == kSectionHeaderBlock) {
-    // pcapng keeps the record-at-a-time reader; bridge the span through
-    // an owned stream (one copy — the zero-copy fast path is classic
-    // pcap, the format line-rate captures actually use).
-    format_ = CaptureFormat::kPcapng;
-    owned_in_.emplace(
-        std::string(reinterpret_cast<const char*>(span_.data()),
-                    span_.size()),
-        std::ios::binary);
-    pcapng_.emplace(*owned_in_);
-  } else {
-    // Parse + validate the 24-byte file header with the real Reader over
-    // a bounded bridge stream, so a malformed header throws exactly the
-    // same error as the stream constructor.
-    owned_in_.emplace(
-        std::string(reinterpret_cast<const char*>(span_.data()),
-                    std::min<std::size_t>(span_.size(), 24)),
-        std::ios::binary);
-    const pcap::Reader header_probe(*owned_in_);
-    span_header_ = header_probe.header();
-    owned_in_.reset();
-  }
-  init(cfg);
-}
-
-void ShardedReplay::init(ShardedConfig cfg) {
-  cfg_ = cfg;
-  t0_ns_ = cfg_.params.observation_period.ns();
+ShardedReplay::ShardedReplay(std::vector<StubSpec> stubs, ShardedConfig cfg)
+    : stubs_(std::move(stubs)),
+      cfg_((cfg.validate(), cfg)),
+      router_(stubs_, cfg_.default_stub),
+      t0_ns_(cfg_.params.observation_period.ns()),
+      rebase_(cfg_.origin) {
   shards_.reserve(cfg_.threads);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
   for (std::size_t i = 0; i < cfg_.threads; ++i) {
     shards_.push_back(std::make_unique<Shard>(  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
         cfg_.ring_capacity, stubs_.size(), cfg_.flush_threshold));
   }
-  histories_.resize(stubs_.size());  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
+}
+
+ShardedReplay::ShardedReplay(std::istream& in, std::vector<StubSpec> stubs,
+                             ShardedConfig cfg)
+    : ShardedReplay(std::move(stubs), cfg) {
+  in_ = &in;
+  source_.emplace(in);
+}
+
+ShardedReplay::ShardedReplay(net::ByteSpan capture,
+                             std::vector<StubSpec> stubs, ShardedConfig cfg)
+    : ShardedReplay(std::move(stubs), cfg) {
+  span_ = capture;
+  // pcapng keeps the record-at-a-time reader over an owned copy (the
+  // zero-copy path is classic pcap, the format line-rate captures use);
+  // classic pcap hands the reader only its 24-byte file header, so a
+  // malformed header throws the same error as in stream mode.
+  const std::size_t bridged = pcap::is_pcapng(capture)
+                                  ? capture.size()
+                                  : std::min<std::size_t>(capture.size(), 24);
+  owned_in_.emplace(
+      std::string(reinterpret_cast<const char*>(capture.data()), bridged),
+      std::ios::binary);
+  source_.emplace(*owned_in_);
 }
 
 ShardedReplay::~ShardedReplay() = default;
@@ -191,9 +151,20 @@ const StubSpec& ShardedReplay::stub(std::size_t i) const {
   return stubs_.at(i);
 }
 
-const std::vector<core::PeriodReport>& ShardedReplay::history(
+const AgentDemux& ShardedReplay::agents() const {
+  if (!agents_) {
+    throw std::logic_error("ShardedReplay: agents exist once run() merged");
+  }
+  return *agents_;
+}
+
+const core::SynDogAgent& ShardedReplay::agent(std::size_t i) const {
+  return agents().agent(i);
+}
+
+const std::vector<core::AlarmEvent>& ShardedReplay::alarms(
     std::size_t i) const {
-  return histories_.at(i);
+  return agents().alarms(i);
 }
 
 ShardCounters ShardedReplay::shard(std::size_t i) const {
@@ -253,34 +224,19 @@ void ShardedReplay::run() {
 }
 
 void ShardedReplay::produce() {
-  if (format_ == CaptureFormat::kPcapng) {
+  if (format() == CaptureFormat::kPcapng) {
     produce_pcapng();
   } else if (in_ == nullptr) {
-    produce_pcap_span();
+    produce_span();
   } else {
-    produce_pcap_fast();
+    produce_stream();
   }
 }
 
-/// Classic pcap over an in-memory span: the record walk IS the buffer —
-/// no block reads, no memmove, no copy per byte. End-state rules match
-/// produce_pcap_fast (and so pcap::Reader::next_into): nothing left at a
-/// record boundary is kEof; a partial header, an implausible incl_len,
-/// or short data is kTruncated.
-void ShardedReplay::produce_pcap_span() {
-  const bool swap = span_header_.swapped;
-  const bool nanos = span_header_.nanosecond;
-  const std::uint64_t max_incl = std::uint64_t{span_header_.snaplen} + 65536;
-  const std::uint8_t* base = span_.data();
-  const std::size_t size = span_.size();
-  std::size_t pos = 24;  // the probe Reader validated the file header
-
-  const auto load32 = [&](std::size_t off) -> std::uint32_t {
-    std::uint32_t v = 0;
-    std::memcpy(&v, base + pos + off, 4);
-    return swap ? bswap32(v) : v;
-  };
-
+ShardedReplay::WalkEnd ShardedReplay::walk_records(const std::uint8_t* base,
+                                                   std::size_t size,
+                                                   std::size_t pos) {
+  const pcap::FileHeader file = *source_->pcap_header();
   // The record walk chases a serial dependency (this record's length ->
   // next record's address), which a cold span turns into one DRAM-latency
   // stall per record. Streaming prefetch a few KiB ahead keeps the walk
@@ -288,109 +244,75 @@ void ShardedReplay::produce_pcap_span() {
   // buffer has, without writing 1 MiB blocks nobody reads twice.
   constexpr std::size_t kPrefetchAheadBytes = 4096;
   std::size_t prefetched = pos;
-
+  pcap::RecordHeader rec;
   for (;;) {
-    const std::size_t want = std::min(pos + kPrefetchAheadBytes, size);
-    while (prefetched < want) {
+    const std::size_t ahead = std::min(pos + kPrefetchAheadBytes, size);
+    for (; prefetched < ahead; prefetched += 64) {
       __builtin_prefetch(base + prefetched, 0, 3);
-      prefetched += 64;
     }
-    if (size - pos < 16) {
-      end_ = size == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
-      return;
+    if (size - pos < 16) return {pos, 16, false};
+    if (!pcap::decode_record_header(file, base + pos, rec)) {
+      return {pos, 0, true};
     }
-    const std::uint32_t ts_sec = load32(0);
-    const std::uint32_t ts_frac = load32(4);
-    const std::uint32_t incl = load32(8);
-    const std::uint32_t orig = load32(12);
-    if (std::uint64_t{incl} > max_incl || size - pos - 16 < incl) {
-      end_ = pcap::ReadEnd::kTruncated;
-      return;
-    }
-    const std::int64_t ts_ns =
-        std::int64_t{ts_sec} * 1'000'000'000 +
-        (nanos ? std::int64_t{ts_frac} : std::int64_t{ts_frac} * 1000);
-    feed_record(ts_ns, orig, net::ByteSpan{base + pos + 16, incl});
-    pos += 16U + incl;
+    const std::size_t length = 16 + std::size_t{rec.incl_len};
+    if (size - pos < length) return {pos, length, false};
+    feed_record(rec.timestamp_ns, rec.orig_len,
+                net::ByteSpan{base + pos + 16, rec.incl_len});
+    pos += length;
   }
 }
 
-/// Classic pcap fast path: the Reader already consumed and validated the
-/// 24-byte file header; from here the producer frames records out of
-/// ~1 MiB block reads, so steady state costs one istream::read per block
-/// instead of two per record. End-state classification matches
-/// pcap::Reader::next_into exactly: nothing left at a record boundary is
-/// kEof; a partial header, an implausible incl_len, or short data is
-/// kTruncated.
-void ShardedReplay::produce_pcap_fast() {
-  const pcap::FileHeader& hdr = pcap_->header();
-  const bool swap = hdr.swapped;
-  const bool nanos = hdr.nanosecond;
-  const std::uint64_t max_incl = std::uint64_t{hdr.snaplen} + 65536;
+/// Classic pcap over an in-memory span: the record walk IS the buffer —
+/// no block reads, no memmove, no copy per byte. Nothing left at a record
+/// boundary is kEof; a partial record or corrupt framing is kTruncated.
+void ShardedReplay::produce_span() {
+  // source_ parsed the 24-byte file header.
+  const WalkEnd end = walk_records(span_.data(), span_.size(), 24);
+  end_ = !end.corrupt && end.pos == span_.size() ? pcap::ReadEnd::kEof
+                                                 : pcap::ReadEnd::kTruncated;
+}
 
+/// Classic pcap over a stream: source_ consumed the file header; each
+/// ~1 MiB block read is walked exactly like a span, so steady state costs
+/// one istream::read per block instead of two per record. The partial
+/// record at a block's end moves to the front before the next read.
+void ShardedReplay::produce_stream() {
   std::vector<std::uint8_t> buf;
-  buf.resize(std::max<std::size_t>(  // syndog-lint: allow(hotpath.allocation) -- one block buffer per capture, sized up front
-      std::size_t{1} << 20, static_cast<std::size_t>(max_incl) + 16));
-  std::size_t pos = 0;
+  buf.resize(kBlockBytes);  // syndog-lint: allow(hotpath.allocation) -- one block buffer per capture, sized up front
   std::size_t filled = 0;
-  bool stream_done = false;
-
-  const auto fill = [&](std::size_t need) -> bool {
-    if (filled - pos >= need) return true;
-    std::memmove(buf.data(), buf.data() + pos, filled - pos);
-    filled -= pos;
-    pos = 0;
-    while (filled < need && !stream_done) {
-      in_->read(reinterpret_cast<char*>(buf.data() + filled),
-                static_cast<std::streamsize>(buf.size() - filled));
-      const auto got = static_cast<std::size_t>(in_->gcount());
-      filled += got;
-      if (got == 0) stream_done = true;
-    }
-    return filled - pos >= need;
-  };
-  const auto load32 = [&](std::size_t off) -> std::uint32_t {
-    std::uint32_t v = 0;
-    std::memcpy(&v, buf.data() + pos + off, 4);
-    return swap ? bswap32(v) : v;
-  };
-
   for (;;) {
-    if (!fill(16)) {
-      end_ = filled == pos ? pcap::ReadEnd::kEof : pcap::ReadEnd::kTruncated;
-      return;
-    }
-    const std::uint32_t ts_sec = load32(0);
-    const std::uint32_t ts_frac = load32(4);
-    const std::uint32_t incl = load32(8);
-    const std::uint32_t orig = load32(12);
-    if (std::uint64_t{incl} > max_incl) {
-      // Garbage framing, not a plausible snap; same guard as the Reader.
+    const std::size_t want = buf.size() - filled;
+    in_->read(reinterpret_cast<char*>(buf.data() + filled),
+              static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(in_->gcount());
+    filled += got;
+    const WalkEnd end = walk_records(buf.data(), filled, 0);
+    if (end.corrupt) {
       end_ = pcap::ReadEnd::kTruncated;
       return;
     }
-    if (!fill(16U + incl)) {
-      end_ = pcap::ReadEnd::kTruncated;
+    if (got < want) {  // the stream is exhausted
+      end_ = end.pos == filled ? pcap::ReadEnd::kEof
+                               : pcap::ReadEnd::kTruncated;
       return;
     }
-    const std::int64_t ts_ns =
-        std::int64_t{ts_sec} * 1'000'000'000 +
-        (nanos ? std::int64_t{ts_frac} : std::int64_t{ts_frac} * 1000);
-    feed_record(ts_ns, orig, net::ByteSpan{buf.data() + pos + 16, incl});
-    pos += 16U + incl;
+    std::memmove(buf.data(), buf.data() + end.pos, filled - end.pos);
+    filled -= end.pos;
+    if (end.need > buf.size()) {
+      buf.resize(end.need);  // syndog-lint: allow(hotpath.allocation) -- only for a record longer than a block, at most pcap::kMaxRecordBytes
+    }
   }
 }
 
-/// pcapng (and any future formats CaptureSource learns): reuse the
-/// record-at-a-time reader — correctness over peak rate off the classic
-/// format.
+/// pcapng: the record-at-a-time reader — correctness over peak rate off
+/// the classic format.
 void ShardedReplay::produce_pcapng() {
   pcap::Record rec;
-  while (pcapng_->next(rec)) {
+  while (source_->next(rec)) {
     feed_record(rec.timestamp.ns(), rec.orig_len,
                 net::ByteSpan{rec.data.data(), rec.data.size()});
   }
-  end_ = pcapng_->end_state();
+  end_ = source_->end_state();
 }
 
 void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
@@ -403,26 +325,8 @@ void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
   }
   stats_.bytes += data.size();
   ++stats_.frames;
-
-  // Epoch rebase + monotonic clamp, in lockstep with ReplayEngine: the
-  // first *decoded* frame picks the epoch, and no frame may rewind time.
-  if (!first_seen_) {
-    first_seen_ = true;
-    switch (cfg_.origin) {
-      case TimeOrigin::kCaptureZero:
-        break;
-      case TimeOrigin::kFirstFrame:
-        epoch_ns_ = ts_ns;
-        break;
-      case TimeOrigin::kAuto:
-        if (ts_ns > kAbsoluteEpochFloorNs) epoch_ns_ = ts_ns;
-        break;
-    }
-  }
-  std::int64_t at = ts_ns - epoch_ns_;
-  if (at < last_at_ns_) at = last_at_ns_;
-  last_at_ns_ = at;
-  digest.at_ns = at;
+  // The first *decoded* frame picks the epoch, as in ReplayEngine.
+  digest.at_ns = rebase_(util::SimTime::nanoseconds(ts_ns)).ns();
   digest.wire_bytes = orig_len;
 
   Shard& sh = *shards_[shard_of(flow_hash(digest), shards_.size())];
@@ -439,63 +343,36 @@ void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
 
 namespace {
 
-/// Sweeps and clears one direction buffer into its partial counts.
-inline void flush_direction(std::vector<std::uint8_t>& flags,
-                            classify::FlagSweep& partial) {
-  if (flags.empty()) return;
-  partial += classify::sweep_flags(
-      std::span<const std::uint8_t>{flags.data(), flags.size()});
-  flags.clear();
-}
-
-inline void append_flag(std::vector<std::uint8_t>& flags,
-                        classify::FlagSweep& partial, std::uint8_t flag,
-                        std::size_t flush_threshold) {
-  flags.push_back(flag);  // syndog-lint: allow(hotpath.allocation) -- bounded by the construction-time reserve (flush_threshold + 1); flushed below before it can grow
-  if (flags.size() >= flush_threshold) flush_direction(flags, partial);
-}
-
 /// Closes the shard's open period `p` for every stub: sweep the
-/// remaining flag bytes and record the mode-selected totals.
+/// remaining flag bytes and record the SYNs and SYN/ACKs the agent
+/// counts.
 void close_shard_period(std::vector<StubShardState>& stubs, std::int64_t p,
-                        core::AgentMode mode) {
+                        core::CountedInterfaces counted) {
   for (StubShardState& s : stubs) {
-    flush_direction(s.out_flags, s.out_partial);
-    flush_direction(s.in_flags, s.in_partial);
-    // First mile: outgoing SYNs vs incoming SYN/ACKs. Last mile: the
-    // flood arrives inbound and the victim's SYN/ACKs leave outbound
-    // (same tap wiring as SynDogAgent's constructor).
-    const std::int64_t syn = static_cast<std::int64_t>(
-        mode == core::AgentMode::kFirstMile ? s.out_partial.syn
-                                            : s.in_partial.syn);
-    const std::int64_t synack = static_cast<std::int64_t>(
-        mode == core::AgentMode::kFirstMile ? s.in_partial.syn_ack
-                                            : s.out_partial.syn_ack);
+    s.out.flush();
+    s.in.flush();
+    const auto side = [&s](core::Interface i) -> const classify::FlagSweep& {
+      return i == core::Interface::kOutbound ? s.out.swept : s.in.swept;
+    };
+    const auto syn = static_cast<std::int64_t>(side(counted.syns).syn);
+    const auto synack =
+        static_cast<std::int64_t>(side(counted.syn_acks).syn_ack);
     if ((syn | synack) != 0) {
       if (s.periods.size() <= static_cast<std::size_t>(p)) {
         s.periods.resize(static_cast<std::size_t>(p) + 1);  // syndog-lint: allow(hotpath.allocation) -- once per non-empty period per stub, off the per-digest path
       }
       s.periods[static_cast<std::size_t>(p)] = {syn, synack};
     }
-    s.out_partial = classify::FlagSweep{};
-    s.in_partial = classify::FlagSweep{};
+    s.out.swept = classify::FlagSweep{};
+    s.in.swept = classify::FlagSweep{};
   }
 }
 
 }  // namespace
 
 void ShardedReplay::consume_shard(Shard& sh) {
-  // Shard-local routing table: first matching prefix wins, exactly as
-  // AgentDemux::find_stub.
-  std::vector<PrefixMatcher> matchers;
-  matchers.reserve(stubs_.size());  // syndog-lint: allow(hotpath.allocation) -- built once at worker start, before any digest flows
-  for (const StubSpec& spec : stubs_) {
-    matchers.push_back(  // syndog-lint: allow(hotpath.allocation) -- built once at worker start, before any digest flows
-        PrefixMatcher{spec.prefix.mask(), spec.prefix.base().value()});
-  }
-  const int stub_count = static_cast<int>(stubs_.size());
-  const int default_stub = cfg_.default_stub;
   const std::size_t flush_threshold = cfg_.flush_threshold;
+  const core::CountedInterfaces counted = core::counted_interfaces(cfg_.mode);
 
   sh.cur_period = 0;
   sh.next_boundary_ns = t0_ns_;
@@ -511,61 +388,44 @@ void ShardedReplay::consume_shard(Shard& sh) {
       if (d.at_ns >= sh.next_boundary_ns) {
         // A frame exactly on the boundary counts into the next period
         // (the reference scheduler fires the rollover first).
-        close_shard_period(sh.stubs, sh.cur_period, cfg_.mode);
+        close_shard_period(sh.stubs, sh.cur_period, counted);
         sh.cur_period = d.at_ns / t0_ns_;
         sh.next_boundary_ns = (sh.cur_period + 1) * t0_ns_;
       }
-      int src = -1;
-      int dst = -1;
-      for (int i = 0; i < stub_count; ++i) {
-        const PrefixMatcher& m = matchers[static_cast<std::size_t>(i)];
-        if (src < 0 && m.contains(d.src)) src = i;
-        if (dst < 0 && m.contains(d.dst)) dst = i;
-      }
-      if (src >= 0 && src == dst) {
+      const StubRoute route = router_.route(d.src, d.dst);
+      if (route.local) {
         ++sh.local;
         continue;
       }
-      bool routed = false;
-      if (src >= 0) {
-        StubShardState& s = sh.stubs[static_cast<std::size_t>(src)];
-        append_flag(s.out_flags, s.out_partial, d.flags, flush_threshold);
-        routed = true;
+      if (route.outbound >= 0) {
+        sh.stubs[static_cast<std::size_t>(route.outbound)].out.append(
+            d.flags, flush_threshold);
       }
-      if (dst >= 0) {
-        StubShardState& s = sh.stubs[static_cast<std::size_t>(dst)];
-        append_flag(s.in_flags, s.in_partial, d.flags, flush_threshold);
-        routed = true;
+      if (route.inbound >= 0) {
+        sh.stubs[static_cast<std::size_t>(route.inbound)].in.append(
+            d.flags, flush_threshold);
       }
-      if (!routed) {
-        if (default_stub >= 0) {
-          StubShardState& s =
-              sh.stubs[static_cast<std::size_t>(default_stub)];
-          append_flag(s.out_flags, s.out_partial, d.flags, flush_threshold);
-        } else {
-          ++sh.unroutable;
-        }
-      }
+      if (route.unroutable()) ++sh.unroutable;
     }
     sh.delivered += run.size();
     sh.ring.release(run.size());
   }
-  close_shard_period(sh.stubs, sh.cur_period, cfg_.mode);
+  close_shard_period(sh.stubs, sh.cur_period, counted);
+  sh.flag_arena.reset();  // every flag byte is swept: free it before the merge
 }
 
 /// Deterministic merge: per-stub per-period counts sum across shards in
-/// stable shard order, then replay through one core::SynDog per stub,
-/// reproducing SynDogAgent's healthy-path rollover — including the
-/// first-mile SYN/ACK-collapse absorption — byte for byte. The other
-/// health paths (gap rescale, outages, quarantine) cannot trigger here:
-/// replay timers are exact and there is no fault injection.
+/// stable shard order and close the stub agent's periods in order, each
+/// shard's table freed as soon as its stub is done. Replay period ends
+/// are exact, so no period is late (missed = 0).
 void ShardedReplay::merge() {
-  const std::int64_t total_periods = last_at_ns_ / t0_ns_ + 1;
+  agents_ = std::make_unique<AgentDemux>(  // syndog-lint: allow(hotpath.allocation) -- once per run(), after the workers join
+      clock_, stubs_, cfg_.params,
+      DemuxOptions{cfg_.mode, cfg_.default_stub});
+  const std::int64_t total_periods = rebase_.last().ns() / t0_ns_ + 1;
   for (std::size_t s = 0; s < stubs_.size(); ++s) {
-    core::SynDog dog(cfg_.params);
-    std::vector<core::PeriodReport>& hist = histories_[s];
-    hist.reserve(static_cast<std::size_t>(total_periods));  // syndog-lint: allow(hotpath.allocation) -- merge runs once, after the workers join
-    std::int64_t consecutive_collapsed = 0;
+    core::SynDogAgent& agent = agents_->agent(s);
+    agent.set_health_policy(cfg_.health);
     for (std::int64_t p = 0; p < total_periods; ++p) {
       std::int64_t syn = 0;
       std::int64_t synack = 0;
@@ -577,25 +437,12 @@ void ShardedReplay::merge() {
           synack += per[static_cast<std::size_t>(p)][1];
         }
       }
-      // SynDogAgent::synack_collapsed, with k read before observing.
-      const double k = dog.k();
-      const bool collapsed =
-          cfg_.mode == core::AgentMode::kFirstMile &&
-          k >= cfg_.health.collapse_min_k &&
-          syn >= cfg_.health.collapse_min_syn &&
-          static_cast<double>(synack) <= cfg_.health.collapse_fraction * k;
-      if (collapsed) {
-        ++consecutive_collapsed;
-        if (consecutive_collapsed <= cfg_.health.outage_patience) {
-          dog.note_gap_periods(1);
-          continue;
-        }
-        // Past patience: feed raw counts, keep the streak counting (the
-        // agent does not reset it until a non-collapsed period).
-      } else {
-        consecutive_collapsed = 0;
-      }
-      hist.push_back(dog.observe_period(syn, synack));  // syndog-lint: allow(hotpath.allocation) -- merge runs once, after the workers join
+      agent.close_period(util::SimTime::nanoseconds((p + 1) * t0_ns_), syn,
+                         synack, 0);
+    }
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      // Consumed: free the table now (clear() would keep its capacity).
+      std::vector<std::array<std::int64_t, 2>>().swap(shard->stubs[s].periods);
     }
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {

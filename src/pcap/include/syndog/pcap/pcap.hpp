@@ -6,6 +6,8 @@
 // (microsecond) and 0xa1b23c4d (nanosecond) in either byte order.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <optional>
@@ -43,6 +45,42 @@ struct Record {
   std::uint32_t orig_len = 0;  ///< length on the wire (>= data.size())
   net::ByteBuffer data;        ///< captured bytes (possibly snapped)
 };
+
+/// Largest record (classic pcap) or block body (pcapng) any reader
+/// accepts: 64 MiB. A length field beyond it is corrupt framing, never a
+/// size to allocate.
+inline constexpr std::uint32_t kMaxRecordBytes = std::uint32_t{1} << 26;
+
+/// The 16-byte header in front of each classic-pcap record, decoded.
+struct RecordHeader {
+  std::int64_t timestamp_ns = 0;
+  std::uint32_t incl_len = 0;  ///< captured bytes that follow the header
+  std::uint32_t orig_len = 0;  ///< length on the wire
+};
+
+/// Decodes the record header at `bytes` (16 readable bytes) in `file`'s
+/// byte order and timestamp resolution. Returns false when incl_len
+/// exceeds snaplen + 64 KiB (computed in 64 bits, so a huge snaplen
+/// cannot wrap the bound) or kMaxRecordBytes: corrupt framing, which
+/// readers end as ReadEnd::kTruncated. The one record framer shared by
+/// Reader and the sharded ingest datapath.
+[[nodiscard]] inline bool decode_record_header(const FileHeader& file,
+                                               const std::uint8_t* bytes,
+                                               RecordHeader& out) {
+  const auto field = [&](std::size_t offset) {
+    const std::uint32_t v = net::load_le32(bytes + offset);
+    return file.swapped ? net::byteswap32(v) : v;
+  };
+  const std::uint64_t bound = std::min<std::uint64_t>(
+      std::uint64_t{file.snaplen} + 65536, kMaxRecordBytes);
+  out.incl_len = field(8);
+  if (out.incl_len > bound) return false;
+  out.orig_len = field(12);
+  const std::int64_t frac = field(4);
+  out.timestamp_ns = std::int64_t{field(0)} * 1'000'000'000 +
+                     (file.nanosecond ? frac : frac * 1'000);
+  return true;
+}
 
 /// Why a reader stopped yielding records. `kTruncated` is a *distinct*
 /// terminal state: the stream ended (or turned to garbage) mid-record, so

@@ -96,6 +96,15 @@ class PcapngReader {
   LinkType last_link_ = LinkType::kEthernet;
 };
 
+/// True when a capture starting with `head` is pcapng: its first four
+/// bytes are the Section Header Block type (a byte-order palindrome).
+/// Anything else is read as classic pcap, whose Reader rejects an unknown
+/// magic. Throws std::runtime_error when `head` holds fewer than four
+/// bytes.
+[[nodiscard]] bool is_pcapng(net::ByteSpan head);
+/// Stream form: reads the first four bytes and puts them back.
+[[nodiscard]] bool is_pcapng(std::istream& in);
+
 /// Sniffs the first bytes of a stream and constructs the right reader;
 /// returns records from either format. Throws on unrecognizable input.
 [[nodiscard]] std::vector<Record> read_any_capture(std::istream& in);

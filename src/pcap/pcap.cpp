@@ -164,27 +164,20 @@ bool Reader::next_into(Record& out) {
     end_ = ReadEnd::kTruncated;
     return false;
   }
-  const std::uint32_t sec = fix32(load_le32(header));
-  const std::uint32_t frac = fix32(load_le32(header + 4));
-  const std::uint32_t incl = fix32(load_le32(header + 8));
-  const std::uint32_t orig = fix32(load_le32(header + 12));
-  if (incl > header_.snaplen + 65536) {
-    // Sanity bound: a wildly large length means a corrupt record header.
+  RecordHeader rec;
+  if (!decode_record_header(header_, header, rec)) {
     end_ = ReadEnd::kTruncated;
     return false;
   }
 
-  out.orig_len = orig;
-  out.data.resize(incl);  // reuses the buffer's capacity once warmed up
-  in_.read(reinterpret_cast<char*>(out.data.data()), incl);
-  if (static_cast<std::uint32_t>(in_.gcount()) != incl) {
+  out.orig_len = rec.orig_len;
+  out.data.resize(rec.incl_len);  // reuses capacity once warmed up
+  in_.read(reinterpret_cast<char*>(out.data.data()), rec.incl_len);
+  if (static_cast<std::uint32_t>(in_.gcount()) != rec.incl_len) {
     end_ = ReadEnd::kTruncated;
     return false;
   }
-  const std::int64_t frac_ns =
-      header_.nanosecond ? frac : std::int64_t{frac} * 1'000;
-  out.timestamp =
-      util::SimTime::nanoseconds(std::int64_t{sec} * 1'000'000'000 + frac_ns);
+  out.timestamp = util::SimTime::nanoseconds(rec.timestamp_ns);
   ++records_;
   return true;
 }

@@ -1,5 +1,6 @@
 #include "syndog/pcap/pcapng.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -210,7 +211,7 @@ bool PcapngReader::read_block(Record& out, bool& have_record) {
     total = fix32(total);
     // Bound the SHB body like any other block: a corrupt length field must
     // not translate into a multi-gigabyte allocation.
-    if (total < 28 || total % 4 != 0 || total > (1u << 26)) {
+    if (total < 28 || total % 4 != 0 || total > kMaxRecordBytes) {
       throw std::runtime_error("pcapng: bad SHB length");
     }
     block_scratch_.resize(total - 12);
@@ -239,7 +240,7 @@ bool PcapngReader::read_block(Record& out, bool& have_record) {
   // section's byte order applied.
   type = fix32(type);
   total = fix32(total);
-  if (total < 12 || total % 4 != 0 || total > (1u << 26)) {
+  if (total < 12 || total % 4 != 0 || total > kMaxRecordBytes) {
     end_ = ReadEnd::kTruncated;
     return false;
   }
@@ -300,28 +301,27 @@ std::vector<Record> PcapngReader::read_all() {
   return out;
 }
 
-std::vector<Record> read_any_capture(std::istream& in) {
-  // Sniff the first 4 bytes.
-  char magic_bytes[4];
-  in.read(magic_bytes, 4);
-  if (in.gcount() != 4) {
-    throw std::runtime_error("capture: file too short");
+bool is_pcapng(net::ByteSpan head) {
+  if (head.size() < 4) {
+    throw std::runtime_error("capture: file too short to sniff format");
   }
-  for (int i = 3; i >= 0; --i) in.putback(magic_bytes[i]);
+  return net::load_le32(head.data()) == kSectionHeaderBlock;
+}
 
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, magic_bytes, 4);
-  std::uint32_t le_magic = 0;
-  for (int i = 3; i >= 0; --i) {
-    le_magic = (le_magic << 8) |
-               static_cast<std::uint8_t>(magic_bytes[i]);
+bool is_pcapng(std::istream& in) {
+  std::array<char, 4> magic{};
+  in.read(magic.data(), magic.size());
+  const auto got = static_cast<std::size_t>(in.gcount());
+  if (got == magic.size()) {
+    for (std::size_t i = got; i > 0; --i) in.putback(magic[i - 1]);
   }
-  if (le_magic == kSectionHeaderBlock) {
-    PcapngReader reader(in);
-    return reader.read_all();
-  }
-  Reader reader(in);  // classic pcap (throws on bad magic)
-  return reader.read_all();
+  return is_pcapng(
+      net::ByteSpan{reinterpret_cast<const std::uint8_t*>(magic.data()), got});
+}
+
+std::vector<Record> read_any_capture(std::istream& in) {
+  if (is_pcapng(in)) return PcapngReader(in).read_all();
+  return Reader(in).read_all();  // classic pcap (throws on bad magic)
 }
 
 }  // namespace syndog::pcap

@@ -107,7 +107,7 @@ class SampleQueue {
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   /// Producer and consumer cursors on separate cache lines so concurrent
-  /// push/pop does not false-share (same discipline as ingest::FrameRing).
+  /// push/pop does not false-share (same discipline as ingest::SlotRing).
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next slot to claim
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next slot to read
 };

@@ -1,7 +1,8 @@
-// Streaming capture-ingest pipeline tests: ring wraparound, backpressure
-// accounting, damaged-capture handling, replay/manual-loop equivalence,
-// and single-thread vs two-thread agreement (the threaded suite also runs
-// under tsan in CI).
+// Streaming capture-ingest tests: ring wraparound, the ReplayEngine pump
+// (delivery order, damaged captures, zero steady-state allocation),
+// replay/manual-loop equivalence, and the sharded datapath against the
+// single-threaded reference (the sharded suite also runs under tsan in
+// CI).
 #include <gtest/gtest.h>
 
 #include "support/alloc_guard.hpp"
@@ -12,7 +13,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "syndog/core/sniffer.hpp"
@@ -21,7 +21,6 @@
 #include "syndog/ingest/capture_source.hpp"
 #include "syndog/ingest/flow_hash.hpp"
 #include "syndog/ingest/frame_ring.hpp"
-#include "syndog/ingest/pipeline.hpp"
 #include "syndog/ingest/replay.hpp"
 #include "syndog/ingest/sharded.hpp"
 #include "syndog/net/digest.hpp"
@@ -74,17 +73,17 @@ std::string make_capture(std::size_t frames, SimTime span,
 }
 
 // ---------------------------------------------------------------------
-// FrameRing
+// SlotRing of Frames
 
 TEST(FrameRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FrameRing(1).capacity(), 2u);
-  EXPECT_EQ(FrameRing(5).capacity(), 8u);
-  EXPECT_EQ(FrameRing(64).capacity(), 64u);
-  EXPECT_THROW(FrameRing(0), std::invalid_argument);
+  EXPECT_EQ(SlotRing<Frame>(1).capacity(), 2u);
+  EXPECT_EQ(SlotRing<Frame>(5).capacity(), 8u);
+  EXPECT_EQ(SlotRing<Frame>(64).capacity(), 64u);
+  EXPECT_THROW(SlotRing<Frame>(0), std::invalid_argument);
 }
 
 TEST(FrameRingTest, WraparoundPreservesOrderAndContent) {
-  FrameRing ring(4);
+  SlotRing<Frame> ring(4);
   std::uint32_t produced = 0;
   std::uint32_t consumed = 0;
   util::Rng rng(11);
@@ -116,7 +115,7 @@ TEST(FrameRingTest, SteadyStateProduceConsumeDoesNotAllocate) {
   // publishing, reading, and releasing frames afterwards must never
   // touch the heap (the runtime twin of the hotpath.allocation lint
   // rule on frame_ring.hpp).
-  FrameRing ring(64);
+  SlotRing<Frame> ring(64);
   std::uint32_t produced = 0;
   util::Rng rng(23);
 
@@ -147,7 +146,7 @@ TEST(FrameRingTest, SteadyStateProduceConsumeDoesNotAllocate) {
 }
 
 TEST(FrameRingTest, FullRingRefusesClaim) {
-  FrameRing ring(2);
+  SlotRing<Frame> ring(2);
   ASSERT_NE(ring.try_claim(), nullptr);
   ring.publish();
   ASSERT_NE(ring.try_claim(), nullptr);
@@ -158,13 +157,13 @@ TEST(FrameRingTest, FullRingRefusesClaim) {
 }
 
 TEST(FrameRingTest, OverReleaseThrows) {
-  FrameRing ring(4);
+  SlotRing<Frame> ring(4);
   EXPECT_THROW(ring.release(1), std::logic_error);
 }
 
 TEST(FrameRingTest, CapacityErrorMessageExplainsConstraint) {
   try {
-    FrameRing ring(0);
+    SlotRing<Frame> ring(0);
     FAIL() << "zero capacity must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -174,7 +173,7 @@ TEST(FrameRingTest, CapacityErrorMessageExplainsConstraint) {
 }
 
 TEST(FrameRingTest, ReleaseOverflowMessageAndPartialOverflow) {
-  FrameRing ring(4);
+  SlotRing<Frame> ring(4);
   ASSERT_NE(ring.try_claim(), nullptr);
   ring.publish();
   ASSERT_NE(ring.try_claim(), nullptr);
@@ -297,113 +296,58 @@ TEST(CaptureSourceTest, RejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------
-// CapturePipeline
+// The ingest pump: CaptureSource -> ReplayEngine -> ReplaySink
 
-/// Counts frames; accepts at most `accept_limit` per offer.
-class CountingSink final : public FrameSink {
+/// Counts delivered frames and checks they arrive in capture order.
+class CountingSink final : public ReplaySink {
  public:
-  explicit CountingSink(std::size_t accept_limit = SIZE_MAX)
-      : accept_limit_(accept_limit) {}
-  std::size_t on_batch(std::span<const Frame> batch) override {
-    const std::size_t take = std::min(batch.size(), accept_limit_);
-    for (const Frame& f : batch.first(take)) {
-      total_ += 1;
-      bytes_ += f.captured_bytes;
-      last_at_ = f.at;
-    }
-    ++offers_;
-    max_batch_ = std::max(max_batch_, batch.size());
-    return take;
+  void on_frame(SimTime at, const Frame& frame) override {
+    in_order_ = in_order_ && at >= last_at_ && frame.at >= last_capture_at_;
+    last_at_ = at;
+    last_capture_at_ = frame.at;
+    ++total_;
+    bytes_ += frame.captured_bytes;
   }
   std::uint64_t total_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t offers_ = 0;
-  std::size_t max_batch_ = 0;
+  bool in_order_ = true;
   SimTime last_at_;
-
- private:
-  std::size_t accept_limit_;
+  SimTime last_capture_at_;
 };
 
 TEST(PipelineTest, DeliversEveryFrameInOrder) {
   const std::string capture = make_capture(500, SimTime::seconds(10), 2);
   std::istringstream in(capture, std::ios::binary);
-  PipelineConfig cfg;
-  cfg.ring_capacity = 16;  // force many fill/drain cycles and wraps
-  cfg.batch_size = 5;
-  CapturePipeline pipeline(in, cfg);
+  ReplayEngine engine(in);
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
+  engine.add_sink(sink);
+  const PipelineStats& stats = engine.run();
   EXPECT_EQ(sink.total_, 500u);
-  EXPECT_EQ(pipeline.stats().frames, 500u);
-  EXPECT_EQ(pipeline.stats().records, 500u);
-  EXPECT_EQ(pipeline.stats().bytes, sink.bytes_);
-  EXPECT_LE(sink.max_batch_, 5u);
-  EXPECT_EQ(pipeline.delivered(0), 500u);
-  EXPECT_EQ(pipeline.dropped(0), 0u);
-  EXPECT_FALSE(pipeline.stats().truncated);
-}
-
-TEST(PipelineTest, BackpressureAccountingIsExact) {
-  // Property: for randomized ring/batch/acceptance shapes, every frame is
-  // either delivered or dropped — never both, never lost.
-  util::Rng rng(33);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto frames =
-        static_cast<std::size_t>(rng.uniform_int(50, 400));
-    const std::string capture =
-        make_capture(frames, SimTime::seconds(5),
-                     static_cast<std::uint64_t>(trial) + 100);
-    std::istringstream in(capture, std::ios::binary);
-    PipelineConfig cfg;
-    cfg.ring_capacity = static_cast<std::size_t>(rng.uniform_int(2, 64));
-    cfg.batch_size = static_cast<std::size_t>(rng.uniform_int(1, 17));
-    CapturePipeline pipeline(in, cfg);
-
-    CountingSink blocking(
-        static_cast<std::size_t>(rng.uniform_int(1, 8)));
-    CountingSink lossy(static_cast<std::size_t>(rng.uniform_int(1, 4)));
-    pipeline.add_sink("blocking", blocking, BackpressurePolicy::kBlock);
-    pipeline.add_sink("lossy", lossy, BackpressurePolicy::kDropNewest);
-    pipeline.run();
-
-    // kBlock: everything arrives, re-offered as often as needed.
-    EXPECT_EQ(blocking.total_, frames) << "trial " << trial;
-    EXPECT_EQ(pipeline.delivered(0), frames);
-    EXPECT_EQ(pipeline.dropped(0), 0u);
-    // kDropNewest: exact conservation of delivered + dropped.
-    EXPECT_EQ(lossy.total_, pipeline.delivered(1)) << "trial " << trial;
-    EXPECT_EQ(pipeline.delivered(1) + pipeline.dropped(1), frames)
-        << "trial " << trial;
-  }
-}
-
-TEST(PipelineTest, StalledBlockingSinkThrows) {
-  const std::string capture = make_capture(10, SimTime::seconds(1), 3);
-  std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
-  CountingSink stalled(0);  // never accepts anything
-  pipeline.add_sink("stalled", stalled, BackpressurePolicy::kBlock);
-  EXPECT_THROW(pipeline.run(), std::runtime_error);
+  EXPECT_TRUE(sink.in_order_);
+  EXPECT_EQ(stats.frames, 500u);
+  EXPECT_EQ(stats.records, 500u);
+  EXPECT_EQ(stats.bytes, sink.bytes_);
+  EXPECT_EQ(engine.frames_replayed(), 500u);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_EQ(engine.end_state(), pcap::ReadEnd::kEof);
 }
 
 TEST(PipelineTest, TruncatedCaptureIsCountedNotSilent) {
   std::string capture = make_capture(20, SimTime::seconds(2), 4);
   capture.resize(capture.size() - 7);  // tear the last record
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in);
   CountingSink sink;
-  pipeline.add_sink("count", sink);
+  engine.add_sink(sink);
   obs::Registry registry;
-  pipeline.attach_observer(registry);
-  pipeline.run();
+  engine.attach_observer(registry);
+  engine.run();
   EXPECT_EQ(sink.total_, 19u);
-  EXPECT_TRUE(pipeline.stats().truncated);
-  EXPECT_EQ(pipeline.end_state(), pcap::ReadEnd::kTruncated);
+  EXPECT_TRUE(engine.stats().truncated);
+  EXPECT_EQ(engine.end_state(), pcap::ReadEnd::kTruncated);
   EXPECT_EQ(registry.counter("ingest.truncated_captures").value(), 1u);
   EXPECT_EQ(registry.counter("ingest.frames").value(), 19u);
-  EXPECT_EQ(registry.counter("ingest.sink.count.delivered").value(), 19u);
+  EXPECT_EQ(registry.counter("ingest.records").value(), 19u);
 }
 
 TEST(PipelineTest, GarbageTailStopsWithTruncation) {
@@ -412,12 +356,12 @@ TEST(PipelineTest, GarbageTailStopsWithTruncation) {
   std::string capture = make_capture(5, SimTime::seconds(1), 5);
   capture += "GARBAGE GARBAGE";  // 15 bytes: a torn record header
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in);
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
+  engine.add_sink(sink);
+  engine.run();
   EXPECT_EQ(sink.total_, 5u);
-  EXPECT_TRUE(pipeline.stats().truncated);
+  EXPECT_TRUE(engine.stats().truncated);
 }
 
 TEST(PipelineTest, SkipsUndecodableRecords) {
@@ -432,13 +376,13 @@ TEST(PipelineTest, SkipsUndecodableRecords) {
   const std::string capture = std::move(out).str();
 
   std::istringstream in(capture, std::ios::binary);
-  CapturePipeline pipeline(in, {});
+  ReplayEngine engine(in);
   CountingSink sink;
-  pipeline.add_sink("count", sink);
-  pipeline.run();
-  EXPECT_EQ(pipeline.stats().records, 3u);
-  EXPECT_EQ(pipeline.stats().frames, 2u);
-  EXPECT_EQ(pipeline.stats().decode_failures, 1u);
+  engine.add_sink(sink);
+  engine.run();
+  EXPECT_EQ(engine.stats().records, 3u);
+  EXPECT_EQ(engine.stats().frames, 2u);
+  EXPECT_EQ(engine.stats().decode_failures, 1u);
   EXPECT_EQ(sink.total_, 2u);
 }
 
@@ -611,66 +555,43 @@ TEST(ReplayEngineTest, PacedReplayMatchesUnpacedResults) {
             run_with(ReplayClock::kPaced));
 }
 
-// ---------------------------------------------------------------------
-// Two-thread mode (suite name is matched by the CI tsan job)
+TEST(AgentDemuxTest, RejectsDefaultStubOutsideTheStubList) {
+  // The StubRouter checks default_stub for both datapaths: -1 (count
+  // unmatched frames unroutable) through stubs - 1 are valid.
+  sim::Scheduler scheduler;
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "a"},
+      {*net::Ipv4Prefix::parse("10.2.0.0/16"), "b"}};
+  const auto demux_with = [&](int default_stub) {
+    DemuxOptions options;
+    options.default_stub = default_stub;
+    AgentDemux demux(scheduler, stubs, core::SynDogParams::paper_defaults(),
+                     options);
+  };
+  EXPECT_NO_THROW(demux_with(-1));
+  EXPECT_NO_THROW(demux_with(1));
+  EXPECT_THROW(demux_with(-2), std::invalid_argument);
+  EXPECT_THROW(demux_with(2), std::invalid_argument);
+}
 
-TEST(IngestThreadedTest, ThreadedCountsMatchSingleThreaded) {
-  const std::string capture =
-      make_capture(3000, SimTime::seconds(60), 21);
-  const auto run_with = [&](bool threaded) {
+TEST(ReplayEngineTest, RunAllocatesNothingPerFrame) {
+  // The pump reuses one record buffer and one decoded Frame, so a capture
+  // eight times longer must cost exactly as many allocations (the runtime
+  // twin of docs/INGEST.md's steady-state promise).
+  const auto allocations_for = [](std::size_t frames) {
+    const std::string capture =
+        make_capture(frames, SimTime::seconds(30), 41);
     std::istringstream in(capture, std::ios::binary);
-    PipelineConfig cfg;
-    cfg.ring_capacity = 8;  // small ring: force producer/consumer contention
-    cfg.batch_size = 3;
-    cfg.threaded = threaded;
-    CapturePipeline pipeline(in, cfg);
+    ReplayEngine engine(in);
     CountingSink sink;
-    pipeline.add_sink("count", sink);
-    pipeline.run();
-    EXPECT_EQ(pipeline.delivered(0), sink.total_);
-    return std::tuple{sink.total_, sink.bytes_, sink.last_at_,
-                      pipeline.stats().records};
-  };
-  EXPECT_EQ(run_with(false), run_with(true));
-}
-
-TEST(IngestThreadedTest, ThreadedReplayEquivalence) {
-  const std::string capture =
-      make_capture(1500, SimTime::seconds(90), 22);
-  const auto run_with = [&](bool threaded) {
-    std::istringstream in(capture, std::ios::binary);
-    ReplayConfig cfg;
-    cfg.pipeline.threaded = threaded;
-    cfg.pipeline.ring_capacity = 8;
-    ReplayEngine engine(in, cfg);
-    AgentDemux demux(engine.scheduler(),
-                     {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}},
-                     core::SynDogParams::paper_defaults());
-    engine.add_sink(demux);
+    engine.add_sink(sink);
+    testsupport::AllocGuard guard;
     engine.run();
-    demux.close_final_period();
-    std::vector<std::int64_t> counts;
-    for (const auto& r : demux.agent(0).history()) {
-      counts.push_back(r.syn_count);
-      counts.push_back(r.syn_ack_count);
-    }
-    return counts;
+    const std::size_t allocations = guard.stop();
+    EXPECT_EQ(sink.total_, frames);
+    return allocations;
   };
-  const auto single = run_with(false);
-  EXPECT_FALSE(single.empty());
-  EXPECT_EQ(single, run_with(true));
-}
-
-TEST(IngestThreadedTest, ThreadedStalledSinkStillThrows) {
-  const std::string capture = make_capture(50, SimTime::seconds(2), 23);
-  std::istringstream in(capture, std::ios::binary);
-  PipelineConfig cfg;
-  cfg.threaded = true;
-  cfg.ring_capacity = 4;
-  CapturePipeline pipeline(in, cfg);
-  CountingSink stalled(0);
-  pipeline.add_sink("stalled", stalled, BackpressurePolicy::kBlock);
-  EXPECT_THROW(pipeline.run(), std::runtime_error);
+  EXPECT_EQ(allocations_for(250), allocations_for(2000));
 }
 
 // ---------------------------------------------------------------------
@@ -773,10 +694,9 @@ TEST(IngestShardedTest, MatchesOracleSingleStub) {
       core::SynDogParams::paper_defaults());
 }
 
-TEST(IngestShardedTest, MatchesOracleMultiStubBothDirections) {
-  // Stub A floods an external victim (alarms); stub B only answers
-  // handshakes (quiet). Cross-checks outbound and inbound counting and
-  // the alarm bit through the merge.
+/// Stub A floods an external victim (alarms); stub B only answers
+/// handshakes (quiet).
+std::string multi_stub_capture() {
   std::ostringstream out(std::ios::binary);
   pcap::Writer writer(out);
   std::int64_t ns = 0;
@@ -804,10 +724,20 @@ TEST(IngestShardedTest, MatchesOracleMultiStubBothDirections) {
                    net::encode_frame(net::make_syn_ack(reply)));
     }
   }
-  const std::string capture = std::move(out).str();
-  const std::vector<StubSpec> stubs = {
-      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "a"},
-      {*net::Ipv4Prefix::parse("10.2.0.0/16"), "b"}};
+  return std::move(out).str();
+}
+
+std::vector<StubSpec> multi_stub_stubs() {
+  return {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "a"},
+          {*net::Ipv4Prefix::parse("10.2.0.0/16"), "b"}};
+}
+
+TEST(IngestShardedTest, MatchesOracleMultiStubBothDirections) {
+  // Stub A floods an external victim (alarms); stub B only answers
+  // handshakes (quiet). Cross-checks outbound and inbound counting and
+  // the alarm bit through the merge.
+  const std::string capture = multi_stub_capture();
+  const std::vector<StubSpec> stubs = multi_stub_stubs();
   expect_sharded_matches_oracle(capture, stubs,
                                 core::SynDogParams::paper_defaults());
   // Last-mile mode swaps which direction feeds which counter.
@@ -942,12 +872,9 @@ TEST(IngestShardedTest, MatchesOraclePcapng) {
       core::SynDogParams::paper_defaults());
 }
 
-TEST(IngestShardedTest, MatchesOracleThroughSynAckCollapse) {
-  // Several healthy periods grow K past collapse_min_k, then SYN/ACKs
-  // vanish for longer than outage_patience, then traffic recovers: the
-  // merge must reproduce the agent's gap absorption, the patience
-  // overflow (raw counts fed without resetting the streak), and the
-  // recovery reset, byte for byte.
+/// Several healthy periods grow K past collapse_min_k, then SYN/ACKs
+/// vanish for longer than outage_patience, then traffic recovers.
+std::string synack_collapse_capture() {
   std::ostringstream out(std::ios::binary);
   pcap::Writer writer(out);
   const std::int64_t t0_ns = SimTime::seconds(20).ns();
@@ -982,10 +909,104 @@ TEST(IngestShardedTest, MatchesOracleThroughSynAckCollapse) {
   for (; period < 6; ++period) write_period(period, 40, 40);  // grow K
   for (; period < 13; ++period) write_period(period, 40, 0);  // collapse
   for (; period < 16; ++period) write_period(period, 40, 40);  // recover
+  return std::move(out).str();
+}
+
+TEST(IngestShardedTest, MatchesOracleThroughSynAckCollapse) {
+  // Several healthy periods grow K past collapse_min_k, then SYN/ACKs
+  // vanish for longer than outage_patience, then traffic recovers: the
+  // merge must reproduce the agent's gap absorption, the patience
+  // overflow (raw counts fed without resetting the streak), and the
+  // recovery reset, byte for byte.
   expect_sharded_matches_oracle(
-      std::move(out).str(),
+      synack_collapse_capture(),
       {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}},
       core::SynDogParams::paper_defaults());
+}
+
+/// Runs `capture` through the reference engine and through the sharded
+/// datapath at 1 and 4 threads, and asserts every stub's alarms agree in
+/// period-end time and report. Suspects are not compared: digests carry
+/// no MACs, so sharded alarms have none.
+void expect_sharded_alarms_match(const std::string& capture,
+                                 const std::vector<StubSpec>& stubs) {
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+  std::istringstream in(capture, std::ios::binary);
+  ReplayEngine engine(in);
+  AgentDemux demux(engine.scheduler(), stubs, params);
+  engine.add_sink(demux);
+  engine.run();
+  demux.close_final_period();
+  std::size_t raised = 0;
+  for (std::size_t s = 0; s < stubs.size(); ++s) {
+    raised += demux.alarms(s).size();
+  }
+  ASSERT_GT(raised, 0u) << "the capture must alarm for the check to bite";
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::istringstream sharded_in(capture, std::ios::binary);
+    ShardedConfig cfg;
+    cfg.threads = threads;
+    cfg.params = params;
+    ShardedReplay sharded(sharded_in, stubs, cfg);
+    sharded.run();
+    for (std::size_t s = 0; s < stubs.size(); ++s) {
+      SCOPED_TRACE("stub=" + std::to_string(s));
+      const std::vector<core::AlarmEvent>& want = demux.alarms(s);
+      const std::vector<core::AlarmEvent>& got = sharded.alarms(s);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t a = 0; a < want.size(); ++a) {
+        EXPECT_EQ(got[a].at.ns(), want[a].at.ns()) << "alarm " << a;
+        EXPECT_TRUE(got[a].report == want[a].report) << "alarm " << a;
+        EXPECT_TRUE(got[a].suspects.empty()) << "alarm " << a;
+      }
+    }
+  }
+}
+
+TEST(IngestShardedTest, AlarmsMatchReferenceAgents) {
+  expect_sharded_alarms_match(multi_stub_capture(), multi_stub_stubs());
+  expect_sharded_alarms_match(
+      synack_collapse_capture(),
+      {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}});
+}
+
+TEST(IngestShardedTest, HugeSnaplenRecordFramesAlikeOnEveryPath) {
+  // A header claiming snaplen 0xFFFFFFFF, then one 70,000-byte record.
+  // The record length bound is computed in 64 bits and capped at
+  // pcap::kMaxRecordBytes, so no path wraps it, and the stream source
+  // sizes its buffer from the records it meets, not from the header.
+  std::ostringstream out(std::ios::binary);
+  pcap::Writer writer(out, pcap::LinkType::kEthernet, false, 0xFFFFFFFFu);
+  net::ByteBuffer frame = net::encode_frame(sample_packet(1, false));
+  frame.resize(70'000, 0);  // Ethernet padding past the IPv4 datagram
+  writer.write(SimTime::seconds(1), frame);
+  const std::string capture = std::move(out).str();
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+
+  std::istringstream in(capture, std::ios::binary);
+  ReplayEngine engine(in);
+  const PipelineStats reference = engine.run();
+  EXPECT_EQ(reference.records, 1u);
+  EXPECT_EQ(reference.frames, 1u);
+  EXPECT_EQ(engine.end_state(), pcap::ReadEnd::kEof);
+
+  ShardedConfig cfg;
+  cfg.threads = 1;
+  std::istringstream sharded_in(capture, std::ios::binary);
+  ShardedReplay from_stream(sharded_in, stubs, cfg);
+  ShardedReplay from_span(
+      net::ByteSpan{reinterpret_cast<const std::uint8_t*>(capture.data()),
+                    capture.size()},
+      stubs, cfg);
+  for (ShardedReplay* sharded : {&from_stream, &from_span}) {
+    sharded->run();
+    EXPECT_EQ(sharded->stats().records, reference.records);
+    EXPECT_EQ(sharded->stats().frames, reference.frames);
+    EXPECT_EQ(sharded->end_state(), engine.end_state());
+  }
 }
 
 /// Runs `capture` through the ByteSpan (zero-copy) constructor and

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "support/alloc_guard.hpp"
+
 #include <sstream>
+#include <string>
 
 #include "syndog/net/packet.hpp"
 #include "syndog/pcap/pcap.hpp"
@@ -220,6 +223,51 @@ TEST(PcapTest, NextIntoReusesCallerBuffer) {
   EXPECT_EQ(rec.data, sample_frame(2));
   EXPECT_EQ(rec.data.data(), before);  // same-size record: no reallocation
   EXPECT_FALSE(reader.next_into(rec));
+}
+
+/// Appends a raw little-endian record header claiming `incl` bytes.
+void append_record_header(std::string& out, std::uint32_t incl) {
+  for (const std::uint32_t field : {1u, 0u, incl, incl}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<char>(field >> shift));
+    }
+  }
+}
+
+TEST(PcapTest, RecordLongerThanCapIsTruncationNotAllocation) {
+  // snaplen + 64 KiB still fits in 32 bits here, so only the
+  // kMaxRecordBytes cap stands between a corrupt length field and a
+  // 64 MiB buffer.
+  std::stringstream header;
+  Writer writer(header, LinkType::kEthernet, false, 0xFFFEFFFFu);
+  std::string capture = header.str();
+  append_record_header(capture, kMaxRecordBytes + 1);
+  capture.append(64, '\0');
+  std::stringstream in(capture);
+  Reader reader(in);
+  Record rec;
+  testsupport::AllocGuard guard;
+  const bool got = reader.next_into(rec);
+  const std::size_t allocations = guard.stop();
+  EXPECT_FALSE(got);
+  EXPECT_EQ(reader.end_state(), ReadEnd::kTruncated);
+  EXPECT_EQ(allocations, 0u) << "the bound applies before the buffer grows";
+}
+
+TEST(PcapTest, HugeSnaplenDoesNotWrapTheLengthBound) {
+  // With snaplen 0xFFFFFFFF, snaplen + 64 KiB computed in 32 bits wraps
+  // to 65535 and would reject this 70,000-byte record as corrupt.
+  std::stringstream buf;
+  Writer writer(buf, LinkType::kEthernet, false, 0xFFFFFFFFu);
+  net::ByteBuffer frame = sample_frame(1);
+  frame.resize(70'000, 0);
+  writer.write(util::SimTime::seconds(1), frame);
+  Reader reader(buf);
+  Record rec;
+  ASSERT_TRUE(reader.next_into(rec));
+  EXPECT_EQ(rec.data.size(), 70'000u);
+  EXPECT_FALSE(reader.next_into(rec));
+  EXPECT_EQ(reader.end_state(), ReadEnd::kEof);
 }
 
 /// Accepts nothing: every write fails immediately (disk-full stand-in).

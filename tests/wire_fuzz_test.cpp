@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "syndog/net/digest.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/net/wire.hpp"
 #include "syndog/pcap/pcap.hpp"
@@ -120,6 +121,65 @@ TEST(WireFuzzTest, BitFlippedFrameFieldsStayInBounds) {
       frame[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
     }
     parse_all(net::ByteSpan{frame.data(), frame.size()});
+  }
+}
+
+/// net::extract_flow_digest is the sharded datapath's cut-down twin of
+/// net::decode_frame_into: both must take the same accept/reject decision
+/// on `frame` and, when both accept, agree on every field the digest
+/// carries.
+void expect_digest_matches_decode(net::ByteSpan frame) {
+  net::Packet packet;
+  net::FlowDigest digest;
+  const bool decoded = net::decode_frame_into(frame, packet);
+  const bool digested = net::extract_flow_digest(frame, digest);
+  ASSERT_EQ(decoded, digested) << "frame of " << frame.size() << " bytes";
+  if (!decoded) return;
+  EXPECT_EQ(digest.src, packet.ip.src.value());
+  EXPECT_EQ(digest.dst, packet.ip.dst.value());
+  EXPECT_EQ(digest.protocol, packet.ip.protocol);
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  if (packet.tcp) {
+    src_port = packet.tcp->src_port;
+    dst_port = packet.tcp->dst_port;
+  } else if (packet.udp) {
+    src_port = packet.udp->src_port;
+    dst_port = packet.udp->dst_port;
+  }
+  EXPECT_EQ(digest.src_port, src_port);
+  EXPECT_EQ(digest.dst_port, dst_port);
+  EXPECT_EQ(digest.flags, packet.tcp ? packet.tcp->flags.bits
+                                     : net::FlowDigest::kNoTcpFlags);
+  EXPECT_EQ(digest.captured_bytes, frame.size());
+}
+
+TEST(WireFuzzTest, FlowDigestAgreesWithFullDecode) {
+  util::Rng rng(kSeed + 7);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // Garbage; every other buffer carries the IPv4 ethertype so the
+    // IPv4 and transport checks see garbage too.
+    net::ByteBuffer garbage = random_bytes(
+        rng, static_cast<std::size_t>(rng.uniform_int(0, 128)));
+    if (trial % 2 == 0 && garbage.size() >= net::EthernetHeader::kSize) {
+      garbage[12] = 0x08;
+      garbage[13] = 0x00;
+    }
+    expect_digest_matches_decode(garbage);
+
+    const net::ByteBuffer frame = sample_frame(rng);
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(frame.size())));
+    expect_digest_matches_decode(net::ByteSpan{frame.data(), cut});
+
+    net::ByteBuffer flipped = sample_frame(rng);
+    const auto flips = rng.uniform_int(1, 8);
+    for (std::int64_t i = 0; i < flips; ++i) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(flipped.size()) - 1));
+      flipped[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+    }
+    expect_digest_matches_decode(flipped);
   }
 }
 

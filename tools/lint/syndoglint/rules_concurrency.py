@@ -7,11 +7,10 @@ are confined to sanctioned seams, so every other file stays trivially
 data-race-free and the deterministic single-thread reference stays the
 semantic ground truth.
 
-The seam list is *file-granular*: now that src/ingest mixes threaded
-datapaths (pipeline's two-thread pump, ShardedReplay's producer +
-consumers) with purely sequential ones (ReplayEngine, CaptureSource,
-framer, demux), a directory-wide waiver would silently bless a stray
-thread in the sequential files. Each entry is a path prefix, so a seam
+The seam list is *file-granular*: src/ingest mixes a threaded datapath
+(ShardedReplay's producer + consumers) with purely sequential code
+(ReplayEngine, CaptureSource, StubRouter, demux), so a directory-wide
+waiver would silently bless a stray thread in the sequential files. Each entry is a path prefix, so a seam
 covers its .cpp, its header, and any `_test`/`_seam` corpus siblings.
 """
 
@@ -24,11 +23,11 @@ from .lexer import IDENT, PUNCT, SourceFile, Token
 from .model import ERROR, Finding, Rule, register
 
 # Sanctioned seams (path prefixes). In src/ingest only the files that
-# *are* the threading machinery qualify: the capture pipeline's
-# two-thread pump, the sharded replay's producer/consumer fan-out, and
-# the SPSC ring primitive their handoff rides on. The rest of the module
-# (ReplayEngine, CaptureSource, framer, AgentDemux) is sequential by
-# contract and patrolled like any other code. Likewise src/campaign:
+# *are* the threading machinery qualify: the sharded replay's
+# producer/consumer fan-out and the SPSC ring primitive its handoff rides
+# on. The rest of the module (ReplayEngine, CaptureSource, StubRouter,
+# AgentDemux) is sequential by contract and patrolled like any other
+# code. Likewise src/campaign:
 # only runner.cpp/runner.hpp (the worker pool driving run_cell_until /
 # exchange_and_advance through generation barriers) spawn threads;
 # CampaignSim itself is sequential per cell and patrolled. src/telemetry
@@ -36,9 +35,7 @@ from .model import ERROR, Finding, Rule, register
 # plumbing) stay module-wide seams — their concurrency is not confined
 # to one file.
 _SEAM_DIRS = (
-    "src/ingest/pipeline",
     "src/ingest/sharded",
-    "src/ingest/include/syndog/ingest/pipeline",
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
     "src/campaign/runner",
@@ -79,7 +76,7 @@ def _check_raw_thread(sf: SourceFile, ctx) -> Iterable[Finding]:
                 lineno,
                 "",
                 "thread spawning lives only in the sanctioned seam files "
-                "(src/ingest pipeline/sharded/frame_ring, src/campaign "
+                "(src/ingest sharded/frame_ring, src/campaign "
                 "runner, src/telemetry sink drain, src/util); route "
                 "parallel work through those seams so the deterministic "
                 "single-thread reference stays authoritative",
@@ -97,15 +94,15 @@ register(
             "deterministic reference run. The repo's contract (threaded "
             "ingest must match the single-thread pump exactly; sharded DES "
             "must merge to byte-identical sidecars) is only checkable if "
-            "thread creation is confined to seams built for it: the ingest "
-            "pipeline's producer/consumer pump, ShardedReplay's fan-out, "
-            "and util's worker plumbing. A thread spawned elsewhere "
+            "thread creation is confined to seams built for it: "
+            "ShardedReplay's producer/consumer fan-out, the campaign "
+            "runner, and util's worker plumbing. A thread spawned elsewhere "
             "bypasses the barriers, mailboxes, and deterministic-merge "
             "machinery those seams provide."
         ),
         fix_hint=(
-            "Move the parallel section behind the ingest pump, the sharded "
-            "replay, the campaign runner, or a util worker seam; if a new "
+            "Move the parallel section behind the sharded replay, the "
+            "campaign runner, or a util worker seam; if a new "
             "seam is genuinely "
             "needed, add its file prefix to the sanctioned list in "
             "rules_concurrency.py in the same PR that adds its "
@@ -323,7 +320,7 @@ def _scan_scope(
                         "",
                         f"{where} mutable object '{name_tok.text}' is shared "
                         "state outside the sanctioned seam files (src/ingest "
-                        "pipeline/sharded/frame_ring, src/campaign/runner, "
+                        "sharded/frame_ring, src/campaign/runner, "
                         "src/telemetry, src/util); pass state explicitly or "
                         "move the seam",
                     )

@@ -150,7 +150,7 @@ register(
         ),
         fix_hint=(
             "Size arenas/pools at construction and recycle slots "
-            "(sim::PacketPool, ingest::FrameRing are the models). "
+            "(sim::PacketPool, ingest::SlotRing are the models). "
             "Construction-time growth is waivable: "
             "`// syndog-lint: allow(hotpath.allocation) -- <why setup-only>`."
         ),
