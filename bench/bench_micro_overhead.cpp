@@ -12,12 +12,12 @@
 #include "common/sidecar.hpp"
 #include "syndog/classify/engines.hpp"
 #include "syndog/classify/segment.hpp"
-#include "syndog/core/mitigate.hpp"
 #include "syndog/core/sniffer.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/cusum.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/wallclock.hpp"
+#include "syndog/sim/victim_defense.hpp"
 #include "syndog/util/rng.hpp"
 
 using namespace syndog;
@@ -89,13 +89,13 @@ BENCHMARK(BM_SynDogObservePeriod);
 
 /// Contrast: the per-SYN cost of the stateful victim-side alternatives.
 void BM_SynCookieMakeVerify(benchmark::State& state) {
-  core::SynCookieCodec codec(0xfeedface);
+  sim::SynCookieCodec codec(0xfeedface);
   util::Rng rng(4);
   std::uint64_t counter = 17;
   for (auto _ : state) {
-    core::ConnKey key{net::Ipv4Address{rng.next_u32()},
-                      static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
-                      80};
+    sim::ConnKey key{net::Ipv4Address{rng.next_u32()},
+                     static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
+                     80};
     const std::uint32_t isn = rng.next_u32();
     const std::uint32_t cookie = codec.make(key, isn, counter);
     benchmark::DoNotOptimize(codec.verify(key, isn, cookie, counter));
@@ -104,12 +104,12 @@ void BM_SynCookieMakeVerify(benchmark::State& state) {
 BENCHMARK(BM_SynCookieMakeVerify);
 
 void BM_SynCacheAdmit(benchmark::State& state) {
-  core::SynCache cache(1024);
+  sim::SynCache cache(1024);
   util::Rng rng(5);
   for (auto _ : state) {
-    core::ConnKey key{net::Ipv4Address{rng.next_u32()},
-                      static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
-                      80};
+    sim::ConnKey key{net::Ipv4Address{rng.next_u32()},
+                     static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
+                     80};
     benchmark::DoNotOptimize(cache.admit(key, util::SimTime::zero()));
   }
 }

@@ -16,8 +16,8 @@
 #include <cstdio>
 
 #include "syndog/attack/campaign.hpp"
-#include "syndog/core/mitigate.hpp"
 #include "syndog/core/syndog.hpp"
+#include "syndog/sim/victim_defense.hpp"
 #include "syndog/trace/periods.hpp"
 #include "syndog/trace/site.hpp"
 #include "syndog/util/strings.hpp"
@@ -100,28 +100,28 @@ int main() {
   std::printf("60 s of the aggregate flood vs a 1024-entry backlog, with "
               "~200 legitimate conn/s:\n\n");
 
-  core::SynCache plain(1024);
+  sim::SynCache plain(1024);
   util::Rng rng(4242);
   std::uint64_t legit_total = 0;
   std::uint64_t legit_completed = 0;
   // Tick per millisecond: 14 spoofed SYNs + 0.2 legitimate ones.
-  std::vector<std::pair<core::ConnKey, util::SimTime>> pending;
+  std::vector<std::pair<sim::ConnKey, util::SimTime>> pending;
   for (int ms = 0; ms < 60000; ++ms) {
     const util::SimTime now = util::SimTime::milliseconds(ms);
     for (int i = 0; i < 14; ++i) {
-      (void)plain.admit(core::ConnKey{net::Ipv4Address{rng.next_u32()},
-                                      static_cast<std::uint16_t>(
-                                          rng.uniform_int(1024, 65535)),
-                                      80},
+      (void)plain.admit(sim::ConnKey{net::Ipv4Address{rng.next_u32()},
+                                     static_cast<std::uint16_t>(
+                                         rng.uniform_int(1024, 65535)),
+                                     80},
                         now);
     }
     if (rng.bernoulli(0.2)) {
       ++legit_total;
-      const core::ConnKey key{net::Ipv4Address{0x0b000000u + rng.next_u32() %
-                                               65536},
-                              static_cast<std::uint16_t>(
-                                  rng.uniform_int(1024, 65535)),
-                              80};
+      const sim::ConnKey key{net::Ipv4Address{0x0b000000u + rng.next_u32() %
+                                              65536},
+                             static_cast<std::uint16_t>(
+                                 rng.uniform_int(1024, 65535)),
+                             80};
       (void)plain.admit(key, now);
       pending.emplace_back(key, now + util::SimTime::milliseconds(120));
     }
@@ -143,13 +143,13 @@ int main() {
 
   // SYN cookies keep zero state -- but pay per-SYN computation and still
   // learn nothing about where the flood comes from.
-  core::SynCookieCodec codec(0x5ec2e7);
+  sim::SynCookieCodec codec(0x5ec2e7);
   std::uint64_t verified = 0;
   for (int i = 0; i < 100000; ++i) {
-    const core::ConnKey key{net::Ipv4Address{rng.next_u32()},
-                            static_cast<std::uint16_t>(
-                                rng.uniform_int(1024, 65535)),
-                            80};
+    const sim::ConnKey key{net::Ipv4Address{rng.next_u32()},
+                           static_cast<std::uint16_t>(
+                               rng.uniform_int(1024, 65535)),
+                           80};
     const std::uint32_t isn = rng.next_u32();
     const std::uint32_t cookie = codec.make(key, isn, 1);
     verified += codec.verify(key, isn, cookie, 1);

@@ -1,7 +1,6 @@
 #include "syndog/campaign/campaign_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -24,8 +23,6 @@ constexpr std::uint32_t kMaxHostsPerStub = (1u << (32 - kPrefixLength)) - 2;
 // <= 200 stubs; at 16k stubs the planes must be disjoint by construction.
 constexpr std::uint32_t kRouterMacPlane = 0xC0000000u;
 constexpr std::uint32_t kHostMacPlane = 0x40000000u;
-constexpr std::uint32_t kVictimMacIndex = 0xE00000u;
-constexpr std::uint32_t kGatewayMacIndex = 0xFFFFFEu;
 
 net::Ipv4Prefix prefix_for(int stub) {
   return net::Ipv4Prefix(
@@ -63,14 +60,7 @@ void CampaignParams::validate() const {
         "CampaignSim: window must lie in (0, min(uplink, downlink)] "
         "(0 = auto)");
   }
-  if (!(no_answer_probability >= 0.0 && no_answer_probability < 1.0)) {
-    throw std::invalid_argument(
-        "CampaignSim: no_answer_probability in [0,1)");
-  }
-  if (!(rtt_median_s > 0.0) || rtt_sigma < 0.0) {
-    throw std::invalid_argument(
-        "CampaignSim: rtt_median_s > 0 and rtt_sigma >= 0 required");
-  }
+  responder.validate();
   const std::uint32_t v = victim_ip.value();
   const std::uint32_t stub_space_end =
       kStubBase + (static_cast<std::uint32_t>(stub_count) << 12);
@@ -84,12 +74,21 @@ void CampaignParams::validate() const {
   agent_params.validate();
 }
 
-CampaignSim::StubNet::StubNet(std::uint64_t seed, int stub)
-    : workload_rng(util::Rng::child(seed ^ 0xBA22u,
+CampaignSim::StubNet::StubNet(const CampaignParams& params, int stub,
+                              sim::Scheduler& sched)
+    : site(sched, prefix_for(stub), params.hosts_per_stub, params.lan_delay,
+           sim::StubAddressing{
+               net::MacAddress::for_host(kRouterMacPlane +
+                                         static_cast<std::uint32_t>(stub)),
+               kHostMacPlane + (static_cast<std::uint32_t>(stub) << 12),
+               0x70000ull + static_cast<std::uint64_t>(stub) * 0x10000ull,
+               "stub" + std::to_string(stub) + "-"},
+           params.host_params, params.seed),
+      workload_rng(util::Rng::child(params.seed ^ 0xBA22u,
                                     static_cast<std::uint64_t>(stub))),
-      flood_rng(util::Rng::child(seed ^ 0xF100Du,
+      flood_rng(util::Rng::child(params.seed ^ 0xF100Du,
                                  static_cast<std::uint64_t>(stub))),
-      responder_rng(util::Rng::child(seed ^ 0xC10ADu,
+      responder_rng(util::Rng::child(params.seed ^ 0xC10ADu,
                                      static_cast<std::uint64_t>(stub))) {}
 
 CampaignSim::CampaignSim(CampaignParams params) : params_(params) {
@@ -109,15 +108,12 @@ CampaignSim::CampaignSim(CampaignParams params) : params_(params) {
 
   stubs_.reserve(static_cast<std::size_t>(params_.stub_count));
   for (int s = 0; s < params_.stub_count; ++s) {
-    stubs_.push_back(std::make_unique<StubNet>(params_.seed, s));
+    stubs_.push_back(std::make_unique<StubNet>(params_, s, sched_of(s)));
     StubNet& sn = *stubs_.back();
-    sn.prefix = prefix_for(s);
-    sn.router = std::make_unique<sim::LeafRouter>(sn.prefix, router_mac(s));
-    sn.router->set_uplink(
+    sn.site.router().set_uplink(
         [this, s](const net::Packet& pkt) { on_uplink(s, pkt); });
     sn.agent = std::make_unique<core::SynDogAgent>(
-        *sn.router, cells_[static_cast<std::size_t>(cell_of(s))]->sched,
-        params_.agent_params,
+        sn.site.router(), sched_of(s), params_.agent_params,
         [this, s](const core::AlarmEvent& event) {
           stubs_[static_cast<std::size_t>(s)]->alarms.push_back({s, event});
         },
@@ -125,11 +121,10 @@ CampaignSim::CampaignSim(CampaignParams params) : params_(params) {
   }
 
   victim_cell_ = std::make_unique<Cell>();
-  victim_ = std::make_unique<sim::TcpHost>(
-      "victim", params_.victim_ip, net::MacAddress::for_host(kVictimMacIndex),
-      net::MacAddress::for_host(kGatewayMacIndex), victim_cell_->sched,
+  victim_ = sim::make_internet_host(
+      "victim", params_.victim_ip, 0, victim_cell_->sched,
       [this](const net::Packet& pkt) { on_victim_send(pkt); },
-      params_.victim_params, util::splitmix64(params_.seed ^ 0xE000u));
+      params_.victim_params, params_.seed);
   victim_->listen(params_.victim_port);
 }
 
@@ -154,16 +149,6 @@ const CampaignSim::StubNet& CampaignSim::stub_at(int stub) const {
   return const_cast<CampaignSim*>(this)->stub_at(stub);
 }
 
-net::MacAddress CampaignSim::router_mac(int stub) const {
-  return net::MacAddress::for_host(kRouterMacPlane +
-                                   static_cast<std::uint32_t>(stub));
-}
-
-net::MacAddress CampaignSim::host_mac(int stub, std::uint32_t index) const {
-  return net::MacAddress::for_host(
-      kHostMacPlane + (static_cast<std::uint32_t>(stub) << 12) + index);
-}
-
 int CampaignSim::stub_of(net::Ipv4Address ip) const {
   const std::uint32_t v = ip.value();
   if (v < kStubBase) return -1;
@@ -173,11 +158,11 @@ int CampaignSim::stub_of(net::Ipv4Address ip) const {
 }
 
 net::Ipv4Prefix CampaignSim::stub_prefix(int stub) const {
-  return stub_at(stub).prefix;
+  return stub_at(stub).site.prefix();
 }
 
 sim::LeafRouter& CampaignSim::router(int stub) {
-  return *stub_at(stub).router;
+  return stub_at(stub).site.router();
 }
 
 core::SynDogAgent& CampaignSim::agent(int stub) {
@@ -188,63 +173,17 @@ const core::SynDogAgent& CampaignSim::agent(int stub) const {
   return *stub_at(stub).agent;
 }
 
-void CampaignSim::check_host_index(std::uint32_t index) const {
-  if (index == 0 || index > params_.hosts_per_stub) {
-    throw std::out_of_range(
-        "CampaignSim: host index " + std::to_string(index) +
-        " outside [1, " + std::to_string(params_.hosts_per_stub) +
-        "] (host indices are 1-based)");
-  }
-}
-
 sim::TcpHost& CampaignSim::host(int stub, std::uint32_t index) {
-  return ensure_host(stub, index);
-}
-
-sim::TcpHost& CampaignSim::ensure_host(int stub, std::uint32_t index) {
-  StubNet& sn = stub_at(stub);
-  check_host_index(index);
-  if (sn.hosts.empty()) {
-    sn.hosts.resize(params_.hosts_per_stub);
-  }
-  auto& slot = sn.hosts[index - 1];
-  if (!slot) {
-    sim::Scheduler* sched = &sched_of(stub);
-    sim::LeafRouter* router = sn.router.get();
-    const net::Ipv4Address ip = sn.prefix.host(index);
-    const util::SimTime lan = params_.lan_delay;
-    slot = std::make_unique<sim::TcpHost>(
-        "stub" + std::to_string(stub) + "-" + std::to_string(index), ip,
-        host_mac(stub, index), router_mac(stub), *sched,
-        [sched, router, lan](const net::Packet& pkt) {
-          sched->schedule_after(
-              lan, [sched, router, h = sched->packets().acquire(pkt)] {
-                router->forward_from_intranet(sched->now(), *h);
-              });
-        },
-        params_.host_params,
-        util::splitmix64(params_.seed ^
-                         (0x70000ull +
-                          static_cast<std::uint64_t>(stub) * 0x10000ull +
-                          index)));
-    sim::TcpHost* raw = slot.get();
-    router->attach_host(ip, [sched, raw, lan](const net::Packet& pkt) {
-      sched->schedule_after(lan,
-                            [raw, h = sched->packets().acquire(pkt)] {
-                              raw->receive(*h);
-                            });
-    });
-  }
-  return *slot;
+  return stub_at(stub).site.host(index);
 }
 
 // ---- Cross-shard classification -------------------------------------
 
 void CampaignSim::on_uplink(int stub, const net::Packet& packet) {
   StubNet& sn = *stubs_[static_cast<std::size_t>(stub)];
+  Cell& cell = *cells_[static_cast<std::size_t>(cell_of(stub))];
   const net::Ipv4Address dst = packet.ip.dst;
   if (dst == params_.victim_ip) {
-    Cell& cell = *cells_[static_cast<std::size_t>(cell_of(stub))];
     cell.outbox.push_back({cell.sched.now() + params_.uplink_delay,
                            static_cast<std::uint32_t>(stub),
                            sn.mailbox_seq++, packet});
@@ -261,92 +200,12 @@ void CampaignSim::on_uplink(int stub, const net::Packet& packet) {
     ++sn.responder.absorbed_elsewhere;
     return;
   }
-  respond(stub, packet);
-}
-
-void CampaignSim::respond(int stub, const net::Packet& packet) {
-  // The stub-local stand-in for sim::InternetCloud's generic server
-  // space: same segment semantics, same bernoulli/ISN/RTT draw order per
-  // arriving segment — but from this stub's own child Rng.
-  StubNet& sn = *stubs_[static_cast<std::size_t>(stub)];
-  if (!packet.tcp) {
-    ++sn.responder.absorbed_elsewhere;
-    return;
+  if (const auto reply = sim::answer_segment(
+          packet, params_.responder, sn.responder_rng, sn.responder)) {
+    sn.site.deliver_from_internet(cell.sched.now() + params_.uplink_delay +
+                                      reply->rtt + params_.downlink_delay,
+                                  reply->packet);
   }
-  const net::TcpFlags flags = packet.tcp->flags;
-  if (flags.syn() && !flags.ack()) {
-    ++sn.responder.syns_seen;
-    if (sn.responder_rng.bernoulli(params_.no_answer_probability)) {
-      ++sn.responder.unanswered;
-      return;
-    }
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.seq = sn.responder_rng.next_u32();
-    spec.ack = packet.tcp->seq + 1;
-    ++sn.responder.syn_acks_generated;
-    schedule_reply(stub, net::make_syn_ack(spec));
-    return;
-  }
-  if (flags.syn() && flags.ack()) {
-    // A stub server accepted a remote client's connection; complete the
-    // handshake with the final ACK so half-open slots drain.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::ack_only();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    schedule_reply(stub, net::make_tcp_packet(spec));
-    return;
-  }
-  if (flags.fin()) {
-    // Passive close: the far side reciprocates with FIN|ACK.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(kGatewayMacIndex);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::fin_ack();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    schedule_reply(stub, net::make_tcp_packet(spec));
-    return;
-  }
-  // Final ACKs, data, RSTs terminate silently at the generic space.
-  ++sn.responder.absorbed_elsewhere;
-}
-
-void CampaignSim::schedule_reply(int stub, net::Packet reply) {
-  StubNet& sn = *stubs_[static_cast<std::size_t>(stub)];
-  // rtt_sigma == 0: deterministic median, no draw — lognormal(mu, 0) is
-  // undefined, and skipping the draw keeps the responder stream aligned
-  // with the oracle cloud's under the deterministic profile.
-  const double rtt =
-      params_.rtt_sigma > 0.0
-          ? sn.responder_rng.lognormal(std::log(params_.rtt_median_s),
-                                       params_.rtt_sigma)
-          : params_.rtt_median_s;
-  Cell& cell = *cells_[static_cast<std::size_t>(cell_of(stub))];
-  sim::Scheduler* sched = &cell.sched;
-  sim::LeafRouter* router = sn.router.get();
-  cell.sched.schedule_after(
-      params_.uplink_delay + util::SimTime::from_seconds(rtt) +
-          params_.downlink_delay,
-      [sched, router, h = sched->packets().acquire(std::move(reply))] {
-        router->forward_from_internet(sched->now(), *h);
-      });
 }
 
 void CampaignSim::on_victim_send(const net::Packet& packet) {
@@ -373,20 +232,14 @@ void CampaignSim::on_victim_send(const net::Packet& packet) {
 void CampaignSim::connect_background(int stub, std::uint32_t host_index,
                                      util::SimTime at, net::Ipv4Address dst,
                                      std::uint16_t port) {
-  sim::TcpHost* h = &ensure_host(stub, host_index);
+  sim::TcpHost* h = &host(stub, host_index);
   sched_of(stub).schedule_at(at, [h, dst, port] { h->connect(dst, port); });
 }
 
 void CampaignSim::schedule_host_background(
     int stub, const std::vector<util::SimTime>& starts) {
   StubNet& sn = stub_at(stub);
-  for (const util::SimTime at : starts) {
-    const auto host_index = static_cast<std::uint32_t>(
-        sn.workload_rng.uniform_int(1, params_.hosts_per_stub));
-    const net::Ipv4Address dst{static_cast<std::uint32_t>(
-        0x80000000u + sn.workload_rng.next_u32() % 0x20000000u)};
-    connect_background(stub, host_index, at, dst, 80);
-  }
+  sn.site.schedule_host_background(starts, sn.workload_rng);
 }
 
 void CampaignSim::start_wire_background(int stub, double rate_per_sec,
@@ -415,18 +268,17 @@ void CampaignSim::wire_background_step(int stub, double rate_per_sec,
   // address space costs nothing until a host is actually needed).
   const auto host_index = static_cast<std::uint32_t>(
       sn.workload_rng.uniform_int(1, params_.hosts_per_stub));
-  const net::Ipv4Address dst{static_cast<std::uint32_t>(
-      0x80000000u + sn.workload_rng.next_u32() % 0x20000000u)};
   net::TcpPacketSpec spec;
-  spec.src_mac = host_mac(stub, host_index);
-  spec.dst_mac = sn.router->mac();
-  spec.src_ip = sn.prefix.host(host_index);
-  spec.dst_ip = dst;
+  spec.src_mac = sn.site.host_mac(host_index);
+  spec.dst_mac = sn.site.router().mac();
+  spec.src_ip = sn.site.prefix().host(host_index);
+  spec.dst_ip = sim::draw_generic_server(sn.workload_rng);
   spec.src_port = static_cast<std::uint16_t>(
       sn.workload_rng.uniform_int(1024, 65535));
   spec.dst_port = 80;
   spec.seq = sn.workload_rng.next_u32();
-  sn.router->forward_from_intranet(cell.sched.now(), net::make_syn(spec));
+  sn.site.router().forward_from_intranet(cell.sched.now(),
+                                         net::make_syn(spec));
 
   const double gap = sn.workload_rng.exponential_mean(1.0 / rate_per_sec);
   const util::SimTime next = cell.sched.now() + util::SimTime::from_seconds(gap);
@@ -441,39 +293,8 @@ void CampaignSim::launch_flood(int stub, std::uint32_t host_index,
                                const std::vector<util::SimTime>& syn_times,
                                net::Ipv4Prefix spoof_pool) {
   StubNet& sn = stub_at(stub);
-  check_host_index(host_index);
-  const std::int64_t pool_hosts = std::max<std::int64_t>(
-      static_cast<std::int64_t>(spoof_pool.size()) - 2, 1);
-  sim::Scheduler& sched = sched_of(stub);
-  for (const util::SimTime at : syn_times) {
-    // Draw order per SYN matches MultiStubSim::launch_flood (spoofed
-    // source, sport, seq at schedule time) from this stub's flood rng.
-    const net::Ipv4Address spoofed =
-        spoof_pool.size() <= 2
-            ? spoof_pool.base()
-            : spoof_pool.host(static_cast<std::uint32_t>(
-                  sn.flood_rng.uniform_int(1, pool_hosts)));
-    const auto sport =
-        static_cast<std::uint16_t>(sn.flood_rng.uniform_int(1024, 65535));
-    const std::uint32_t seq = sn.flood_rng.next_u32();
-    // The oracle injects at `at` and hops the LAN; emitting at the
-    // router at `at + lan_delay` lands the identical wire timing in one
-    // event.
-    sched.schedule_at(at + params_.lan_delay,
-                      [this, stub, host_index, spoofed, sport, seq] {
-                        StubNet& s = *stubs_[static_cast<std::size_t>(stub)];
-                        net::TcpPacketSpec spec;
-                        spec.src_mac = host_mac(stub, host_index);
-                        spec.dst_mac = s.router->mac();
-                        spec.src_ip = spoofed;
-                        spec.dst_ip = params_.victim_ip;
-                        spec.src_port = sport;
-                        spec.dst_port = params_.victim_port;
-                        spec.seq = seq;
-                        s.router->forward_from_intranet(
-                            sched_of(stub).now(), net::make_syn(spec));
-                      });
-  }
+  sn.site.launch_flood(host_index, syn_times, params_.victim_ip,
+                       params_.victim_port, spoof_pool, sn.flood_rng);
 }
 
 // ---- Windows and barriers --------------------------------------------
@@ -516,16 +337,8 @@ void CampaignSim::inject_into_victim(const MailboxRecord& record) {
 
 void CampaignSim::inject_into_stub(const MailboxRecord& record) {
   ++cross_.to_stubs;
-  const int stub = static_cast<int>(record.stub);
-  Cell& cell = *cells_[static_cast<std::size_t>(cell_of(stub))];
-  sim::Scheduler* sched = &cell.sched;
-  sim::LeafRouter* router =
-      stubs_[static_cast<std::size_t>(stub)]->router.get();
-  cell.sched.schedule_at(
-      record.arrive_at,
-      [sched, router, h = sched->packets().acquire(record.packet)] {
-        router->forward_from_internet(sched->now(), *h);
-      });
+  stubs_[record.stub]->site.deliver_from_internet(record.arrive_at,
+                                                  record.packet);
 }
 
 void CampaignSim::exchange_and_advance(util::SimTime barrier) {
@@ -572,8 +385,8 @@ void CampaignSim::run_until(util::SimTime end) {
 
 // ---- Results ---------------------------------------------------------
 
-ResponderStats CampaignSim::responder_stats() const {
-  ResponderStats total;
+sim::ResponderStats CampaignSim::responder_stats() const {
+  sim::ResponderStats total;
   for (const auto& sn : stubs_) {
     total.syns_seen += sn->responder.syns_seen;
     total.syn_acks_generated += sn->responder.syn_acks_generated;
@@ -587,7 +400,7 @@ ResponderStats CampaignSim::responder_stats() const {
 sim::RouterStats CampaignSim::router_stats() const {
   sim::RouterStats total;
   for (const auto& sn : stubs_) {
-    const sim::RouterStats& r = sn->router->stats();
+    const sim::RouterStats& r = sn->site.router().stats();
     total.forwarded_outbound += r.forwarded_outbound;
     total.forwarded_inbound += r.forwarded_inbound;
     total.dropped_no_route += r.dropped_no_route;
@@ -653,7 +466,7 @@ std::string CampaignSim::state_digest() const {
        static_cast<unsigned long long>(cross_.to_stubs),
        static_cast<unsigned long long>(cross_.dropped_unreachable),
        static_cast<unsigned long long>(cross_.absorbed_elsewhere));
-  const ResponderStats resp = responder_stats();
+  const sim::ResponderStats resp = responder_stats();
   emit("responder syns=%llu syn_acks=%llu unanswered=%llu unreachable=%llu "
        "absorbed=%llu\n",
        static_cast<unsigned long long>(resp.syns_seen),
@@ -713,7 +526,7 @@ void CampaignSim::export_metrics(obs::Registry& registry) const {
   registry.counter("campaign.cross.dropped_unreachable")
       .add(cross_.dropped_unreachable);
   registry.counter("campaign.cross.absorbed").add(cross_.absorbed_elsewhere);
-  const ResponderStats resp = responder_stats();
+  const sim::ResponderStats resp = responder_stats();
   registry.counter("campaign.responder.syns").add(resp.syns_seen);
   registry.counter("campaign.responder.syn_acks")
       .add(resp.syn_acks_generated);

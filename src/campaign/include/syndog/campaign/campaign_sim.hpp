@@ -20,15 +20,13 @@
 // workers=1 vs workers=8. The threaded driver lives in runner.cpp; this
 // class plus `run_until(end)` is the single-threaded reference.
 //
-// Wide-area traffic model: there is no shared InternetCloud. Packets a
-// stub sends to generic Internet space are answered by a *per-stub
-// responder* (same semantics and timing as sim::InternetCloud — one
-// bernoulli no-answer draw, a synthesized SYN/ACK after uplink + RTT +
-// downlink — but drawing from the stub's own child Rng, which is what
-// makes the shards independent). Packets addressed to the victim cross
-// via mailbox; victim replies into a stub prefix cross back the same
-// way; replies to the spoofed 240/8 pool die at the victim's edge
-// exactly like the oracle's unreachable pool.
+// Wide-area traffic model: each stub is a sim::StubSite, and there is no
+// shared InternetCloud. Generic Internet space answers a stub through
+// sim::answer_segment (InternetCloud's responder) with the stub's own
+// child Rng and counters, which is what makes the shards independent.
+// Packets addressed to the victim cross via mailbox; victim replies into
+// a stub prefix cross back the same way; replies to the spoofed 240/8
+// pool die at the victim's edge, as in the oracle's unreachable pool.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +41,10 @@
 #include "syndog/core/syndog.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
+#include "syndog/sim/internet.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/stub_site.hpp"
 #include "syndog/sim/tcp_host.hpp"
 #include "syndog/util/rng.hpp"
 #include "syndog/util/time.hpp"
@@ -56,7 +56,7 @@ struct CampaignParams {
   /// based at 10.0.0.0 + (s << 12) — up to 4094 addressable hosts each.
   int stub_count = 4;
   /// Hosts addressable per stub, in [1, 4094]. Host indices are 1-based
-  /// (offset 0 is the prefix base), matching MultiStubSim::host().
+  /// (offset 0 is the prefix base), as in sim::StubSite::host().
   std::uint32_t hosts_per_stub = 25;
   /// Scheduler cells the stubs are partitioned into; 0 = auto
   /// (min(stub_count, 64)). The victim always gets one extra cell.
@@ -72,12 +72,8 @@ struct CampaignParams {
   /// Conservative window width; 0 = auto (the lookahead, min(uplink,
   /// downlink)). Must not exceed the lookahead.
   util::SimTime window = util::SimTime::zero();
-  /// Per-stub responder model (mirrors sim::CloudParams).
-  double no_answer_probability = 0.05;
-  double rtt_median_s = 0.080;
-  /// rtt_sigma == 0 selects the deterministic RTT (exactly rtt_median_s,
-  /// no draw), the same seam sim::InternetCloud honours.
-  double rtt_sigma = 0.35;
+  /// How generic Internet space answers each stub (sim::answer_segment).
+  sim::ResponderParams responder;
   net::Ipv4Address victim_ip{198, 51, 100, 10};
   std::uint16_t victim_port = 80;
   /// Victim replies into this pool die at the victim's edge (the oracle
@@ -92,16 +88,6 @@ struct CampaignParams {
 
   /// Throws std::invalid_argument on out-of-range values.
   void validate() const;
-};
-
-/// Per-stub responder counters; the shard-local analogue of
-/// sim::CloudStats (aggregated across stubs by responder_stats()).
-struct ResponderStats {
-  std::uint64_t syns_seen = 0;
-  std::uint64_t syn_acks_generated = 0;
-  std::uint64_t unanswered = 0;
-  std::uint64_t dropped_unreachable = 0;   ///< outbound into the spoof pool
-  std::uint64_t absorbed_elsewhere = 0;    ///< non-SYN / off-model traffic
 };
 
 struct AlarmRecord {
@@ -122,8 +108,8 @@ class CampaignSim {
   [[nodiscard]] sim::LeafRouter& router(int stub);
   [[nodiscard]] core::SynDogAgent& agent(int stub);
   [[nodiscard]] const core::SynDogAgent& agent(int stub) const;
-  /// Host `index` in [1, hosts_per_stub] of stub `stub` (1-based, like
-  /// MultiStubSim::host()); materializes the TcpHost on first use.
+  /// Host `index` in [1, hosts_per_stub] of stub `stub`
+  /// (sim::StubSite::host(): 1-based, materialized on first use).
   /// Throws std::out_of_range naming the valid range otherwise.
   [[nodiscard]] sim::TcpHost& host(int stub, std::uint32_t index);
   [[nodiscard]] sim::TcpHost& victim() { return *victim_; }
@@ -140,9 +126,9 @@ class CampaignSim {
   void connect_background(int stub, std::uint32_t host_index,
                           util::SimTime at, net::Ipv4Address dst,
                           std::uint16_t port = 80);
-  /// Poisson host-stack background: like MultiStubSim::
-  /// schedule_outbound_background, each start picks a random host of
-  /// `stub` and a random generic-Internet server. Materializes hosts.
+  /// Host-stack background (sim::StubSite::schedule_host_background):
+  /// each start picks a random host of `stub` and a random generic
+  /// Internet server. Materializes hosts.
   void schedule_host_background(int stub,
                                 const std::vector<util::SimTime>& starts);
   /// Wire-level Poisson background at `rate_per_sec` connections/s over
@@ -155,7 +141,7 @@ class CampaignSim {
                              util::SimTime start, util::SimTime end);
   /// Spoofed-source flood from host `host_index` of `stub` toward the
   /// victim; one SYN per entry of `syn_times`, sources drawn from
-  /// `spoof_pool` (MultiStubSim::launch_flood's semantics).
+  /// `spoof_pool` (sim::StubSite::launch_flood, on the stub's flood rng).
   void launch_flood(int stub, std::uint32_t host_index,
                     const std::vector<util::SimTime>& syn_times,
                     net::Ipv4Prefix spoof_pool);
@@ -197,7 +183,7 @@ class CampaignSim {
 
   [[nodiscard]] const CrossStats& cross_stats() const { return cross_; }
   /// Responder counters summed over stubs in ascending stub order.
-  [[nodiscard]] ResponderStats responder_stats() const;
+  [[nodiscard]] sim::ResponderStats responder_stats() const;
   /// Router stats summed over stubs in ascending stub order.
   [[nodiscard]] sim::RouterStats router_stats() const;
   /// Alarm events merged across stubs, ordered by (time, stub).
@@ -225,18 +211,16 @@ class CampaignSim {
 
  private:
   struct StubNet {
-    net::Ipv4Prefix prefix;
-    std::unique_ptr<sim::LeafRouter> router;
+    sim::StubSite site;
     std::unique_ptr<core::SynDogAgent> agent;
     util::Rng workload_rng;   ///< wire/host background draws
     util::Rng flood_rng;      ///< spoofed source / sport / seq draws
     util::Rng responder_rng;  ///< no-answer, ISN, RTT draws
-    std::vector<std::unique_ptr<sim::TcpHost>> hosts;  ///< lazy, [i-1]
     std::uint64_t mailbox_seq = 0;
-    ResponderStats responder;
+    sim::ResponderStats responder;
     std::vector<AlarmRecord> alarms;
 
-    StubNet(std::uint64_t seed, int stub);
+    StubNet(const CampaignParams& params, int stub, sim::Scheduler& sched);
   };
 
   struct Cell {
@@ -248,20 +232,12 @@ class CampaignSim {
   [[nodiscard]] sim::Scheduler& sched_of(int stub);
   [[nodiscard]] StubNet& stub_at(int stub);
   [[nodiscard]] const StubNet& stub_at(int stub) const;
-  [[nodiscard]] net::MacAddress router_mac(int stub) const;
-  [[nodiscard]] net::MacAddress host_mac(int stub,
-                                         std::uint32_t index) const;
   /// Stub owning `ip`, or -1 if it is outside every stub prefix.
   [[nodiscard]] int stub_of(net::Ipv4Address ip) const;
-  sim::TcpHost& ensure_host(int stub, std::uint32_t index);
-  void check_host_index(std::uint32_t index) const;
-  /// Router uplink sink for stub `stub`: victim-bound -> outbox,
-  /// generic -> responder. Runs inside cell execution.
+  /// Router uplink sink for stub `stub`: victim-bound -> outbox, generic
+  /// -> responder, whose reply re-enters the stub after uplink + RTT +
+  /// downlink (the oracle cloud's timing). Runs inside cell execution.
   void on_uplink(int stub, const net::Packet& packet);
-  void respond(int stub, const net::Packet& packet);
-  /// Schedules a responder reply to re-enter stub `stub` after uplink +
-  /// RTT + downlink (the oracle cloud's round-trip timing).
-  void schedule_reply(int stub, net::Packet reply);
   void note_injection(util::SimTime arrive_at, util::SimTime barrier);
   /// Victim TcpHost send sink: stub-bound -> victim outbox, spoof pool
   /// -> dropped. Runs inside victim-cell execution.

@@ -1,29 +1,13 @@
 #include "syndog/sim/cloud.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace syndog::sim {
 
 InternetCloud::InternetCloud(Scheduler& scheduler, CloudParams params,
-                             PacketSink downlink, std::uint64_t seed)
+                             std::uint64_t seed)
     : scheduler_(scheduler), params_(params), rng_(seed) {
-  if (!downlink) {
-    throw std::invalid_argument("InternetCloud: downlink required");
-  }
-  stub_routes_.emplace_back(params_.stub_prefix, std::move(downlink));
-  if (!(params_.no_answer_probability >= 0.0 &&
-        params_.no_answer_probability < 1.0)) {
-    throw std::invalid_argument(
-        "InternetCloud: no_answer_probability in [0,1)");
-  }
-}
-
-void InternetCloud::attach_host(net::Ipv4Address ip, TcpHost* host) {
-  if (host == nullptr) {
-    throw std::invalid_argument("InternetCloud: null host");
-  }
-  hosts_[ip.value()] = host;
+  params_.validate();
 }
 
 void InternetCloud::add_stub_route(net::Ipv4Prefix prefix,
@@ -34,142 +18,62 @@ void InternetCloud::add_stub_route(net::Ipv4Prefix prefix,
   stub_routes_.emplace_back(prefix, std::move(downlink));
 }
 
-void InternetCloud::receive(const net::Packet& packet) {
-  // Real attached host (e.g. the victim server) takes precedence.
+TcpHost& InternetCloud::add_host(std::string name, net::Ipv4Address ip,
+                                 TcpHostParams host_params,
+                                 std::uint64_t seed) {
+  for (const auto& route : stub_routes_) {
+    if (route.first.contains(ip)) {
+      throw std::invalid_argument(
+          "InternetCloud: Internet-side host inside a stub prefix");
+    }
+  }
+  owned_hosts_.push_back(make_internet_host(
+      std::move(name), ip, static_cast<std::uint32_t>(owned_hosts_.size()),
+      scheduler_, [this](const net::Packet& pkt) { route(pkt); },
+      host_params, seed));
+  TcpHost* host = owned_hosts_.back().get();
+  hosts_[ip.value()] = host;
+  return *host;
+}
+
+bool InternetCloud::forward(const net::Packet& packet) {
+  // A real attached host (e.g. the victim server) takes precedence.
   if (const auto it = hosts_.find(packet.ip.dst.value());
       it != hosts_.end()) {
     ++stats_.delivered_to_hosts;
     it->second->receive(packet);
-    return;
+    return true;
   }
   // Destinations inside a known stub network are routed there, not
   // answered by the generic server space (cross-stub traffic).
   for (const auto& [prefix, downlink] : stub_routes_) {
     if (prefix.contains(packet.ip.dst)) {
       downlink(packet);
-      return;
-    }
-  }
-  if (params_.unreachable_pool.contains(packet.ip.dst)) {
-    // Spoofed-source replies die here — no endpoint, no RST.
-    ++stats_.dropped_unreachable;
-    return;
-  }
-  if (!packet.tcp) return;
-
-  const net::TcpFlags flags = packet.tcp->flags;
-  if (flags.syn() && !flags.ack()) {
-    ++stats_.syns_seen;
-    if (rng_.bernoulli(params_.no_answer_probability)) {
-      ++stats_.unanswered;
-      return;
-    }
-    synthesize_syn_ack(packet);
-    return;
-  }
-  if (flags.syn() && flags.ack()) {
-    // A stub server accepted a connection from a generic remote client;
-    // complete its handshake with the final ACK so half-open slots drain.
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(0xfffffe);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::ack_only();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    net::Packet ack = net::make_tcp_packet(spec);
-    const double rtt =
-        params_.rtt_sigma > 0
-            ? rng_.lognormal(std::log(params_.rtt_median_s),
-                             params_.rtt_sigma)
-            : params_.rtt_median_s;
-    scheduler_.schedule_after(
-        util::SimTime::from_seconds(rtt),
-        [this, h = scheduler_.packets().acquire(std::move(ack))] {
-          route(*h);
-        });
-  }
-  if (flags.fin()) {
-    // A stub client closing its connection to a generic server: the far
-    // side reciprocates with its own FIN|ACK so the teardown completes
-    // (paper Fig. 1's passive close).
-    net::TcpPacketSpec spec;
-    spec.src_mac = net::MacAddress::for_host(0xfffffe);
-    spec.dst_mac = packet.eth.src;
-    spec.src_ip = packet.ip.dst;
-    spec.dst_ip = packet.ip.src;
-    spec.src_port = packet.tcp->dst_port;
-    spec.dst_port = packet.tcp->src_port;
-    spec.flags = net::TcpFlags::fin_ack();
-    spec.seq = packet.tcp->ack;
-    spec.ack = packet.tcp->seq + 1;
-    net::Packet fin = net::make_tcp_packet(spec);
-    const double rtt =
-        params_.rtt_sigma > 0
-            ? rng_.lognormal(std::log(params_.rtt_median_s),
-                             params_.rtt_sigma)
-            : params_.rtt_median_s;
-    scheduler_.schedule_after(
-        util::SimTime::from_seconds(rtt),
-        [this, h = scheduler_.packets().acquire(std::move(fin))] {
-          route(*h);
-        });
-    return;
-  }
-  // Other segment kinds (final ACKs, data) terminate silently at the
-  // generic server space; nothing about them matters to the handshake
-  // counts the detector sees.
-}
-
-void InternetCloud::route(const net::Packet& packet) {
-  if (const auto it = hosts_.find(packet.ip.dst.value());
-      it != hosts_.end()) {
-    ++stats_.delivered_to_hosts;
-    it->second->receive(packet);
-    return;
-  }
-  for (const auto& [prefix, downlink] : stub_routes_) {
-    if (prefix.contains(packet.ip.dst)) {
-      downlink(packet);
-      return;
+      return true;
     }
   }
   if (params_.unreachable_pool.contains(packet.ip.dst)) {
     // Replies to spoofed sources die in the core; crucially, they never
-    // transit our leaf router's inbound interface.
+    // transit our leaf router's inbound interface, and no RST comes back.
     ++stats_.dropped_unreachable;
-    return;
+    return true;
   }
-  ++stats_.absorbed_elsewhere;
+  return false;
 }
 
-void InternetCloud::synthesize_syn_ack(const net::Packet& syn) {
-  net::TcpPacketSpec spec;
-  // The reply emerges from the cloud with the router as next hop; MAC
-  // addresses on the wide-area side are not meaningful to the stub.
-  spec.src_mac = net::MacAddress::for_host(0xfffffe);
-  spec.dst_mac = syn.eth.src;
-  spec.src_ip = syn.ip.dst;
-  spec.dst_ip = syn.ip.src;
-  spec.src_port = syn.tcp->dst_port;
-  spec.dst_port = syn.tcp->src_port;
-  spec.seq = rng_.next_u32();
-  spec.ack = syn.tcp->seq + 1;
-  net::Packet reply = net::make_syn_ack(spec);
-
-  const double rtt =
-      params_.rtt_sigma > 0
-          ? rng_.lognormal(std::log(params_.rtt_median_s), params_.rtt_sigma)
-          : params_.rtt_median_s;
-  ++stats_.syn_acks_generated;
+void InternetCloud::receive(const net::Packet& packet) {
+  if (forward(packet)) return;
+  auto reply = answer_segment(packet, params_, rng_, stats_);
+  if (!reply) return;
   scheduler_.schedule_after(
-      util::SimTime::from_seconds(rtt),
-      [this, h = scheduler_.packets().acquire(std::move(reply))] {
+      reply->rtt,
+      [this, h = scheduler_.packets().acquire(std::move(reply->packet))] {
         route(*h);
       });
+}
+
+void InternetCloud::route(const net::Packet& packet) {
+  if (!forward(packet)) ++stats_.absorbed_elsewhere;
 }
 
 }  // namespace syndog::sim

@@ -16,6 +16,7 @@
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/stub_site.hpp"
 #include "syndog/sim/tcp_host.hpp"
 
 namespace syndog::sim {
@@ -57,7 +58,7 @@ class MultiStubSim {
                              TcpHostParams host_params);
 
   /// Background connections from random hosts of `stub` to generic
-  /// remote servers.
+  /// remote servers (StubSite::schedule_host_background).
   void schedule_outbound_background(
       int stub, const std::vector<util::SimTime>& start_times);
 
@@ -71,17 +72,19 @@ class MultiStubSim {
 
  private:
   struct Stub {
-    std::unique_ptr<LeafRouter> router;
+    std::unique_ptr<StubSite> site;
     std::unique_ptr<Link> uplink;
     std::unique_ptr<Link> downlink;
-    std::vector<std::unique_ptr<TcpHost>> hosts;
   };
+
+  /// Throws std::out_of_range naming [0, stub_count) on a bad `stub`.
+  void check_stub(int stub) const;
+  [[nodiscard]] StubSite& site(int stub);
 
   MultiStubParams params_;
   Scheduler scheduler_;
   std::unique_ptr<InternetCloud> cloud_;
   std::vector<Stub> stubs_;
-  std::vector<std::unique_ptr<TcpHost>> internet_hosts_;
   util::Rng workload_rng_;
   util::Rng flood_rng_;
 };

@@ -17,6 +17,7 @@
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/stub_site.hpp"
 #include "syndog/sim/tcp_host.hpp"
 
 namespace syndog::sim {
@@ -40,7 +41,7 @@ class StubNetworkSim {
   StubNetworkSim& operator=(const StubNetworkSim&) = delete;
 
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
-  [[nodiscard]] LeafRouter& router() { return *router_; }
+  [[nodiscard]] LeafRouter& router() { return site_->router(); }
   [[nodiscard]] InternetCloud& cloud() { return *cloud_; }
   /// The router->Internet / Internet->router links (fault-injection and
   /// telemetry attachment points).
@@ -54,7 +55,9 @@ class StubNetworkSim {
 
   /// Intranet host by index in [1, num_hosts]. Index i has address
   /// stub_prefix.host(i) and MAC MacAddress::for_host(i).
-  [[nodiscard]] TcpHost& host(std::uint32_t index);
+  [[nodiscard]] TcpHost& host(std::uint32_t index) {
+    return site_->host(index);
+  }
   [[nodiscard]] std::uint32_t host_count() const {
     return params_.num_hosts;
   }
@@ -75,10 +78,8 @@ class StubNetworkSim {
   /// Puts every stub host in LISTEN on `port`.
   void make_servers(std::uint16_t port = 80);
 
-  /// Flood agent: stub host `host_index` emits raw spoofed-source SYNs at
-  /// the given times toward victim:port. Sources are drawn from
-  /// `spoof_pool` (unreachable space), bypassing the host's TCP stack the
-  /// way a raw-socket attack daemon does.
+  /// Flood agent on stub host `host_index` (StubSite::launch_flood),
+  /// drawing from the sim's flood rng.
   void launch_flood(std::uint32_t host_index,
                     const std::vector<util::SimTime>& syn_times,
                     net::Ipv4Address victim, std::uint16_t victim_port,
@@ -98,16 +99,12 @@ class StubNetworkSim {
   void run_until(util::SimTime end) { scheduler_.run_until(end); }
 
  private:
-  void deliver_to_host_lan(const net::Packet& packet);
-
   StubNetworkParams params_;
   Scheduler scheduler_;
-  std::unique_ptr<LeafRouter> router_;
+  std::unique_ptr<StubSite> site_;
   std::unique_ptr<Link> uplink_;
   std::unique_ptr<Link> downlink_;
   std::unique_ptr<InternetCloud> cloud_;
-  std::vector<std::unique_ptr<TcpHost>> stub_hosts_;
-  std::vector<std::unique_ptr<TcpHost>> internet_hosts_;
   util::Rng workload_rng_;
   util::Rng flood_rng_;
 };

@@ -18,6 +18,7 @@
 #include "syndog/obs/metrics.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/victim_defense.hpp"
 #include "syndog/util/rng.hpp"
 
 namespace syndog::sim {
@@ -197,7 +198,7 @@ class TcpHost {
   // SYN-cookie state. The secret is derived from the seed without
   // consuming the rng_ stream, so enabling cookies never shifts the ISN
   // draw order of the stateful path.
-  std::uint64_t cookie_secret_ = 0;
+  SynCookieCodec cookies_;
   bool cookie_active_ = false;
 
   // Telemetry (optional; see attach_observer). All lazily created.

@@ -4,42 +4,13 @@
 
 namespace syndog::sim {
 
-namespace {
-
-// Inline SYN-cookie codec (the sim layer cannot depend on core, so this
-// mirrors core::SynCookieCodec's shape without sharing code): the ISN is
-// a 29-bit keyed tag over the 4-tuple + client ISN, with a 3-bit time
-// counter at 64 s granularity in the low bits. Validation accepts the
-// current and the previous counter window.
-constexpr std::uint32_t kCookieTagBits = 29;
-constexpr std::int64_t kCookieWindowNs = 64'000'000'000;
-
-std::uint32_t cookie_counter(util::SimTime now) {
-  return static_cast<std::uint32_t>((now.ns() / kCookieWindowNs) & 7);
-}
-
-std::uint32_t cookie_isn(std::uint64_t secret, net::Ipv4Address peer_ip,
-                         std::uint16_t peer_port, std::uint16_t local_port,
-                         std::uint32_t peer_isn, std::uint32_t counter) {
-  const std::uint64_t tuple = (std::uint64_t{peer_ip.value()} << 32) |
-                              (std::uint64_t{peer_port} << 16) | local_port;
-  const std::uint64_t hash = util::splitmix64(
-      secret ^ util::splitmix64(tuple) ^
-      util::splitmix64((std::uint64_t{peer_isn} << 3) | counter));
-  const auto tag =
-      static_cast<std::uint32_t>(hash & ((1u << kCookieTagBits) - 1));
-  return (tag << 3) | counter;
-}
-
-}  // namespace
-
 TcpHost::TcpHost(std::string name, net::Ipv4Address ip, net::MacAddress mac,
                  net::MacAddress gateway_mac, Scheduler& scheduler,
                  PacketSink send, TcpHostParams params, std::uint64_t seed)
     : name_(std::move(name)), ip_(ip), mac_(mac), gateway_mac_(gateway_mac),
       scheduler_(scheduler), send_(std::move(send)), params_(params),
       rng_(seed),
-      cookie_secret_(util::splitmix64(seed ^ 0x53594e636f6f6bULL)) {
+      cookies_(util::splitmix64(seed ^ 0x53594e636f6f6bULL)) {
   if (!send_) throw std::invalid_argument("TcpHost: send callback required");
   if (params_.backlog == 0) {
     throw std::invalid_argument("TcpHost: backlog must be at least 1");
@@ -170,9 +141,9 @@ void TcpHost::on_syn(const net::Packet& packet) {
     // Stateless handshake: the cookie ISN carries everything needed to
     // reconstruct the connection from the final ACK, so no backlog slot
     // is consumed and no retransmission timer runs.
-    const std::uint32_t isn =
-        cookie_isn(cookie_secret_, packet.ip.src, packet.tcp->src_port,
-                   port, packet.tcp->seq, cookie_counter(scheduler_.now()));
+    const std::uint32_t isn = cookies_.make(
+        ConnKey{packet.ip.src, packet.tcp->src_port, port}, packet.tcp->seq,
+        SynCookieCodec::counter_at(scheduler_.now()));
     ++stats_.syn_acks_sent;
     ++stats_.syn_cookies_sent;
     count(cookies_sent_counter_, "syn_cookies_sent");
@@ -298,16 +269,10 @@ void TcpHost::maybe_accept_cookie(const net::Packet& packet, PeerKey key) {
   if (!params_.syn_cookies) return;
   if (!listening_.contains(packet.tcp->dst_port)) return;
   if (established_.contains(key)) return;  // ordinary in-connection ACK
-  const std::uint32_t presented = packet.tcp->ack - 1;
-  const std::uint32_t peer_isn = packet.tcp->seq - 1;
-  const std::uint32_t current = cookie_counter(scheduler_.now());
-  bool valid = false;
-  for (const std::uint32_t counter : {current, (current + 7) & 7}) {
-    valid = valid || presented == cookie_isn(cookie_secret_, packet.ip.src,
-                                             packet.tcp->src_port,
-                                             packet.tcp->dst_port, peer_isn,
-                                             counter);
-  }
+  const bool valid = cookies_.verify(
+      ConnKey{packet.ip.src, packet.tcp->src_port, packet.tcp->dst_port},
+      packet.tcp->seq - 1, packet.tcp->ack - 1,
+      SynCookieCodec::counter_at(scheduler_.now()));
   if (!valid) {
     ++stats_.syn_cookies_rejected;
     count(cookies_rejected_counter_, "syn_cookies_rejected");

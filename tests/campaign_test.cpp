@@ -28,6 +28,7 @@
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
 #include "syndog/sim/multistub.hpp"
+#include "syndog/sim/network.hpp"
 #include "syndog/util/rng.hpp"
 #include "syndog/util/time.hpp"
 
@@ -225,8 +226,8 @@ std::unique_ptr<campaign::CampaignSim> run_campaign(
   cp.lan_delay = p.lan;
   cp.uplink_delay = p.up;
   cp.downlink_delay = p.down;
-  cp.no_answer_probability = 0.0;
-  cp.rtt_sigma = 0.0;
+  cp.responder.no_answer_probability = 0.0;
+  cp.responder.rtt_sigma = 0.0;
   cp.victim_params = victim_params();
   cp.agent_params = agent_params(p);
   cp.seed = p.seed;
@@ -291,6 +292,13 @@ TEST(CampaignOracleTest, MatchesSingleLoopOracleAtAnyWorkerCount) {
     EXPECT_EQ(cs.delivered_to_hosts, sharded->cross_stats().to_victim);
     EXPECT_EQ(cs.syn_acks_generated,
               sharded->responder_stats().syn_acks_generated);
+    // Both engines answer through sim::answer_segment. What the oracle
+    // cloud absorbs, the campaign absorbs either at a stub's responder
+    // or at the victim's edge.
+    EXPECT_EQ(cs.unanswered, sharded->responder_stats().unanswered);
+    EXPECT_EQ(cs.absorbed_elsewhere,
+              sharded->responder_stats().absorbed_elsewhere +
+                  sharded->cross_stats().absorbed_elsewhere);
   }
 }
 
@@ -304,6 +312,166 @@ TEST(CampaignOracleTest, CellDecompositionDoesNotChangeResults) {
       run_campaign(p, background, floods, 1, p.stubs);
   EXPECT_EQ(one_cell->state_digest(), per_stub_cells->state_digest());
 }
+
+// ---- Flood wire contract ----------------------------------------------
+//
+// Every engine's flood agent must put the same SYNs on its stub's
+// outbound interface: one per flood time, at that time plus the LAN
+// delay, from the attacker's MAC, spoofed from the pool, to the victim.
+
+const net::Ipv4Address kVictim{198, 51, 100, 10};
+constexpr std::uint16_t kVictimPort = 80;
+constexpr std::uint32_t kAttacker = 2;
+const net::Ipv4Prefix kSpoofPool{net::Ipv4Address{240, 0, 0, 0}, 8};
+
+/// One engine with a flood agent on host kAttacker of the stub it taps.
+class FloodEngine {
+ public:
+  FloodEngine() = default;
+  FloodEngine(const FloodEngine&) = delete;
+  FloodEngine& operator=(const FloodEngine&) = delete;
+  virtual ~FloodEngine() = default;
+  virtual sim::LeafRouter& router() = 0;
+  virtual sim::TcpHost& attacker() = 0;
+  virtual SimTime lan_delay() = 0;
+  virtual void launch(const std::vector<SimTime>& times) = 0;
+  virtual void run(SimTime end) = 0;
+};
+
+class StubNetworkFlood : public FloodEngine {
+ public:
+  StubNetworkFlood() : net_([] {
+    sim::StubNetworkParams p;
+    p.num_hosts = 4;
+    return p;
+  }()) {}
+  sim::LeafRouter& router() override { return net_.router(); }
+  sim::TcpHost& attacker() override { return net_.host(kAttacker); }
+  SimTime lan_delay() override { return net_.params().lan_delay; }
+  void launch(const std::vector<SimTime>& times) override {
+    net_.launch_flood(kAttacker, times, kVictim, kVictimPort, kSpoofPool);
+  }
+  void run(SimTime end) override { net_.run_until(end); }
+
+ private:
+  sim::StubNetworkSim net_;
+};
+
+class MultiStubFlood : public FloodEngine {
+ public:
+  MultiStubFlood() : net_(params()) {}
+  static sim::MultiStubParams params() {
+    sim::MultiStubParams p;
+    p.stub_count = 2;
+    p.hosts_per_stub = 4;
+    return p;
+  }
+  sim::LeafRouter& router() override { return net_.router(1); }
+  sim::TcpHost& attacker() override { return net_.host(1, kAttacker); }
+  SimTime lan_delay() override { return params().lan_delay; }
+  void launch(const std::vector<SimTime>& times) override {
+    net_.launch_flood(1, kAttacker, times, kVictim, kVictimPort, kSpoofPool);
+  }
+  void run(SimTime end) override { net_.run_until(end); }
+
+ private:
+  sim::MultiStubSim net_;
+};
+
+class CampaignFlood : public FloodEngine {
+ public:
+  CampaignFlood() : net_([] {
+    campaign::CampaignParams p;
+    p.stub_count = 1;
+    p.hosts_per_stub = 4;
+    p.victim_ip = kVictim;
+    p.victim_port = kVictimPort;
+    return p;
+  }()) {}
+  sim::LeafRouter& router() override { return net_.router(0); }
+  sim::TcpHost& attacker() override { return net_.host(0, kAttacker); }
+  SimTime lan_delay() override { return net_.params().lan_delay; }
+  void launch(const std::vector<SimTime>& times) override {
+    net_.launch_flood(0, kAttacker, times, kSpoofPool);
+  }
+  void run(SimTime end) override { net_.run_until(end); }
+
+ private:
+  campaign::CampaignSim net_;
+};
+
+enum class FloodEngineKind : std::uint8_t {
+  kStubNetworkSim,
+  kMultiStubSim,
+  kCampaignSim
+};
+
+std::unique_ptr<FloodEngine> make_flood_engine(FloodEngineKind kind) {
+  switch (kind) {
+    case FloodEngineKind::kStubNetworkSim:
+      return std::make_unique<StubNetworkFlood>();
+    case FloodEngineKind::kMultiStubSim:
+      return std::make_unique<MultiStubFlood>();
+    case FloodEngineKind::kCampaignSim:
+      return std::make_unique<CampaignFlood>();
+  }
+  return nullptr;
+}
+
+class FloodWireContractTest
+    : public ::testing::TestWithParam<FloodEngineKind> {};
+
+TEST_P(FloodWireContractTest, EachFloodTimeIsOneSynOnTheOutboundTap) {
+  util::Rng rng(3);
+  std::vector<SimTime> syn_times;
+  double t = 1.0;
+  for (int k = 0; k < 200; ++k) {
+    t += rng.exponential_mean(0.01);
+    syn_times.push_back(SimTime::from_seconds(t));
+  }
+
+  const std::unique_ptr<FloodEngine> engine = make_flood_engine(GetParam());
+  struct Seen {
+    SimTime at;
+    net::Packet packet;
+  };
+  std::vector<Seen> syns;
+  engine->router().add_outbound_tap(
+      [&](SimTime at, const net::Packet& pkt) {
+        if (pkt.is_syn()) syns.push_back({at, pkt});
+      });
+  engine->launch(syn_times);
+  engine->run(SimTime::seconds(10));
+
+  ASSERT_EQ(syns.size(), syn_times.size());
+  const net::MacAddress attacker_mac = engine->attacker().mac();
+  for (std::size_t k = 0; k < syns.size(); ++k) {
+    SCOPED_TRACE("syn " + std::to_string(k));
+    const net::Packet& syn = syns[k].packet;
+    EXPECT_EQ(syns[k].at, syn_times[k] + engine->lan_delay());
+    EXPECT_EQ(syn.eth.src, attacker_mac);
+    EXPECT_TRUE(kSpoofPool.contains(syn.ip.src));
+    EXPECT_EQ(syn.ip.dst, kVictim);
+    EXPECT_EQ(syn.tcp->dst_port, kVictimPort);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, FloodWireContractTest,
+    ::testing::Values(FloodEngineKind::kStubNetworkSim,
+                      FloodEngineKind::kMultiStubSim,
+                      FloodEngineKind::kCampaignSim),
+    [](const ::testing::TestParamInfo<FloodEngineKind>& info) {
+      switch (info.param) {
+        case FloodEngineKind::kStubNetworkSim:
+          return std::string("StubNetworkSim");
+        case FloodEngineKind::kMultiStubSim:
+          return std::string("MultiStubSim");
+        case FloodEngineKind::kCampaignSim:
+          return std::string("CampaignSim");
+      }
+      return std::string("Unknown");
+    });
 
 // ---- Cross-worker-count byte identity --------------------------------
 

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "syndog/core/mitigate.hpp"
+#include "syndog/sim/victim_defense.hpp"
 #include "syndog/util/rng.hpp"
 
-namespace syndog::core {
+namespace syndog::sim {
 namespace {
 
 using util::SimTime;
@@ -118,4 +118,4 @@ TEST(SynCacheTest, RejectsZeroCapacity) {
 }
 
 }  // namespace
-}  // namespace syndog::core
+}  // namespace syndog::sim

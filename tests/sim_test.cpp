@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "syndog/sim/cloud.hpp"
+#include "syndog/sim/internet.hpp"
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/sim/router.hpp"
@@ -479,9 +483,10 @@ TEST(CloudTest, AnswersSynsAndDropsUnreachable) {
   std::vector<net::Packet> replies;
   CloudParams params;
   params.no_answer_probability = 0.0;
-  InternetCloud cloud(sched, params,
-                      [&](const net::Packet& pkt) { replies.push_back(pkt); },
-                      1);
+  InternetCloud cloud(sched, params, 1);
+  cloud.add_stub_route(
+      *net::Ipv4Prefix::parse("10.1.0.0/16"),
+      [&](const net::Packet& pkt) { replies.push_back(pkt); });
 
   net::TcpPacketSpec spec;
   spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
@@ -505,9 +510,10 @@ TEST(CloudTest, AnswersSynsAndDropsUnreachable) {
 TEST(CloudTest, CompletesInboundHandshakes) {
   Scheduler sched;
   std::vector<net::Packet> replies;
-  InternetCloud cloud(sched, CloudParams{},
-                      [&](const net::Packet& pkt) { replies.push_back(pkt); },
-                      2);
+  InternetCloud cloud(sched, CloudParams{}, 2);
+  cloud.add_stub_route(
+      *net::Ipv4Prefix::parse("10.1.0.0/16"),
+      [&](const net::Packet& pkt) { replies.push_back(pkt); });
   // A stub server's SYN/ACK heading to a generic remote client.
   net::TcpPacketSpec spec;
   spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
@@ -521,6 +527,133 @@ TEST(CloudTest, CompletesInboundHandshakes) {
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].tcp->flags, net::TcpFlags::ack_only());
   EXPECT_EQ(replies[0].tcp->ack, 1001u);
+}
+
+TEST(CloudTest, SynAckFinGetsExactlyOneReply) {
+  Scheduler sched;
+  std::vector<net::Packet> replies;
+  InternetCloud cloud(sched, CloudParams{}, 3);
+  cloud.add_stub_route(
+      *net::Ipv4Prefix::parse("10.1.0.0/16"),
+      [&](const net::Packet& pkt) { replies.push_back(pkt); });
+  net::TcpPacketSpec spec;
+  spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
+  spec.dst_ip = net::Ipv4Address(192, 0, 2, 77);
+  spec.src_port = 80;
+  spec.dst_port = 50000;
+  spec.seq = 1000;
+  spec.ack = 501;
+  spec.flags = net::TcpFlags{static_cast<std::uint8_t>(
+      net::TcpFlags::syn_ack().bits | net::TcpFlags::kFin)};
+  cloud.receive(net::make_tcp_packet(spec));
+  sched.run_all();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].tcp->flags, net::TcpFlags::ack_only());
+  EXPECT_EQ(replies[0].tcp->ack, 1001u);
+}
+
+TEST(CloudTest, RejectsBadResponderParametersAtConstruction) {
+  Scheduler sched;
+  CloudParams negative_rtt;
+  negative_rtt.rtt_median_s = -0.01;
+  CloudParams zero_rtt;
+  zero_rtt.rtt_median_s = 0.0;
+  CloudParams negative_sigma;
+  negative_sigma.rtt_sigma = -1.0;
+  for (const CloudParams& params : {negative_rtt, zero_rtt, negative_sigma}) {
+    EXPECT_THROW(InternetCloud(sched, params, 1), std::invalid_argument);
+  }
+}
+
+// --- Internet responder ------------------------------------------------------------
+
+TEST(ResponderTest, AnswersEachSegmentKindWithOneReplyAtMost) {
+  // Deterministic profile: every SYN is answered and the RTT is the
+  // median with no draw, so a twin rng can replay the expected draws.
+  ResponderParams params;
+  params.no_answer_probability = 0.0;
+  params.rtt_sigma = 0.0;
+  const net::MacAddress client_mac = net::MacAddress::for_host(7);
+
+  struct Row {
+    std::string name;
+    std::optional<net::TcpFlags> flags;  ///< nullopt: a UDP datagram
+    std::optional<net::TcpFlags> reply;  ///< nullopt: absorbed
+    std::uint64_t syns_seen = 0;
+    std::uint64_t syn_acks_generated = 0;
+    std::uint64_t absorbed_elsewhere = 0;
+  };
+  const auto with_fin = [](net::TcpFlags f) {
+    return net::TcpFlags{
+        static_cast<std::uint8_t>(f.bits | net::TcpFlags::kFin)};
+  };
+  const std::vector<Row> rows = {
+      {"SYN", net::TcpFlags::syn_only(), net::TcpFlags::syn_ack(), 1, 1, 0},
+      {"SYN|ACK", net::TcpFlags::syn_ack(), net::TcpFlags::ack_only(), 0, 0,
+       0},
+      {"SYN|ACK|FIN", with_fin(net::TcpFlags::syn_ack()),
+       net::TcpFlags::ack_only(), 0, 0, 0},
+      {"FIN", with_fin(net::TcpFlags{}), net::TcpFlags::fin_ack(), 0, 0, 0},
+      {"FIN|ACK", net::TcpFlags::fin_ack(), net::TcpFlags::fin_ack(), 0, 0,
+       0},
+      {"ACK", net::TcpFlags::ack_only(), std::nullopt, 0, 0, 1},
+      {"RST", net::TcpFlags::rst_only(), std::nullopt, 0, 0, 1},
+      {"UDP", std::nullopt, std::nullopt, 0, 0, 1},
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    util::Rng rng(42);
+    util::Rng twin(42);
+    ResponderStats stats;
+    net::Packet segment;
+    if (row.flags) {
+      net::TcpPacketSpec spec;
+      spec.src_mac = client_mac;
+      spec.src_ip = net::Ipv4Address(10, 1, 0, 3);
+      spec.dst_ip = net::Ipv4Address(192, 0, 2, 77);
+      spec.src_port = 40000;
+      spec.dst_port = 80;
+      spec.seq = 1000;
+      spec.ack = 501;
+      spec.flags = *row.flags;
+      segment = net::make_tcp_packet(spec);
+    } else {
+      segment = net::make_udp_packet(
+          client_mac, net::MacAddress::for_host(1),
+          net::Ipv4Address(10, 1, 0, 3), net::Ipv4Address(192, 0, 2, 77),
+          40000, 53, 32);
+    }
+
+    const auto reply = answer_segment(segment, params, rng, stats);
+
+    EXPECT_EQ(stats.syns_seen, row.syns_seen);
+    EXPECT_EQ(stats.syn_acks_generated, row.syn_acks_generated);
+    EXPECT_EQ(stats.unanswered, 0u);
+    EXPECT_EQ(stats.dropped_unreachable, 0u);
+    EXPECT_EQ(stats.absorbed_elsewhere, row.absorbed_elsewhere);
+    ASSERT_EQ(reply.has_value(), row.reply.has_value());
+    if (row.syns_seen > 0) (void)twin.bernoulli(0.0);  // the no-answer draw
+    if (reply) {
+      const net::Packet& out = reply->packet;
+      EXPECT_EQ(out.tcp->flags, *row.reply);
+      // A SYN/ACK carries a drawn ISN; every other reply continues the
+      // stub side's sequence space at its ack number.
+      const std::uint32_t seq =
+          *row.reply == net::TcpFlags::syn_ack() ? twin.next_u32() : 501u;
+      EXPECT_EQ(out.tcp->seq, seq);
+      EXPECT_EQ(out.tcp->ack, 1001u);
+      EXPECT_EQ(out.ip.src, segment.ip.dst);
+      EXPECT_EQ(out.ip.dst, segment.ip.src);
+      EXPECT_EQ(out.tcp->src_port, 80);
+      EXPECT_EQ(out.tcp->dst_port, 40000);
+      EXPECT_EQ(out.eth.src, internet_gateway_mac());
+      EXPECT_EQ(out.eth.dst, client_mac);
+      EXPECT_EQ(reply->rtt, SimTime::milliseconds(80));
+    }
+    // rtt_sigma == 0: no RTT draw, so the stream is where the twin is.
+    EXPECT_EQ(rng.next_u32(), twin.next_u32());
+  }
 }
 
 // --- StubNetworkSim end to end -----------------------------------------------------
