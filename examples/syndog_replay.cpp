@@ -2,10 +2,10 @@
 //
 // Streams a capture — classic pcap or pcapng, any size — through the
 // ingest pipeline in O(ring) memory and demultiplexes it onto per-stub
-// SYN-dog agents: each --stubs prefix gets its own leaf router + agent
-// pair driven by the capture's timestamps on a discrete-event clock, so
-// period rollovers, CUSUM updates, and alarms land exactly where the
-// simulated deployments put them.
+// SYN-dog agents: each --stubs prefix gets its own agent, driven by the
+// capture's timestamps on a discrete-event clock, so period rollovers,
+// CUSUM updates, and alarms land exactly where the simulated deployments
+// put them.
 //
 //   $ syndog_replay capture.pcap                 # default stub 10.1.0.0/16
 //   $ syndog_replay capture.pcapng --stubs 10.1.0.0/16,10.2.0.0/16
@@ -24,7 +24,6 @@
 #include "syndog/ingest/agent_demux.hpp"
 #include "syndog/ingest/replay.hpp"
 #include "syndog/ingest/sharded.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/trace/render.hpp"
 #include "syndog/trace/site.hpp"
@@ -192,9 +191,6 @@ int replay(const std::string& path, double pace,
   options.default_stub = default_stub;
   ingest::AgentDemux demux(engine.scheduler(), stubs,
                            core::SynDogParams::paper_defaults(), options);
-  obs::Registry registry;
-  demux.attach_observer(nullptr, registry);
-  engine.attach_observer(registry);
   engine.add_sink(demux);
 
   std::printf("%s: %s stream, %zu stub agent(s)\n", path.c_str(),
@@ -242,8 +238,6 @@ int replay_sharded(const std::string& path, std::size_t threads,
   cfg.params = core::SynDogParams::paper_defaults();
   cfg.default_stub = default_stub;
   ingest::ShardedReplay sharded(file, stubs, cfg);
-  obs::Registry registry;
-  sharded.attach_observer(registry);
 
   std::printf("%s: %s stream, %zu stub agent(s), %zu ingest threads\n",
               path.c_str(),

@@ -34,36 +34,44 @@ void AgentHealthPolicy::validate() const {
   }
 }
 
+SynDogAgent::SynDogAgent(net::Ipv4Prefix stub_prefix,
+                         sim::Scheduler& scheduler, SynDogParams params,
+                         AlarmCallback on_alarm, AgentMode mode)
+    : scheduler_(scheduler), params_(params), mode_(mode), syndog_(params),
+      locator_(stub_prefix), on_alarm_(std::move(on_alarm)) {
+  policy_.validate();
+  backoff_periods_ = policy_.quarantine_initial;
+  last_rollover_ = scheduler_.now();
+  schedule_next_period();
+}
+
 SynDogAgent::SynDogAgent(sim::LeafRouter& router, sim::Scheduler& scheduler,
                          SynDogParams params, AlarmCallback on_alarm,
                          AgentMode mode)
-    : scheduler_(scheduler), params_(params), mode_(mode), syndog_(params),
-      locator_(router.stub_prefix()), on_alarm_(std::move(on_alarm)) {
-  policy_.validate();
-  backoff_periods_ = policy_.quarantine_initial;
-  const auto add_tap = [&router](Interface side, sim::LeafRouter::Tap tap) {
-    if (side == Interface::kOutbound) {
-      router.add_outbound_tap(std::move(tap));
-    } else {
-      router.add_inbound_tap(std::move(tap));
-    }
-  };
-  const CountedInterfaces counted = counted_interfaces(mode_);
-  add_tap(counted.syns, [this](util::SimTime at, const net::Packet& packet) {
+    : SynDogAgent(router.stub_prefix(), scheduler, params,
+                  std::move(on_alarm), mode) {
+  router.add_outbound_tap(
+      [this](util::SimTime at, const net::Packet& packet) {
+        on_outbound(at, packet);
+      });
+  router.add_inbound_tap([this](util::SimTime at, const net::Packet& packet) {
+    on_inbound(at, packet);
+  });
+}
+
+void SynDogAgent::on_interface(Interface side, util::SimTime at,
+                               const net::Packet& packet) {
+  if (side == counted_interfaces(mode_).syns) {
     const classify::SegmentKind kind = outbound_.on_packet(packet);
     if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
     // SYN emitters are on the local segment only in first-mile mode;
     // in last-mile mode the sources are beyond the router, so there is
     // no MAC evidence to gather.
     if (mode_ == AgentMode::kFirstMile) locator_.on_packet(at, packet);
-  });
-  add_tap(counted.syn_acks,
-          [this](util::SimTime at, const net::Packet& packet) {
-            const classify::SegmentKind kind = inbound_.on_packet(packet);
-            if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
-          });
-  last_rollover_ = scheduler_.now();
-  schedule_next_period();
+  } else {
+    const classify::SegmentKind kind = inbound_.on_packet(packet);
+    if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
+  }
 }
 
 void SynDogAgent::attach_observer(obs::EventTracer* tracer,

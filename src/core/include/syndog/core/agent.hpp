@@ -1,10 +1,13 @@
 // The deployable SYN-dog agent.
 //
-// Installs the two sniffers on a simulated leaf router's interface taps,
-// wakes up every observation period to exchange their counts (the paper's
-// "coordinate via shared memory / IPC" step), feeds the CUSUM core, and
-// invokes the alarm callback — with localization evidence — when the
-// statistic crosses the flooding threshold.
+// Counts the packets crossing a stub's two leaf-router interfaces with
+// its two sniffers, wakes up every observation period to exchange their
+// counts (the paper's "coordinate via shared memory / IPC" step), feeds
+// the CUSUM core, and invokes the alarm callback — with localization
+// evidence — when the statistic crosses the flooding threshold. Packets
+// arrive through one entry, on_outbound/on_inbound: a simulated
+// sim::LeafRouter's interface taps call it, and so does the capture
+// demultiplexer (ingest::AgentDemux), which has no router.
 //
 // The agent also owns the *graceful-degradation* layer the paper's
 // idealized deployment does not need: a health state machine (healthy ->
@@ -121,14 +124,31 @@ class SynDogAgent {
  public:
   using AlarmCallback = std::function<void(const AlarmEvent&)>;
 
-  /// Attaches taps to `router` and starts the periodic timer on
-  /// `scheduler`. Both must outlive the agent.
+  /// An agent for the stub `stub_prefix`, fed through on_outbound and
+  /// on_inbound. Starts the periodic timer on `scheduler`, which must
+  /// outlive the agent.
+  SynDogAgent(net::Ipv4Prefix stub_prefix, sim::Scheduler& scheduler,
+              SynDogParams params, AlarmCallback on_alarm = {},
+              AgentMode mode = AgentMode::kFirstMile);
+  /// The same agent for `router`'s stub, fed by two taps on `router` that
+  /// call on_outbound and on_inbound. `router` must outlive the agent.
   SynDogAgent(sim::LeafRouter& router, sim::Scheduler& scheduler,
               SynDogParams params, AlarmCallback on_alarm = {},
               AgentMode mode = AgentMode::kFirstMile);
 
   SynDogAgent(const SynDogAgent&) = delete;
   SynDogAgent& operator=(const SynDogAgent&) = delete;
+
+  /// The one packet-counting path: `packet` crosses the stub's outbound
+  /// (on_outbound) or inbound (on_inbound) interface at `at`.
+  /// counted_interfaces(mode()) picks the sniffer that sees it; in
+  /// first-mile mode the SYN side also feeds the locator.
+  void on_outbound(util::SimTime at, const net::Packet& packet) {
+    on_interface(Interface::kOutbound, at, packet);
+  }
+  void on_inbound(util::SimTime at, const net::Packet& packet) {
+    on_interface(Interface::kInbound, at, packet);
+  }
 
   /// Attaches telemetry sinks (must outlive the agent; nullptr detaches
   /// the tracer). Period rollovers, the CUSUM derivation, and alarm edges
@@ -232,6 +252,8 @@ class SynDogAgent {
   }
 
  private:
+  void on_interface(Interface side, util::SimTime at,
+                    const net::Packet& packet);
   void on_period_end();
   void schedule_next_period();
   void transition(util::SimTime at, AgentHealth to, HealthReason reason);

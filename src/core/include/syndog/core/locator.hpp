@@ -6,10 +6,15 @@
 // source IP (one not inside the stub prefix) — the evidence ingress
 // filtering checks. IP source addresses are useless during an attack;
 // MAC addresses on the local segment are not.
+//
+// Every outbound SYN updates one station, so the evidence lives in a flat
+// table: stations in first-seen order plus an open-addressing index keyed
+// by the packed 48-bit MAC. A SYN from a station already seen costs one
+// hash probe and allocates nothing; ranking happens only when asked.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "syndog/net/packet.hpp"
@@ -33,10 +38,11 @@ class SourceLocator {
   /// Feed every packet crossing the outbound interface.
   void on_packet(util::SimTime at, const net::Packet& packet);
 
-  /// Stations ranked by spoofed-SYN count (descending); stations that
-  /// never spoofed are omitted.
+  /// Stations ranked by spoofed-SYN count (descending, then MAC
+  /// ascending); stations that never spoofed are omitted.
   [[nodiscard]] std::vector<Suspect> suspects() const;
-  /// All stations that sent any SYN, ranked by total SYNs.
+  /// All stations that sent any SYN, ranked by total SYNs (descending,
+  /// then MAC ascending).
   [[nodiscard]] std::vector<Suspect> stations() const;
 
   [[nodiscard]] std::uint64_t spoofed_total() const { return spoofed_total_; }
@@ -44,8 +50,19 @@ class SourceLocator {
   void reset();
 
  private:
+  /// The station sending from `mac`, added (first seen at `at`) if new.
+  Suspect& station(const net::MacAddress& mac, util::SimTime at);
+  /// Rebuilds index_ with `slots` slots (a power of two) over stations_.
+  void rehash(std::size_t slots);
+  /// Where `mac`'s probe sequence starts in index_.
+  [[nodiscard]] std::size_t home_slot(const net::MacAddress& mac) const;
+
   net::Ipv4Prefix stub_prefix_;
-  std::map<net::MacAddress, Suspect> by_mac_;
+  /// Evidence per station, in first-seen order.
+  std::vector<Suspect> stations_;
+  /// Open-addressing index into stations_: power-of-two size, linear
+  /// probing, load <= 1/2. A slot holds a position + 1; 0 is empty.
+  std::vector<std::uint32_t> index_;
   std::uint64_t spoofed_total_ = 0;
 };
 

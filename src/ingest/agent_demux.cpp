@@ -4,16 +4,13 @@ namespace syndog::ingest {
 
 struct AgentDemux::Stub {
   StubSpec spec;
-  sim::LeafRouter router;
   core::SynDogAgent agent;
   std::vector<core::AlarmEvent> alarms;
 
   Stub(sim::Scheduler& scheduler, StubSpec stub_spec,
-       const core::SynDogParams& params, core::AgentMode mode,
-       std::uint32_t index)
+       const core::SynDogParams& params, core::AgentMode mode)
       : spec(std::move(stub_spec)),
-        router(spec.prefix, net::MacAddress::for_host(index)),
-        agent(router, scheduler, params,
+        agent(spec.prefix, scheduler, params,
               [this](const core::AlarmEvent& ev) { alarms.push_back(ev); },
               mode) {}
 };
@@ -24,10 +21,9 @@ AgentDemux::AgentDemux(sim::Scheduler& scheduler, std::vector<StubSpec> stubs,
       params_((params.validate(), params)),
       router_(stubs, options.default_stub) {
   stubs_.reserve(stubs.size());
-  for (std::size_t i = 0; i < stubs.size(); ++i) {
-    stubs_.push_back(std::make_unique<Stub>(scheduler, std::move(stubs[i]),
-                                            params_, options.mode,
-                                            static_cast<std::uint32_t>(i)));
+  for (StubSpec& spec : stubs) {
+    stubs_.push_back(std::make_unique<Stub>(scheduler, std::move(spec),
+                                            params_, options.mode));
   }
 }
 
@@ -36,7 +32,6 @@ AgentDemux::~AgentDemux() = default;
 void AgentDemux::attach_observer(obs::EventTracer* tracer,
                                  obs::Registry& registry) {
   for (const std::unique_ptr<Stub>& stub : stubs_) {
-    stub->router.attach_observer(registry, stub->spec.name);
     stub->agent.attach_observer(tracer, registry);
   }
   local_counter_ = &registry.counter("ingest.demux.local_frames");
@@ -52,12 +47,12 @@ void AgentDemux::on_frame(util::SimTime at, const Frame& frame) {
     return;
   }
   if (route.outbound >= 0) {
-    stubs_[static_cast<std::size_t>(route.outbound)]
-        ->router.forward_from_intranet(at, frame.packet);
+    stubs_[static_cast<std::size_t>(route.outbound)]->agent.on_outbound(
+        at, frame.packet);
   }
   if (route.inbound >= 0) {
-    stubs_[static_cast<std::size_t>(route.inbound)]
-        ->router.forward_from_internet(at, frame.packet);
+    stubs_[static_cast<std::size_t>(route.inbound)]->agent.on_inbound(
+        at, frame.packet);
   }
   if (route.unroutable()) {
     ++unroutable_;

@@ -1,13 +1,14 @@
 // Multi-agent capture demultiplexer.
 //
-// Routes replayed frames to per-stub first-mile deployments — each stub
-// gets its own sim::LeafRouter with a core::SynDogAgent tapped onto it —
-// so one pass over one capture drives N independent detectors, emitting
-// the same period_rollover / cusum_update / alarm telemetry as the
-// simulated topologies. Each frame goes through the StubRouter
-// (stub_router.hpp) to the outbound and/or inbound interface of the
-// stubs it crosses; LAN-local frames count in local_frames(), frames
-// matching no stub with default_stub = -1 in unroutable_frames().
+// Routes replayed frames to one core::SynDogAgent per stub, so one pass
+// over one capture drives N independent detectors, emitting the same
+// period_rollover / cusum_update / alarm telemetry as the simulated
+// topologies. Each frame goes through the StubRouter (stub_router.hpp)
+// straight into the agent entry (on_outbound / on_inbound) of the stubs
+// whose interfaces it crosses: there is no per-stub sim::LeafRouter, so
+// no "router.*" counters either. LAN-local frames count in
+// local_frames(), frames matching no stub with default_stub = -1 in
+// unroutable_frames().
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
@@ -34,10 +35,9 @@ struct DemuxOptions {
 
 class AgentDemux final : public ReplaySink {
  public:
-  /// Builds one router + agent pair per stub on `scheduler` (typically
-  /// ReplayEngine::scheduler(); must outlive the demux). Agents start
-  /// their period timers immediately, so construct the demux before
-  /// replaying.
+  /// Builds one agent per stub on `scheduler` (typically
+  /// ReplayEngine::scheduler(); must outlive the demux). Agents start their
+  /// period timers immediately, so construct the demux before replaying.
   AgentDemux(sim::Scheduler& scheduler, std::vector<StubSpec> stubs,
              core::SynDogParams params, DemuxOptions options = {});
   ~AgentDemux() override;
@@ -45,9 +45,8 @@ class AgentDemux final : public ReplaySink {
   AgentDemux(const AgentDemux&) = delete;
   AgentDemux& operator=(const AgentDemux&) = delete;
 
-  /// Wires per-stub router counters ("router.<name>.*"), agent telemetry,
-  /// and demux counters ("ingest.demux.*") into the sinks. `tracer` may
-  /// be nullptr; both must outlive the demux.
+  /// Wires agent telemetry and demux counters ("ingest.demux.*") into the
+  /// sinks. `tracer` may be nullptr; both must outlive the demux.
   void attach_observer(obs::EventTracer* tracer, obs::Registry& registry);
 
   void on_frame(util::SimTime at, const Frame& frame) override;

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -92,10 +90,9 @@ class LeafRouter {
 
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
-  /// Mirrors RouterStats into "router.<prefix?>*" counters in `registry`
-  /// (which must outlive the router). `name` disambiguates routers in
-  /// multi-stub topologies; empty means the plain "router." prefix.
-  void attach_observer(obs::Registry& registry, std::string_view name = {});
+  /// Mirrors RouterStats into "router.*" counters in `registry` (which
+  /// must outlive the router).
+  void attach_observer(obs::Registry& registry);
 
  private:
   net::Ipv4Prefix stub_prefix_;
@@ -115,7 +112,6 @@ class LeafRouter {
   // is created lazily on the first drop: most runs never police, and an
   // unused registry entry would perturb byte-stable metric exports.
   obs::Registry* registry_ = nullptr;
-  std::string obs_prefix_;
   obs::Counter* dropped_policer_counter_ = nullptr;
   obs::Counter* forwarded_outbound_counter_ = nullptr;
   obs::Counter* forwarded_inbound_counter_ = nullptr;

@@ -62,8 +62,7 @@ void LeafRouter::forward_from_intranet(util::SimTime now,
   if (egress_policer_ && egress_policer_(now, packet)) {
     ++stats_.dropped_policer;
     if (dropped_policer_counter_ == nullptr && registry_ != nullptr) {
-      dropped_policer_counter_ =
-          &registry_->counter(obs_prefix_ + "dropped_policer");
+      dropped_policer_counter_ = &registry_->counter("router.dropped_policer");
     }
     bump(dropped_policer_counter_);
     return;
@@ -107,22 +106,15 @@ void LeafRouter::forward_from_internet(util::SimTime now,
   it->second(packet);
 }
 
-void LeafRouter::attach_observer(obs::Registry& registry,
-                                 std::string_view name) {
-  const std::string prefix =
-      name.empty() ? "router." : "router." + std::string(name) + ".";
+void LeafRouter::attach_observer(obs::Registry& registry) {
   registry_ = &registry;
-  obs_prefix_ = prefix;
-  forwarded_outbound_counter_ =
-      &registry.counter(prefix + "forwarded_outbound");
-  forwarded_inbound_counter_ =
-      &registry.counter(prefix + "forwarded_inbound");
-  dropped_no_route_counter_ = &registry.counter(prefix + "dropped_no_route");
+  forwarded_outbound_counter_ = &registry.counter("router.forwarded_outbound");
+  forwarded_inbound_counter_ = &registry.counter("router.forwarded_inbound");
+  dropped_no_route_counter_ = &registry.counter("router.dropped_no_route");
   dropped_ingress_counter_ =
-      &registry.counter(prefix + "dropped_ingress_filter");
-  tap_suppressed_counter_ = &registry.counter(prefix + "tap_suppressed");
-  tap_bypassed_counter_ =
-      &registry.counter(prefix + "inbound_tap_bypassed");
+      &registry.counter("router.dropped_ingress_filter");
+  tap_suppressed_counter_ = &registry.counter("router.tap_suppressed");
+  tap_bypassed_counter_ = &registry.counter("router.inbound_tap_bypassed");
 }
 
 }  // namespace syndog::sim

@@ -791,6 +791,50 @@ TEST(IngestShardedTest, MatchesOracleLocalAndUnroutableFrames) {
                                 core::SynDogParams::paper_defaults());
 }
 
+TEST(IngestShardedTest, MatchesOracleNestedPrefixes) {
+  // A /16 nested in a /8, and SYNs from 10.2.x.x (inside the /8 only) to
+  // 10.1.0.9 (inside both). Stubs match first-match in list order.
+  std::ostringstream out(std::ios::binary);
+  pcap::Writer writer(out);
+  std::int64_t ns = 0;
+  for (int i = 0; i < 600; ++i) {
+    net::TcpPacketSpec spec;
+    spec.src_mac = net::MacAddress::for_host(1);
+    spec.dst_mac = net::MacAddress::for_host(2);
+    spec.src_ip = net::Ipv4Address(10, 2, static_cast<std::uint8_t>(i / 250),
+                                   static_cast<std::uint8_t>(i % 250 + 1));
+    spec.dst_ip = net::Ipv4Address(10, 1, 0, 9);
+    spec.src_port = static_cast<std::uint16_t>(3000 + i);
+    spec.dst_port = 80;
+    writer.write(SimTime::nanoseconds(ns += 200'000'000),
+                 net::encode_frame(net::make_syn(spec)));
+  }
+  const std::string capture = std::move(out).str();
+  const StubSpec inner{*net::Ipv4Prefix::parse("10.1.0.0/16"), "inner"};
+  const StubSpec outer{*net::Ipv4Prefix::parse("10.0.0.0/8"), "outer"};
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+
+  // Inner first: the /16 owns the destination, so each SYN leaves
+  // through the /8's outbound interface and enters the /16's inbound
+  // one, and the /8 alarms on the unanswered SYNs.
+  const std::vector<StubSpec> inner_first = {inner, outer};
+  const OracleResult crossing = run_oracle(capture, inner_first, params);
+  EXPECT_EQ(crossing.local, 0u);
+  const std::vector<core::PeriodReport>& outer_history =
+      crossing.histories[1];
+  EXPECT_TRUE(std::any_of(outer_history.begin(), outer_history.end(),
+                          [](const core::PeriodReport& r) {
+                            return r.syn_count > 0 && r.alarm;
+                          }));
+  expect_sharded_matches_oracle(capture, inner_first, params);
+
+  // Outer first: the /8 shadows the /16 and holds both endpoints, so
+  // every frame is LAN-local.
+  const std::vector<StubSpec> outer_first = {outer, inner};
+  EXPECT_EQ(run_oracle(capture, outer_first, params).local, 600u);
+  expect_sharded_matches_oracle(capture, outer_first, params);
+}
+
 TEST(IngestShardedTest, MatchesOracleMixedProtocolTraffic) {
   // Fragments, ICMP, non-IPv4 ethertypes, and runt records must take
   // the same accept/reject/no-flags decisions on both datapaths.
