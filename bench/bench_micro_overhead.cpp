@@ -1,6 +1,6 @@
 // Microbenchmarks for the paper's "low computation overhead" claim (§1):
-// per-packet classification cost, per-period CUSUM cost, and the
-// multi-field classifier engines, measured with google-benchmark.
+// per-packet classification cost and per-period CUSUM cost, measured
+// with google-benchmark.
 //
 // The headline numbers: one flag classification is a few nanoseconds and
 // one CUSUM update is O(10) ns — i.e. SYN-dog adds no meaningful load to
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/sidecar.hpp"
-#include "syndog/classify/engines.hpp"
 #include "syndog/classify/segment.hpp"
 #include "syndog/core/sniffer.hpp"
 #include "syndog/core/syndog.hpp"
@@ -114,45 +113,6 @@ void BM_SynCacheAdmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynCacheAdmit);
-
-/// Multi-field classifier engines over a realistic leaf-router rule set.
-void add_rules(classify::Classifier& cls, int rules, util::Rng& rng) {
-  cls.add_rule(classify::make_syn_count_rule(0));
-  cls.add_rule(classify::make_syn_ack_count_rule(1));
-  for (int i = 0; i < rules; ++i) {
-    classify::Rule rule;
-    rule.src = net::Ipv4Prefix{net::Ipv4Address{rng.next_u32()},
-                               static_cast<int>(rng.uniform_int(8, 28))};
-    rule.dst = net::Ipv4Prefix{net::Ipv4Address{rng.next_u32()},
-                               static_cast<int>(rng.uniform_int(8, 28))};
-    rule.priority = static_cast<std::uint32_t>(10 + i);
-    rule.name = "acl-" + std::to_string(i);
-    cls.add_rule(rule);
-  }
-  cls.build();
-}
-
-template <typename Engine>
-void BM_ClassifierMatch(benchmark::State& state) {
-  util::Rng rng(6);
-  Engine engine;
-  add_rules(engine, static_cast<int>(state.range(0)), rng);
-  std::vector<classify::FlowKey> keys;
-  for (int i = 0; i < 256; ++i) {
-    keys.push_back(classify::FlowKey::from_packet(sample_syn(rng)));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.match(keys[i++ % keys.size()]));
-  }
-  state.SetLabel(std::string(engine.name()));
-}
-BENCHMARK_TEMPLATE(BM_ClassifierMatch, classify::LinearClassifier)
-    ->Arg(64)->Arg(512);
-BENCHMARK_TEMPLATE(BM_ClassifierMatch, classify::HierarchicalTrieClassifier)
-    ->Arg(64)->Arg(512);
-BENCHMARK_TEMPLATE(BM_ClassifierMatch, classify::TupleSpaceClassifier)
-    ->Arg(64)->Arg(512);
 
 /// Measures the per-frame classification hot path through the
 /// obs::WallClock seam into a sidecar-visible latency histogram: each

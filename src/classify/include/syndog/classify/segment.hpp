@@ -7,7 +7,9 @@
 //
 // `classify_frame_fast` performs those steps with direct offset arithmetic
 // on the raw bytes — no allocation, no full header decode — which is what
-// makes the sniffer cheap enough to run at line rate on a leaf router.
+// makes the sniffer cheap enough to run at line rate on a leaf router. It
+// reads only frames that net::check_frame accepts, the same frames the
+// ingest decoders accept.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,9 @@ inline constexpr std::size_t kSegmentKindCount = 7;
 [[nodiscard]] SegmentKind classify_packet(const net::Packet& packet);
 
 /// Classifies a raw Ethernet frame (capture path) using the three-step
-/// procedure above; never reads past `frame.size()`.
+/// procedure above; never reads past `frame.size()`. A frame that
+/// net::decode_frame_into refuses is kNotTcp; any other frame gets the
+/// kind classify_packet gives its decoded packet.
 [[nodiscard]] SegmentKind classify_frame_fast(net::ByteSpan frame);
 
 /// Per-kind counters; what each SYN-dog sniffer accumulates per period.

@@ -46,49 +46,20 @@ SegmentKind classify_packet(const net::Packet& packet) {
 }
 
 SegmentKind classify_frame_fast(net::ByteSpan frame) {
-  // Step 0: Ethernet header with IPv4 ethertype.
-  constexpr std::size_t kEthSize = net::EthernetHeader::kSize;
-  if (frame.size() < kEthSize + net::Ipv4Header::kMinSize) {
+  // Step 1: TCP protocol and zero fragment offset, on a frame the decoders
+  // accept.
+  net::FrameLayout at;
+  if (!net::check_frame(frame, at) || !at.carries(net::IpProtocol::kTcp)) {
     return SegmentKind::kNotTcp;
   }
-  if (frame[12] != 0x08 || frame[13] != 0x00) return SegmentKind::kNotTcp;
-
-  // Step 1: TCP protocol and zero fragment offset.
-  const std::uint8_t version_ihl = frame[kEthSize];
-  if ((version_ihl >> 4) != 4) return SegmentKind::kNotTcp;
-  const std::size_t ihl_bytes = static_cast<std::size_t>(version_ihl & 0x0f)
-                                * 4;
-  if (ihl_bytes < net::Ipv4Header::kMinSize) return SegmentKind::kNotTcp;
-  if (frame[kEthSize + 9] !=
-      static_cast<std::uint8_t>(net::IpProtocol::kTcp)) {
-    return SegmentKind::kNotTcp;
+  // Steps 2 and 3: the six flag bits at the TCP header's offset.
+  const SegmentKind kind = classify_flags(net::TcpFlags{
+      static_cast<std::uint8_t>(frame[at.transport + 13] & 0x3f)});
+  // A pure ACK carrying payload is a data segment.
+  if (kind == SegmentKind::kPureAck && at.payload_bytes > 0) {
+    return SegmentKind::kData;
   }
-  const std::uint16_t frag =
-      static_cast<std::uint16_t>((frame[kEthSize + 6] << 8) |
-                                 frame[kEthSize + 7]);
-  if ((frag & net::Ipv4Header::kFragOffsetMask) != 0) {
-    return SegmentKind::kNotTcp;
-  }
-
-  // Step 2: offset of the TCP flag byte within the frame.
-  const std::size_t flags_at = kEthSize + ihl_bytes + 13;
-  if (frame.size() <= flags_at) return SegmentKind::kNotTcp;
-
-  // Step 3: read the six flag bits.
-  const net::TcpFlags flags{static_cast<std::uint8_t>(frame[flags_at] &
-                                                      0x3f)};
-  const SegmentKind kind = classify_flags(flags);
-  if (kind != SegmentKind::kPureAck) return kind;
-
-  // Distinguish pure ACK from data using the IP total length.
-  const std::uint16_t total_len =
-      static_cast<std::uint16_t>((frame[kEthSize + 2] << 8) |
-                                 frame[kEthSize + 3]);
-  const std::size_t data_offset_at = kEthSize + ihl_bytes + 12;
-  const std::size_t tcp_header =
-      static_cast<std::size_t>(frame[data_offset_at] >> 4) * 4;
-  if (total_len > ihl_bytes + tcp_header) return SegmentKind::kData;
-  return SegmentKind::kPureAck;
+  return kind;
 }
 
 }  // namespace syndog::classify

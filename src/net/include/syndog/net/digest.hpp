@@ -7,15 +7,14 @@
 // minimal record, sized to half a cache line so shard rings carry twice
 // as many frames per line as Frame slots would.
 //
-// extract_flow_digest() mirrors decode_frame_into()'s accept/reject
-// decisions *exactly* — same Ethernet/IPv4 validation, same fragment
-// handling, same transport-header length checks — so a sharded run's
-// record/frame/decode-failure statistics are byte-identical to the
-// reference pipeline's. Frames that decode but carry no classifiable TCP
-// flags (fragments with nonzero offset, UDP, ICMP, unknown protocols)
-// get kNoTcpFlags as their flag byte: bit 7 is outside the six RFC 793
-// flag bits that wire parsing keeps, and it fails both the SYN and the
-// SYN-ACK mask tests in classify::sweep_flags().
+// extract_flow_digest() and decode_frame_into() both decide with
+// check_frame() (wire.hpp), so a sharded run's record/frame/decode-failure
+// statistics are byte-identical to the reference pipeline's. Frames that
+// decode but carry no classifiable TCP flags (fragments with nonzero
+// offset, UDP, ICMP, unknown protocols) get kNoTcpFlags as their flag
+// byte: bit 7 is outside the six RFC 793 flag bits that wire parsing
+// keeps, and it fails both the SYN and the SYN-ACK mask tests in
+// classify::sweep_flags().
 #pragma once
 
 #include <cstddef>
@@ -45,74 +44,26 @@ struct FlowDigest {
 };
 
 /// Fills `out` from a raw Ethernet frame. Returns false — leaving `out`
-/// unspecified — on exactly the frames decode_frame_into() rejects:
-/// short/ non-IPv4 Ethernet, mangled IPv4 lengths, and first-fragment
-/// TCP/UDP/ICMP whose transport header is cut short. The caller stamps
-/// at_ns / wire_bytes; captured_bytes is set to frame.size().
+/// unspecified — on exactly the frames check_frame() refuses. The caller
+/// stamps at_ns / wire_bytes; captured_bytes is set to frame.size().
 ///
 /// Defined inline: this runs once per captured frame on the sharded
 /// producer thread, and the call would otherwise cross a library
 /// boundary the optimizer cannot see through.
-//
-// Keep every accept/reject decision in lockstep with decode_frame_into()
-// (packet.cpp): the sharded datapath's statistics are only comparable to
-// the reference pipeline's because the two agree frame by frame.
 [[nodiscard]] inline bool extract_flow_digest(ByteSpan frame,
                                               FlowDigest& out) {
-  if (frame.size() < EthernetHeader::kSize) return false;
-  if (read_u16(frame, 12) != static_cast<std::uint16_t>(EtherType::kIpv4)) {
-    return false;
-  }
-  const ByteSpan ip = frame.subspan(EthernetHeader::kSize);
-  if (ip.size() < Ipv4Header::kMinSize) return false;
-  const std::uint8_t version = ip[0] >> 4;
-  const std::uint8_t ihl = ip[0] & 0x0f;
-  if (version != 4 || ihl < 5) return false;
-  const std::size_t header_bytes = std::size_t{ihl} * 4;
-  if (ip.size() < header_bytes) return false;
-  const std::uint16_t total_length = read_u16(ip, 2);
-  if (total_length < header_bytes) return false;
-  if (total_length > ip.size()) return false;
-
-  out.src = read_u32(ip, 12);
-  out.dst = read_u32(ip, 16);
-  out.protocol = ip[9];
-  out.src_port = 0;
-  out.dst_port = 0;
-  out.flags = FlowDigest::kNoTcpFlags;
+  FrameLayout at;
+  if (!check_frame(frame, at)) return false;
+  out.src = read_u32(frame, EthernetHeader::kSize + 12);
+  out.dst = read_u32(frame, EthernetHeader::kSize + 16);
+  out.protocol = at.protocol;
   out.captured_bytes = static_cast<std::uint32_t>(frame.size());
-
-  // Only the first fragment carries the transport header.
-  if ((read_u16(ip, 6) & Ipv4Header::kFragOffsetMask) != 0) return true;
-
-  const ByteSpan transport =
-      ip.subspan(header_bytes, total_length - header_bytes);
-  switch (out.protocol) {
-    case static_cast<std::uint8_t>(IpProtocol::kTcp): {
-      if (transport.size() < TcpHeader::kMinSize) return false;
-      const std::uint8_t data_offset = transport[12] >> 4;
-      if (data_offset < 5 ||
-          transport.size() < std::size_t{data_offset} * 4) {
-        return false;
-      }
-      out.src_port = read_u16(transport, 0);
-      out.dst_port = read_u16(transport, 2);
-      out.flags = transport[13] & 0x3f;  // six RFC 793 flag bits
-      break;
-    }
-    case static_cast<std::uint8_t>(IpProtocol::kUdp): {
-      if (transport.size() < UdpHeader::kSize) return false;
-      if (read_u16(transport, 4) < UdpHeader::kSize) return false;
-      out.src_port = read_u16(transport, 0);
-      out.dst_port = read_u16(transport, 2);
-      break;
-    }
-    case static_cast<std::uint8_t>(IpProtocol::kIcmp):
-      if (transport.size() < IcmpHeader::kSize) return false;
-      break;
-    default:
-      break;  // unknown transport: accepted, nothing to classify
-  }
+  const bool tcp = at.carries(IpProtocol::kTcp);
+  const bool ports = tcp || at.carries(IpProtocol::kUdp);
+  out.src_port = ports ? read_u16(frame, at.transport) : 0;
+  out.dst_port = ports ? read_u16(frame, at.transport + 2) : 0;
+  // The six RFC 793 flag bits, as parse_tcp keeps them.
+  out.flags = tcp ? frame[at.transport + 13] & 0x3f : FlowDigest::kNoTcpFlags;
   return true;
 }
 

@@ -72,9 +72,9 @@ struct TcpPacketSpec {
 /// that rendering so the frames verify as valid captures.
 [[nodiscard]] ByteBuffer encode_frame(const Packet& packet);
 
-/// Parses a wire-format frame. Returns nullopt if the frame is not
-/// Ethernet/IPv4 or is truncated; a valid IPv4 packet with an unsupported
-/// transport protocol parses with all transport optionals empty.
+/// Parses a wire-format frame. Returns nullopt on the frames check_frame()
+/// refuses; a valid IPv4 packet with an unsupported transport protocol
+/// parses with all transport optionals empty.
 [[nodiscard]] std::optional<Packet> decode_frame(ByteSpan frame);
 
 /// In-place variant of decode_frame: overwrites `out` (resetting its

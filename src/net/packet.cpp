@@ -156,57 +156,21 @@ ByteBuffer encode_frame(const Packet& packet) {
 }
 
 bool decode_frame_into(ByteSpan frame, Packet& out) {
-  const auto eth = parse_ethernet(frame);
-  if (!eth) return false;
-  if (eth->ether_type != static_cast<std::uint16_t>(EtherType::kIpv4)) {
-    return false;
-  }
-  const ByteSpan ip_bytes = frame.subspan(EthernetHeader::kSize);
-  const auto ip = parse_ipv4(ip_bytes);
-  if (!ip) return false;
-  if (ip->total_length > ip_bytes.size()) return false;
-
-  out.eth = *eth;
-  out.ip = *ip;
+  FrameLayout at;
+  if (!check_frame(frame, at)) return false;
+  out.eth = read_ethernet(frame);
+  out.ip = read_ipv4(frame.subspan(EthernetHeader::kSize));
   out.tcp.reset();
   out.udp.reset();
   out.icmp.reset();
-  out.payload_bytes = 0;
-
-  // Only the first fragment carries the transport header.
-  if (ip->fragment_offset() != 0) {
-    out.payload_bytes = ip->total_length - ip->header_bytes();
-    return true;
-  }
-
-  const ByteSpan transport =
-      ip_bytes.subspan(ip->header_bytes(),
-                       ip->total_length - ip->header_bytes());
-  switch (ip->protocol) {
-    case static_cast<std::uint8_t>(IpProtocol::kTcp): {
-      const auto tcp = parse_tcp(transport);
-      if (!tcp) return false;
-      out.tcp = tcp;
-      out.payload_bytes = transport.size() - tcp->header_bytes();
-      break;
-    }
-    case static_cast<std::uint8_t>(IpProtocol::kUdp): {
-      const auto udp = parse_udp(transport);
-      if (!udp) return false;
-      out.udp = udp;
-      out.payload_bytes = transport.size() - UdpHeader::kSize;
-      break;
-    }
-    case static_cast<std::uint8_t>(IpProtocol::kIcmp): {
-      const auto icmp = parse_icmp(transport);
-      if (!icmp) return false;
-      out.icmp = icmp;
-      out.payload_bytes = transport.size() - IcmpHeader::kSize;
-      break;
-    }
-    default:
-      out.payload_bytes = transport.size();
-      break;
+  out.payload_bytes = at.payload_bytes;
+  const ByteSpan transport = frame.subspan(at.transport);
+  if (at.carries(IpProtocol::kTcp)) {
+    out.tcp = read_tcp(transport);
+  } else if (at.carries(IpProtocol::kUdp)) {
+    out.udp = read_udp(transport);
+  } else if (at.carries(IpProtocol::kIcmp)) {
+    out.icmp = read_icmp(transport);
   }
   return true;
 }

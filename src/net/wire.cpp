@@ -107,8 +107,7 @@ void write_icmp(ByteBuffer& out, const IcmpHeader& icmp) {
   put_u32(out, icmp.rest);
 }
 
-std::optional<EthernetHeader> parse_ethernet(ByteSpan frame) {
-  if (frame.size() < EthernetHeader::kSize) return std::nullopt;
+EthernetHeader read_ethernet(ByteSpan frame) {
   EthernetHeader eth;
   std::array<std::uint8_t, 6> dst{};
   std::array<std::uint8_t, 6> src{};
@@ -120,16 +119,12 @@ std::optional<EthernetHeader> parse_ethernet(ByteSpan frame) {
   return eth;
 }
 
-std::optional<Ipv4Header> parse_ipv4(ByteSpan packet) {
-  if (packet.size() < Ipv4Header::kMinSize) return std::nullopt;
+Ipv4Header read_ipv4(ByteSpan packet) {
   Ipv4Header ip;
   ip.version = packet[0] >> 4;
   ip.ihl = packet[0] & 0x0f;
-  if (ip.version != 4 || ip.ihl < 5) return std::nullopt;
-  if (packet.size() < ip.header_bytes()) return std::nullopt;
   ip.dscp_ecn = packet[1];
   ip.total_length = read_u16(packet, 2);
-  if (ip.total_length < ip.header_bytes()) return std::nullopt;
   ip.identification = read_u16(packet, 4);
   ip.frag_flags_offset = read_u16(packet, 6);
   ip.ttl = packet[8];
@@ -140,17 +135,13 @@ std::optional<Ipv4Header> parse_ipv4(ByteSpan packet) {
   return ip;
 }
 
-std::optional<TcpHeader> parse_tcp(ByteSpan segment) {
-  if (segment.size() < TcpHeader::kMinSize) return std::nullopt;
+TcpHeader read_tcp(ByteSpan segment) {
   TcpHeader tcp;
   tcp.src_port = read_u16(segment, 0);
   tcp.dst_port = read_u16(segment, 2);
   tcp.seq = read_u32(segment, 4);
   tcp.ack = read_u32(segment, 8);
   tcp.data_offset = segment[12] >> 4;
-  if (tcp.data_offset < 5 || segment.size() < tcp.header_bytes()) {
-    return std::nullopt;
-  }
   tcp.flags = TcpFlags{static_cast<std::uint8_t>(segment[13] & 0x3f)};
   tcp.window = read_u16(segment, 14);
   tcp.checksum = read_u16(segment, 16);
@@ -158,32 +149,45 @@ std::optional<TcpHeader> parse_tcp(ByteSpan segment) {
   return tcp;
 }
 
+UdpHeader read_udp(ByteSpan datagram) {
+  return UdpHeader{read_u16(datagram, 0), read_u16(datagram, 2),
+                   read_u16(datagram, 4), read_u16(datagram, 6)};
+}
+
+IcmpHeader read_icmp(ByteSpan message) {
+  return IcmpHeader{message[0], message[1], read_u16(message, 2),
+                    read_u32(message, 4)};
+}
+
+std::optional<EthernetHeader> parse_ethernet(ByteSpan frame) {
+  if (frame.size() < EthernetHeader::kSize) return std::nullopt;
+  return read_ethernet(frame);
+}
+
+std::optional<Ipv4Header> parse_ipv4(ByteSpan packet) {
+  if (ipv4_header_bytes(packet) == 0) return std::nullopt;
+  return read_ipv4(packet);
+}
+
+std::optional<TcpHeader> parse_tcp(ByteSpan segment) {
+  if (tcp_header_bytes(segment) == 0) return std::nullopt;
+  return read_tcp(segment);
+}
+
 std::optional<UdpHeader> parse_udp(ByteSpan datagram) {
-  if (datagram.size() < UdpHeader::kSize) return std::nullopt;
-  UdpHeader udp;
-  udp.src_port = read_u16(datagram, 0);
-  udp.dst_port = read_u16(datagram, 2);
-  udp.length = read_u16(datagram, 4);
-  udp.checksum = read_u16(datagram, 6);
-  if (udp.length < UdpHeader::kSize) return std::nullopt;
-  return udp;
+  if (udp_header_bytes(datagram) == 0) return std::nullopt;
+  return read_udp(datagram);
 }
 
 std::optional<IcmpHeader> parse_icmp(ByteSpan message) {
-  if (message.size() < IcmpHeader::kSize) return std::nullopt;
-  IcmpHeader icmp;
-  icmp.type = message[0];
-  icmp.code = message[1];
-  icmp.checksum = read_u16(message, 2);
-  icmp.rest = read_u32(message, 4);
-  return icmp;
+  if (icmp_header_bytes(message) == 0) return std::nullopt;
+  return read_icmp(message);
 }
 
 bool verify_ipv4_checksum(ByteSpan packet) {
-  const auto ip = parse_ipv4(packet);
-  if (!ip) return false;
+  const std::size_t header = ipv4_header_bytes(packet);
   // Sum over the header including the stored checksum must fold to zero.
-  return internet_checksum(packet.subspan(0, ip->header_bytes())) == 0;
+  return header != 0 && internet_checksum(packet.first(header)) == 0;
 }
 
 }  // namespace syndog::net

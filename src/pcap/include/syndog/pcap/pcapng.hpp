@@ -7,7 +7,7 @@
 // interface at nanosecond resolution (if_tsresol = 9); the reader
 // handles either endianness (byte-order magic 0x1A2B3C4D), multiple
 // sections, multiple interfaces, and per-interface timestamp
-// resolutions.
+// resolutions (a tick rate past 64 bits is rejected as malformed).
 #pragma once
 
 #include <cstdint>

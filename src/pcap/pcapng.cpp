@@ -1,6 +1,7 @@
 #include "syndog/pcap/pcapng.hpp"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -53,6 +54,18 @@ std::uint16_t read_u16_at(const std::vector<std::uint8_t>& b, std::size_t i) {
 }
 std::uint32_t read_u32_at(const std::vector<std::uint8_t>& b, std::size_t i) {
   return net::load_le32(b.data() + i);
+}
+
+/// floor(frac * 1e9 / tps) for frac < tps, where tps is 10^k or 2^k (the
+/// only rates if_tsresol can name), without overflowing 64 bits.
+std::uint64_t subsecond_ns(std::uint64_t frac, std::uint64_t tps) {
+  constexpr std::uint64_t kNs = 1'000'000'000;
+  if (tps <= UINT64_MAX / kNs) return frac * kNs / tps;  // the product fits
+  if (tps % kNs == 0) return frac / (tps / kNs);          // 10^k, k >= 11
+  // 2^k, k >= 35: shift the 94-bit product frac * 1e9, taken in halves.
+  const std::uint64_t high =
+      (frac >> 32) * kNs + (((frac & 0xffffffffu) * kNs) >> 32);
+  return high >> (std::countr_zero(tps) - 32);
 }
 
 }  // namespace
@@ -136,15 +149,14 @@ void PcapngReader::parse_interface_block(
     at += 4;
     if (code == kOptionEnd) break;
     if (code == kOptionTsResol && len >= 1 && at < body.size()) {
-      const std::uint8_t resol = body[at];
-      if ((resol & 0x80) != 0) {
-        iface.ticks_per_second = std::uint64_t{1} << (resol & 0x7f);
-      } else {
-        iface.ticks_per_second = 1;
-        for (int i = 0; i < (resol & 0x7f); ++i) {
-          iface.ticks_per_second *= 10;
-        }
+      // 2^k or 10^k ticks per second; a rate past 64 bits is malformed.
+      const bool binary = (body[at] & 0x80) != 0;
+      const int k = body[at] & 0x7f;
+      if (k > (binary ? 63 : 19)) {
+        throw std::runtime_error("pcapng: if_tsresol out of range");
       }
+      iface.ticks_per_second = binary ? std::uint64_t{1} << k : 1;
+      for (int i = 0; !binary && i < k; ++i) iface.ticks_per_second *= 10;
     }
     at += (len + 3u) & ~3u;
   }
@@ -168,11 +180,9 @@ bool PcapngReader::parse_packet_block(const std::vector<std::uint8_t>& body,
   out.data.assign(body.begin() + 20, body.begin() + 20 + incl);
   // Convert interface ticks to nanoseconds.
   const std::uint64_t tps = iface.ticks_per_second;
-  const std::uint64_t seconds = ticks / tps;
-  const std::uint64_t frac = ticks % tps;
   out.timestamp = util::SimTime::nanoseconds(
-      static_cast<std::int64_t>(seconds * 1'000'000'000ULL +
-                                frac * 1'000'000'000ULL / tps));
+      static_cast<std::int64_t>((ticks / tps) * 1'000'000'000ULL +
+                                subsecond_ns(ticks % tps, tps)));
   return true;
 }
 

@@ -345,7 +345,9 @@ void TsfReader::parse(const std::string& buf) {
     const std::uint32_t count = get_u32(base + pos + 8);
     const std::uint32_t payload_len = get_u32(base + pos + 12);
     const std::uint32_t crc = get_u32(base + pos + 16);
-    if (series_id >= kMaxSeriesId || count == 0 ||
+    // A sample takes at least one varint byte and 8 value bytes; the CRC
+    // does not cover `count`, so bound it before it sizes anything.
+    if (series_id >= kMaxSeriesId || count == 0 || count > payload_len / 9 ||
         payload_len > blocks_end - pos - kBlockHeaderSize ||
         fnv1a(base + pos + kBlockHeaderSize, payload_len) != crc) {
       damaged = true;  // cut mid-write or bit-flipped: drop this suffix

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "syndog/classify/batch.hpp"
-#include "syndog/classify/engines.hpp"
-#include "syndog/classify/rule.hpp"
 #include "syndog/classify/segment.hpp"
 #include "syndog/net/digest.hpp"
 #include "syndog/net/packet.hpp"
@@ -128,177 +126,6 @@ TEST(SegmentCountersTest, AccumulatesAndResets) {
   EXPECT_EQ(counters.count(SegmentKind::kRst), 1u);
   counters.reset();
   EXPECT_EQ(counters.total(), 0u);
-}
-
-// --- rules ---------------------------------------------------------------------
-
-TEST(RuleTest, SynCountRuleMatchesOnlyPureSyn) {
-  const Rule rule = make_syn_count_rule();
-  FlowKey syn = FlowKey::from_packet(tcp_with_flags(net::TcpFlags::syn_only()));
-  FlowKey synack =
-      FlowKey::from_packet(tcp_with_flags(net::TcpFlags::syn_ack()));
-  EXPECT_TRUE(rule.matches(syn));
-  EXPECT_FALSE(rule.matches(synack));
-  EXPECT_TRUE(make_syn_ack_count_rule().matches(synack));
-  EXPECT_FALSE(make_syn_ack_count_rule().matches(syn));
-}
-
-TEST(RuleTest, FlagRuleNeverMatchesNonTcp) {
-  const Rule rule = make_syn_count_rule();
-  FlowKey udp;
-  udp.protocol = 17;
-  udp.tcp_flags = net::TcpFlags::kSyn;  // garbage that must be ignored
-  EXPECT_FALSE(rule.matches(udp));
-}
-
-TEST(RuleTest, PrefixAndPortFiltering) {
-  Rule rule;
-  rule.src = *net::Ipv4Prefix::parse("10.1.0.0/16");
-  rule.dst_ports = PortRange::exactly(80);
-  FlowKey key;
-  key.src_ip = *net::Ipv4Address::parse("10.1.3.4");
-  key.dst_port = 80;
-  EXPECT_TRUE(rule.matches(key));
-  key.dst_port = 81;
-  EXPECT_FALSE(rule.matches(key));
-  key.dst_port = 80;
-  key.src_ip = *net::Ipv4Address::parse("10.2.3.4");
-  EXPECT_FALSE(rule.matches(key));
-}
-
-// --- engines -------------------------------------------------------------------
-
-Rule random_rule(util::Rng& rng, std::uint32_t priority) {
-  Rule rule;
-  // Short prefixes so random keys actually hit rules.
-  rule.src = net::Ipv4Prefix{net::Ipv4Address{rng.next_u32()},
-                             static_cast<int>(rng.uniform_int(0, 16))};
-  rule.dst = net::Ipv4Prefix{net::Ipv4Address{rng.next_u32()},
-                             static_cast<int>(rng.uniform_int(0, 16))};
-  if (rng.bernoulli(0.3)) {
-    const auto lo = static_cast<std::uint16_t>(rng.uniform_int(0, 60000));
-    rule.dst_ports = PortRange{
-        lo, static_cast<std::uint16_t>(lo + rng.uniform_int(0, 5000))};
-  }
-  if (rng.bernoulli(0.3)) {
-    rule.protocol = rng.bernoulli(0.5) ? 6 : 17;
-  }
-  rule.priority = priority;
-  return rule;
-}
-
-FlowKey random_key(util::Rng& rng) {
-  FlowKey key;
-  key.src_ip = net::Ipv4Address{rng.next_u32()};
-  key.dst_ip = net::Ipv4Address{rng.next_u32()};
-  key.src_port = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-  key.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-  key.protocol = rng.bernoulli(0.7) ? 6 : 17;
-  if (key.protocol == 6) {
-    key.tcp_flags = static_cast<std::uint8_t>(rng.uniform_int(0, 63));
-  }
-  return key;
-}
-
-TEST(EnginesTest, AllEnginesAgreeOnRandomRuleSets) {
-  util::Rng rng(2024);
-  for (int round = 0; round < 10; ++round) {
-    auto engines = make_all_classifiers();
-    const int rules = static_cast<int>(rng.uniform_int(1, 60));
-    for (int i = 0; i < rules; ++i) {
-      // Duplicate priorities on purpose: insertion order must break ties.
-      const Rule rule = random_rule(
-          rng, static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
-      for (auto& engine : engines) engine->add_rule(rule);
-    }
-    for (auto& engine : engines) engine->build();
-
-    for (int probe = 0; probe < 200; ++probe) {
-      const FlowKey key = random_key(rng);
-      const Rule* expected = engines[0]->match(key);
-      for (std::size_t e = 1; e < engines.size(); ++e) {
-        const Rule* got = engines[e]->match(key);
-        ASSERT_EQ(expected == nullptr, got == nullptr)
-            << engines[e]->name() << " round " << round;
-        if (expected != nullptr) {
-          // Engines return pointers into their own storage; compare by
-          // content-identifying fields.
-          EXPECT_EQ(expected->priority, got->priority);
-          EXPECT_EQ(expected->src, got->src);
-          EXPECT_EQ(expected->dst, got->dst);
-        }
-      }
-    }
-  }
-}
-
-TEST(EnginesTest, FirstMatchByPriorityThenInsertion) {
-  for (auto& engine : make_all_classifiers()) {
-    Rule broad;
-    broad.priority = 5;
-    broad.name = "broad";
-    Rule specific;
-    specific.src = *net::Ipv4Prefix::parse("10.0.0.0/8");
-    specific.priority = 1;
-    specific.name = "specific";
-    Rule same_prio;
-    same_prio.priority = 5;
-    same_prio.name = "second-at-5";
-    engine->add_rule(broad);
-    engine->add_rule(specific);
-    engine->add_rule(same_prio);
-    engine->build();
-
-    FlowKey in10;
-    in10.src_ip = *net::Ipv4Address::parse("10.9.9.9");
-    const Rule* hit = engine->match(in10);
-    ASSERT_NE(hit, nullptr) << engine->name();
-    EXPECT_EQ(hit->name, "specific") << engine->name();
-
-    FlowKey other;
-    other.src_ip = *net::Ipv4Address::parse("192.0.2.1");
-    hit = engine->match(other);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->name, "broad") << engine->name();  // insertion order
-  }
-}
-
-TEST(EnginesTest, NoMatchReturnsNull) {
-  for (auto& engine : make_all_classifiers()) {
-    Rule rule;
-    rule.src = *net::Ipv4Prefix::parse("10.0.0.0/8");
-    engine->add_rule(rule);
-    engine->build();
-    FlowKey key;
-    key.src_ip = *net::Ipv4Address::parse("192.0.2.1");
-    EXPECT_EQ(engine->match(key), nullptr) << engine->name();
-  }
-}
-
-TEST(EnginesTest, LifecycleErrors) {
-  for (auto& engine : make_all_classifiers()) {
-    EXPECT_THROW((void)engine->match(FlowKey{}), std::logic_error)
-        << engine->name();
-    engine->build();
-    EXPECT_THROW(engine->add_rule(Rule{}), std::logic_error)
-        << engine->name();
-  }
-}
-
-TEST(EnginesTest, TrieReportsNodesAndTupleSpaceReportsTuples) {
-  HierarchicalTrieClassifier trie;
-  TupleSpaceClassifier tuples;
-  util::Rng rng(7);
-  for (int i = 0; i < 32; ++i) {
-    const Rule rule = random_rule(rng, static_cast<std::uint32_t>(i));
-    trie.add_rule(rule);
-    tuples.add_rule(rule);
-  }
-  trie.build();
-  tuples.build();
-  EXPECT_GT(trie.node_count(), 32u);
-  EXPECT_GE(tuples.tuple_count(), 1u);
-  EXPECT_LE(tuples.tuple_count(), 32u);
 }
 
 // --- batched flag sweep ------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "syndog/net/packet.hpp"
 #include "syndog/pcap/pcapng.hpp"
@@ -196,6 +197,62 @@ TEST(PcapngTest, NextIntoStreamsWithoutReallocation) {
   }
   EXPECT_FALSE(reader.next_into(rec));
   EXPECT_EQ(reader.records_read(), 4u);
+}
+
+/// A one-record capture whose interface declares if_tsresol `tsresol` in
+/// place of the writer's 9 (ns), so the record's `ticks` are read at that
+/// resolution.
+std::string capture_with_tsresol(std::uint8_t tsresol, std::int64_t ticks) {
+  std::stringstream buf;
+  PcapngWriter writer(buf);
+  writer.write(util::SimTime::nanoseconds(ticks), sample_frame(1));
+  std::string file = buf.str();
+  // The 28-byte SHB, then the IDB: block type and length, link type,
+  // reserved and snaplen, the option's code and length, then its value.
+  constexpr std::size_t kTsResolAt = 28 + 8 + 8 + 4;
+  EXPECT_EQ(file[kTsResolAt], 9);
+  file[kTsResolAt] = static_cast<char>(tsresol);
+  return file;
+}
+
+/// The first record's timestamp in ns, or -1 when there is none.
+std::int64_t first_timestamp_ns(const std::string& file) {
+  std::stringstream in(file);
+  PcapngReader reader(in);
+  const auto rec = reader.next();
+  return rec ? rec->timestamp.ns() : -1;
+}
+
+TEST(PcapngTest, RejectsDecimalTsResolPastSixtyFourBits) {
+  // 10^64 ticks per second wrapped to 0, and the reader divided by it.
+  std::stringstream in(capture_with_tsresol(0x40, 1));
+  PcapngReader reader(in);
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  // 10^19 still fits.
+  EXPECT_EQ(first_timestamp_ns(capture_with_tsresol(19, 1)), 0);
+}
+
+TEST(PcapngTest, RejectsBinaryTsResolPastSixtyFourBits) {
+  // 2^64 ticks per second shifted a 64-bit 1 by its full width.
+  std::stringstream in(capture_with_tsresol(0xc0, 1));
+  PcapngReader reader(in);
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  // 2^63 still fits: 2^62 ticks are half a second.
+  EXPECT_EQ(
+      first_timestamp_ns(capture_with_tsresol(0xbf, std::int64_t{1} << 62)),
+      500'000'000);
+}
+
+TEST(PcapngTest, FineResolutionsKeepSubsecondPrecision) {
+  // 10^-12 s: 3 s + 20 ms. Scaling the 2e10 sub-second ticks by 1e9
+  // overflowed 64 bits and read as 1.55 ms.
+  EXPECT_EQ(first_timestamp_ns(capture_with_tsresol(
+                12, 3'000'000'000'000 + 20'000'000'000)),
+            3'020'000'000);
+  // 2^-40 s: 3.5 s.
+  EXPECT_EQ(first_timestamp_ns(capture_with_tsresol(
+                0x80 | 40, (std::int64_t{7} << 40) / 2)),
+            3'500'000'000);
 }
 
 /// Swallows writes but fails on sync (buffered disk-full stand-in).

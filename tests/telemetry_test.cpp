@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -251,6 +252,31 @@ TEST(TsfFormatTest, CorruptFooterLosesDictionariesNotData) {
   EXPECT_TRUE(reader.agents().empty());
   // Synthesized directory still addresses recovered series by id.
   EXPECT_EQ(reader.series().size(), 3u);
+}
+
+TEST(TsfFormatTest, ImpossibleSampleCountIsDamage) {
+  std::string bytes = write_sample_file(/*block_capacity=*/4);
+  // The payload checksum does not cover a block header's sample count.
+  // Set the third block's count to 0xFFFFFFFF: the reader must drop that
+  // block and its suffix as damage, not size a buffer from the count.
+  std::size_t block = 16;
+  for (int skipped = 0; skipped < 2; ++skipped) {
+    std::uint32_t payload_len = 0;
+    for (int i = 3; i >= 0; --i) {
+      payload_len = payload_len << 8 |
+                    static_cast<unsigned char>(bytes[block + 12 + i]);
+    }
+    block += 20 + payload_len;
+  }
+  bytes.replace(block + 8, 4, 4, '\xff');
+  std::istringstream in(bytes);
+  std::optional<TsfReader> reader;
+  ASSERT_NO_THROW(reader.emplace(in));
+  EXPECT_EQ(reader->end(), ReadEnd::kTruncated);
+  EXPECT_EQ(reader->blocks_read(), 2u);
+  EXPECT_EQ(reader->samples(0).size(), 4u);
+  EXPECT_EQ(reader->samples(1).size(), 4u);
+  EXPECT_EQ(reader->total_samples(), 8u);
 }
 
 TEST(TsfFormatTest, EmptyFileIsCleanEof) {

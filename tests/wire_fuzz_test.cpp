@@ -4,22 +4,27 @@
 // that crashes or reads out of bounds on adversarial input corrupts the
 // CUSUM's Δn. These tests drive every parser with seeded garbage, truncated
 // prefixes of valid frames, deliberately misaligned buffers, and bit-flipped
-// capture files. The invariant everywhere: return nullopt / set truncated /
-// throw std::runtime_error — never crash. Run under ASan+UBSan
-// (`ctest --preset asan-ubsan`) these become memory-safety proofs.
+// capture and telemetry files. The invariant everywhere: return nullopt /
+// set truncated / throw std::runtime_error — never crash. Run under
+// ASan+UBSan (`ctest --preset asan-ubsan`) these become memory-safety
+// proofs.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "syndog/classify/segment.hpp"
 #include "syndog/net/digest.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/net/wire.hpp"
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/pcap/pcapng.hpp"
+#include "syndog/telemetry/tsf.hpp"
 #include "syndog/util/rng.hpp"
 
 namespace syndog {
@@ -183,6 +188,47 @@ TEST(WireFuzzTest, FlowDigestAgreesWithFullDecode) {
   }
 }
 
+/// classify::classify_frame_fast reads the frames the decoders accept and
+/// no others: kNotTcp for a frame decode_frame_into refuses, otherwise the
+/// kind classify_packet gives the decoded packet.
+void expect_frame_fast_matches_decode(net::ByteSpan frame) {
+  net::Packet packet;
+  const classify::SegmentKind expected =
+      net::decode_frame_into(frame, packet)
+          ? classify::classify_packet(packet)
+          : classify::SegmentKind::kNotTcp;
+  EXPECT_EQ(classify::classify_frame_fast(frame), expected)
+      << "frame of " << frame.size() << " bytes";
+}
+
+TEST(WireFuzzTest, FrameFastAgreesWithFullDecode) {
+  // The same garbage, cut and bit-flipped frames as the digest case.
+  util::Rng rng(kSeed + 7);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    net::ByteBuffer garbage = random_bytes(
+        rng, static_cast<std::size_t>(rng.uniform_int(0, 128)));
+    if (trial % 2 == 0 && garbage.size() >= net::EthernetHeader::kSize) {
+      garbage[12] = 0x08;
+      garbage[13] = 0x00;
+    }
+    expect_frame_fast_matches_decode(garbage);
+
+    const net::ByteBuffer frame = sample_frame(rng);
+    const auto cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(frame.size())));
+    expect_frame_fast_matches_decode(net::ByteSpan{frame.data(), cut});
+
+    net::ByteBuffer flipped = sample_frame(rng);
+    const auto flips = rng.uniform_int(1, 8);
+    for (std::int64_t i = 0; i < flips; ++i) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(flipped.size()) - 1));
+      flipped[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+    }
+    expect_frame_fast_matches_decode(flipped);
+  }
+}
+
 template <typename ReaderT>
 void drain_reader(std::istream& in) {
   try {
@@ -260,6 +306,64 @@ TEST(WireFuzzTest, CorruptedCaptureFilesNeverCrashSniffer) {
       (void)pcap::read_any_capture(stream);
     } catch (const std::runtime_error&) {
     }
+  }
+}
+
+/// A small syndog-tsf/1 file: two agents by two metrics, uneven series,
+/// `block_capacity` samples per block. Sets `written` to its sample count.
+std::string tsf_file(std::size_t block_capacity, std::uint64_t& written) {
+  std::ostringstream out;
+  telemetry::TsfWriter writer(out, block_capacity);
+  const std::uint32_t k = writer.add_metric("k");
+  const std::uint32_t alarm = writer.add_metric("alarm");
+  std::vector<std::uint32_t> series;
+  for (std::uint32_t a = 0; a < 2; ++a) {
+    const std::uint32_t agent =
+        writer.add_agent("stub-" + std::to_string(a), 64512 + a);
+    series.push_back(writer.open_series(agent, k));
+    series.push_back(writer.open_series(agent, alarm));
+  }
+  for (int period = 1; period <= 12; ++period) {
+    for (const std::uint32_t s : series) {
+      if ((period + static_cast<int>(s)) % 3 == 0) continue;
+      writer.append(s, util::SimTime::seconds(20 * period), 0.5 * period + s);
+    }
+  }
+  writer.finish();
+  written = writer.samples_written();
+  return out.str();
+}
+
+TEST(WireFuzzTest, TsfReaderSurvivesCutsAndBitFlips) {
+  // Damage past the 16-byte header must never make the reader throw, and
+  // no damage can conjure samples that were never written.
+  std::vector<std::string> files;
+  std::vector<std::uint64_t> written(4);
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    files.push_back(tsf_file(std::size_t{1} << i, written[i]));
+  }
+  util::Rng rng(kSeed + 8);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto pick = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    std::string file = files[pick];
+    const int damage = trial % 3;  // 0: cut, 1: flip, 2: cut and flip
+    if (damage != 1) {
+      file.resize(static_cast<std::size_t>(
+          rng.uniform_int(16, static_cast<std::int64_t>(file.size()))));
+    }
+    if (damage != 0 && file.size() > 16) {
+      const auto flips = rng.uniform_int(1, 8);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            16, static_cast<std::int64_t>(file.size()) - 1));
+        file[at] = static_cast<char>(
+            file[at] ^ static_cast<char>(1u << rng.uniform_int(0, 7)));
+      }
+    }
+    std::istringstream in(file);
+    std::optional<telemetry::TsfReader> reader;
+    ASSERT_NO_THROW(reader.emplace(in)) << "trial " << trial;
+    EXPECT_LE(reader->total_samples(), written[pick]) << "trial " << trial;
   }
 }
 
