@@ -236,12 +236,6 @@ void CampaignSim::connect_background(int stub, std::uint32_t host_index,
   sched_of(stub).schedule_at(at, [h, dst, port] { h->connect(dst, port); });
 }
 
-void CampaignSim::schedule_host_background(
-    int stub, const std::vector<util::SimTime>& starts) {
-  StubNet& sn = stub_at(stub);
-  sn.site.schedule_host_background(starts, sn.workload_rng);
-}
-
 void CampaignSim::start_wire_background(int stub, double rate_per_sec,
                                         util::SimTime start,
                                         util::SimTime end) {
@@ -533,21 +527,6 @@ void CampaignSim::export_metrics(obs::Registry& registry) const {
   registry.counter("campaign.responder.unanswered").add(resp.unanswered);
   registry.counter("campaign.stubs_alarmed")
       .add(static_cast<std::uint64_t>(stubs_alarmed()));
-}
-
-void CampaignSim::record_fleet(core::FleetRecorder& recorder,
-                               std::string_view name_prefix) const {
-  for (int s = 0; s < params_.stub_count; ++s) {
-    const StubNet& sn = *stubs_[static_cast<std::size_t>(s)];
-    const std::size_t slot = recorder.add_agent(
-        std::string(name_prefix) + std::to_string(s),
-        static_cast<std::uint32_t>(s), params_.agent_params);
-    for (const core::PeriodReport& r : sn.agent->history()) {
-      recorder.observe(slot, r.syn_count, r.syn_ack_count,
-                       params_.agent_params.observation_period *
-                           (r.period_index + 1));
-    }
-  }
 }
 
 }  // namespace syndog::campaign

@@ -17,8 +17,10 @@
 // worker count), cells share no mutable state, and the barrier merge is
 // canonically ordered — so every observable output (period tables,
 // alarm timelines, stats, state_digest()) is byte-identical for
-// workers=1 vs workers=8. The threaded driver lives in runner.cpp; this
-// class plus `run_until(end)` is the single-threaded reference.
+// workers=1 vs workers=8. `run_until(end)` is the single-threaded
+// reference; `run_until(end, workers)` (runner.cpp, the module's only
+// threaded file) runs the same windows with cells spread over threads
+// and one std::barrier between windows.
 //
 // Wide-area traffic model: each stub is a sim::StubSite, and there is no
 // shared InternetCloud. Generic Internet space answers a stub through
@@ -32,12 +34,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "syndog/campaign/mailbox.hpp"
 #include "syndog/core/agent.hpp"
-#include "syndog/core/fleet.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/net/address.hpp"
 #include "syndog/obs/metrics.hpp"
@@ -126,11 +126,6 @@ class CampaignSim {
   void connect_background(int stub, std::uint32_t host_index,
                           util::SimTime at, net::Ipv4Address dst,
                           std::uint16_t port = 80);
-  /// Host-stack background (sim::StubSite::schedule_host_background):
-  /// each start picks a random host of `stub` and a random generic
-  /// Internet server. Materializes hosts.
-  void schedule_host_background(int stub,
-                                const std::vector<util::SimTime>& starts);
   /// Wire-level Poisson background at `rate_per_sec` connections/s over
   /// [start, end): crafted SYNs from random hosts of `stub` to generic
   /// servers, answered by the stub responder. No TcpHost is
@@ -151,8 +146,12 @@ class CampaignSim {
   /// Single-threaded reference run: windows + barriers inline, cells in
   /// ascending order.
   void run_until(util::SimTime end);
-  /// Threaded run (runner.cpp): `workers` threads pull cells off a
-  /// shared index each window. workers <= 1 is exactly run_until(end).
+  /// Threaded run (runner.cpp): the caller and `workers - 1` threads
+  /// claim cells off one counter each window and meet at one barrier,
+  /// whose completion step does the exchange. workers <= 1 is exactly
+  /// run_until(end). An exception from a cell or the exchange stops the
+  /// run at that window's barrier and is rethrown here once every thread
+  /// has joined; the campaign is then part-way through that window.
   void run_until(util::SimTime end, int workers);
 
   // ---- Runner protocol (see docs/CAMPAIGN.md) -------------------------
@@ -203,11 +202,6 @@ class CampaignSim {
   /// (call after run_until; counters are created in a fixed order so
   /// metric exports stay byte-stable).
   void export_metrics(obs::Registry& registry) const;
-  /// Replays every stub's period history into `recorder` in ascending
-  /// stub order (core::FleetRecorder's fast-forward observe() path), so
-  /// fleet telemetry of a sharded run is deterministic and merged.
-  void record_fleet(core::FleetRecorder& recorder,
-                    std::string_view name_prefix = "stub") const;
 
  private:
   struct StubNet {

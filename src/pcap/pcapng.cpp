@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "syndog/net/wire.hpp"
@@ -175,14 +176,18 @@ bool PcapngReader::parse_packet_block(const std::vector<std::uint8_t>& body,
   if (body.size() < 20 + incl) return false;
   if (iface_id >= interfaces_.size()) return false;
 
-  const Interface& iface = interfaces_[iface_id];
+  // Convert interface ticks to nanoseconds. A time past int64 ns (the
+  // year 2262) is damage, refused like an unknown interface.
+  const std::uint64_t tps = interfaces_[iface_id].ticks_per_second;
+  constexpr std::uint64_t kMaxNs = std::numeric_limits<std::int64_t>::max();
+  const std::uint64_t seconds = ticks / tps;
+  if (seconds > kMaxNs / 1'000'000'000ULL) return false;
+  const std::uint64_t ns =
+      seconds * 1'000'000'000ULL + subsecond_ns(ticks % tps, tps);
+  if (ns > kMaxNs) return false;
+  out.timestamp = util::SimTime::nanoseconds(static_cast<std::int64_t>(ns));
   out.orig_len = orig;
   out.data.assign(body.begin() + 20, body.begin() + 20 + incl);
-  // Convert interface ticks to nanoseconds.
-  const std::uint64_t tps = iface.ticks_per_second;
-  out.timestamp = util::SimTime::nanoseconds(
-      static_cast<std::int64_t>((ticks / tps) * 1'000'000'000ULL +
-                                subsecond_ns(ticks % tps, tps)));
   return true;
 }
 

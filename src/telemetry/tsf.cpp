@@ -337,6 +337,8 @@ void TsfReader::parse(const std::string& buf) {
   }
   if (has_dictionaries_) samples_.resize(series_.size());
 
+  // A valid footer names every series; a block outside it is damage.
+  const std::size_t series_limit = footer_ok ? series_.size() : kMaxSeriesId;
   bool damaged = false;
   std::size_t pos = kHeaderSize;
   while (pos + kBlockHeaderSize <= blocks_end &&
@@ -346,8 +348,9 @@ void TsfReader::parse(const std::string& buf) {
     const std::uint32_t payload_len = get_u32(base + pos + 12);
     const std::uint32_t crc = get_u32(base + pos + 16);
     // A sample takes at least one varint byte and 8 value bytes; the CRC
-    // does not cover `count`, so bound it before it sizes anything.
-    if (series_id >= kMaxSeriesId || count == 0 || count > payload_len / 9 ||
+    // covers neither `count` nor `series_id`, so bound both before they
+    // size anything.
+    if (series_id >= series_limit || count == 0 || count > payload_len / 9 ||
         payload_len > blocks_end - pos - kBlockHeaderSize ||
         fnv1a(base + pos + kBlockHeaderSize, payload_len) != crc) {
       damaged = true;  // cut mid-write or bit-flipped: drop this suffix

@@ -12,12 +12,15 @@
 //    knob deterministic the remaining draws — ISNs, sports, spoofed
 //    sources — cannot affect counts or timing.)
 //  * CampaignThreadsTest — workers ∈ {1, 2, 8} produce byte-identical
-//    state digests, merged alarms, metrics and fleet recordings.
+//    state digests, merged alarms and metrics; runs split off the window
+//    grid match the inline reference split the same way; an exception in
+//    a cell reaches the caller.
 //  * CampaignBarrierTest — randomized windows/latencies: no mailbox
 //    record is ever injected with arrival before the barrier
 //    (min_injection_margin() >= 0), at any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -475,8 +478,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Cross-worker-count byte identity --------------------------------
 
-std::unique_ptr<campaign::CampaignSim> run_wire_campaign(int workers,
-                                                         int stubs = 16) {
+/// A wire-level campaign of `stubs` stubs, set up but not yet run:
+/// background on every stub over [0, 40 s), floods from up to 4 stubs.
+std::unique_ptr<campaign::CampaignSim> make_wire_campaign(int stubs) {
   campaign::CampaignParams cp;
   cp.stub_count = stubs;
   cp.hosts_per_stub = 200;
@@ -489,7 +493,7 @@ std::unique_ptr<campaign::CampaignSim> run_wire_campaign(int workers,
   }
   // Flood timelines shared across instances: one deterministic draw per
   // stub, same child construction the engine itself uses.
-  for (int s = 0; s < 4; ++s) {
+  for (int s = 0; s < std::min(stubs, 4); ++s) {
     util::Rng rng = util::Rng::child(1234, static_cast<std::uint64_t>(s));
     std::vector<SimTime> times;
     double t = 15.0;
@@ -500,6 +504,12 @@ std::unique_ptr<campaign::CampaignSim> run_wire_campaign(int workers,
     }
     sim->launch_flood(s, 1, times, *net::Ipv4Prefix::parse("240.0.0.0/8"));
   }
+  return sim;
+}
+
+std::unique_ptr<campaign::CampaignSim> run_wire_campaign(int workers,
+                                                         int stubs = 16) {
+  auto sim = make_wire_campaign(stubs);
   sim->run_until(SimTime::seconds(40), workers);
   return sim;
 }
@@ -534,6 +544,40 @@ TEST(CampaignThreadsTest, WorkerCountIsInvisibleInEveryOutput) {
       EXPECT_EQ(reference->merged_alarms()[i].event.at,
                 threaded->merged_alarms()[i].event.at);
     }
+  }
+}
+
+TEST(CampaignThreadsTest, SplitRunsMatchTheInlineReference) {
+  // 7.0123 s is off the 5 ms window grid, so the first call ends on a
+  // short window; calling again with the same end must return at once.
+  const SimTime split = SimTime::from_seconds(7.0123);
+  const SimTime end = SimTime::seconds(40);
+  for (const int stubs : {16, 1}) {
+    SCOPED_TRACE("stubs=" + std::to_string(stubs));
+    const auto inline_run = make_wire_campaign(stubs);
+    inline_run->run_until(split);
+    inline_run->run_until(end);
+
+    const auto threaded = make_wire_campaign(stubs);
+    threaded->run_until(split, 8);
+    EXPECT_EQ(threaded->now(), split);
+    threaded->run_until(split, 8);
+    EXPECT_EQ(threaded->now(), split);
+    // One stub makes two cells: most of the 8 workers claim nothing.
+    threaded->run_until(end, stubs == 1 ? 8 : 2);
+    EXPECT_EQ(inline_run->state_digest(), threaded->state_digest());
+  }
+}
+
+TEST(CampaignThreadsTest, CellExceptionReachesTheCaller) {
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    const auto sim = make_wire_campaign(16);
+    sim->router(9).set_uplink([](const net::Packet&) {
+      throw std::runtime_error("uplink down");
+    });
+    EXPECT_THROW(sim->run_until(SimTime::seconds(40), 8),
+                 std::runtime_error);
   }
 }
 

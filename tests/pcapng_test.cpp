@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "syndog/net/packet.hpp"
 #include "syndog/pcap/pcapng.hpp"
@@ -199,13 +201,18 @@ TEST(PcapngTest, NextIntoStreamsWithoutReallocation) {
   EXPECT_EQ(reader.records_read(), 4u);
 }
 
-/// A one-record capture whose interface declares if_tsresol `tsresol` in
-/// place of the writer's 9 (ns), so the record's `ticks` are read at that
-/// resolution.
-std::string capture_with_tsresol(std::uint8_t tsresol, std::int64_t ticks) {
+/// A capture whose interface declares if_tsresol `tsresol` in place of
+/// the writer's 9 (ns), so each record's ticks are read at that
+/// resolution: one record at `ticks`, then one per `more_ticks`.
+std::string capture_with_tsresol(
+    std::uint8_t tsresol, std::int64_t ticks,
+    std::initializer_list<std::int64_t> more_ticks = {}) {
   std::stringstream buf;
   PcapngWriter writer(buf);
   writer.write(util::SimTime::nanoseconds(ticks), sample_frame(1));
+  for (const std::int64_t t : more_ticks) {
+    writer.write(util::SimTime::nanoseconds(t), sample_frame(2));
+  }
   std::string file = buf.str();
   // The 28-byte SHB, then the IDB: block type and length, link type,
   // reserved and snaplen, the option's code and length, then its value.
@@ -253,6 +260,19 @@ TEST(PcapngTest, FineResolutionsKeepSubsecondPrecision) {
   EXPECT_EQ(first_timestamp_ns(capture_with_tsresol(
                 0x80 | 40, (std::int64_t{7} << 40) / 2)),
             3'500'000'000);
+}
+
+TEST(PcapngTest, SkipsTimestampPastInt64Nanoseconds) {
+  // Whole-second ticks: 2^40 s is past int64 ns and read as
+  // -7,293,016,646,573,096,960 ns. The record is refused like one on an
+  // unknown interface, and the next one still reads.
+  std::stringstream in(capture_with_tsresol(0, std::int64_t{1} << 40, {7}));
+  PcapngReader reader(in);
+  const std::vector<Record> records = reader.read_all();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].timestamp, util::SimTime::seconds(7));
+  EXPECT_EQ(records[0].data, sample_frame(2));
+  EXPECT_EQ(reader.end_state(), ReadEnd::kEof);
 }
 
 /// Swallows writes but fails on sync (buffered disk-full stand-in).

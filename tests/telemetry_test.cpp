@@ -279,6 +279,29 @@ TEST(TsfFormatTest, ImpossibleSampleCountIsDamage) {
   EXPECT_EQ(reader->total_samples(), 8u);
 }
 
+TEST(TsfFormatTest, BlockSeriesIdOutsideTheFooterIsDamage) {
+  std::ostringstream out;
+  TsfWriter writer(out);
+  const std::uint32_t series =
+      writer.open_series(writer.add_agent("stub-a", 64512),
+                         writer.add_metric("k"));
+  for (int i = 0; i < 8; ++i) {
+    writer.append(series, SimTime::seconds(20 * (i + 1)), 100.0 + i);
+  }
+  writer.finish();
+  std::string bytes = out.str();
+  // The payload checksum does not cover a block header's series id. Flip
+  // bit 19 of the one block's id: series 2^19 is not in the footer's
+  // one-series directory, so the block is damage, not a new series.
+  bytes[16 + 4 + 2] ^= 0x08;
+  std::istringstream in(bytes);
+  TsfReader reader(in);
+  EXPECT_EQ(reader.end(), ReadEnd::kTruncated);
+  EXPECT_EQ(reader.blocks_read(), 0u);
+  EXPECT_EQ(reader.total_samples(), 0u);
+  EXPECT_EQ(reader.series().size(), 1u);
+}
+
 TEST(TsfFormatTest, EmptyFileIsCleanEof) {
   std::ostringstream out;
   TsfWriter writer(out);

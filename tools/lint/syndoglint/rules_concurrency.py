@@ -28,8 +28,9 @@ from .model import ERROR, Finding, Rule, register
 # on. The rest of the module (ReplayEngine, CaptureSource, StubRouter,
 # AgentDemux) is sequential by contract and patrolled like any other
 # code. Likewise src/campaign:
-# only runner.cpp/runner.hpp (the worker pool driving run_cell_until /
-# exchange_and_advance through generation barriers) spawn threads;
+# only runner.cpp (the threaded window loop: cells claimed off one
+# counter, one std::barrier whose completion step runs
+# exchange_and_advance) spawns threads; there is no runner header, and
 # CampaignSim itself is sequential per cell and patrolled. src/telemetry
 # (sink drain thread) and src/util (logging level atomics, worker
 # plumbing) stay module-wide seams — their concurrency is not confined
@@ -39,7 +40,6 @@ _SEAM_DIRS = (
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
     "src/campaign/runner",
-    "src/campaign/include/syndog/campaign/runner",
     "src/telemetry/",
     "src/util/",
 )

@@ -1,7 +1,8 @@
-// Positive fixture: src/campaign is not a directory-wide seam. Only the
-// runner (worker pool) may spawn threads; CampaignSim and the other
-// sequential per-cell files must be flagged exactly like any other
-// module when they grow threads or namespace-scope mutable state.
+// Positive fixture: src/campaign is not a directory-wide seam. Only
+// runner.cpp (the threaded window loop) may spawn threads; CampaignSim
+// and the other sequential per-cell files must be flagged exactly like
+// any other module when they grow threads or namespace-scope mutable
+// state.
 #include <thread>
 
 namespace syndog::campaign {
