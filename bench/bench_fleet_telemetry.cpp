@@ -13,15 +13,13 @@
 //     false-alarms at these horizons, so the campaign runs a deliberately
 //     tight tuning to make the rate measurable (cf.
 //     bench_eq5_false_alarm_scaling, which does the same per-threshold).
-//   * Drain determinism: the same seed through the inline reference and
-//     the consumer-thread drain produces byte-identical syndog-tsf/1
-//     files ("drain_equal"), with zero queue drops.
 //   * A 10-minute flood on five stubs of one AS on day 2 must be caught
 //     ("flood_detected"), and the file's alarm-timeline rollup must agree
 //     with the in-run edge count ("timeline_matches").
 //
 // Pass --deterministic to suppress the wall-clock throughput scalars so
-// two runs emit byte-identical sidecars (tests/sidecar_determinism.cmake).
+// two runs emit byte-identical sidecars and syndog-tsf/1 files
+// (tests/sidecar_determinism.cmake).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -29,7 +27,6 @@
 #include <cstring>
 #include <fstream>
 #include <numbers>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -126,21 +123,14 @@ struct CampaignResult {
   int flood_detected = 0;
   telemetry::SinkStats sink_stats;
   std::uint64_t file_bytes = 0;
-  std::string path;
 };
 
-CampaignResult run_campaign(telemetry::DrainMode mode,
-                            const std::string& path) {
+CampaignResult run_campaign(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open " + path);
-  telemetry::TelemetrySinkConfig cfg;
-  cfg.mode = mode;
-  cfg.queue_capacity = 1 << 16;
-  cfg.block_capacity = 256;
   CampaignResult res;
-  res.path = path;
   {
-    telemetry::TelemetrySink sink(out, cfg);
+    telemetry::TelemetrySink sink(out, /*block_capacity=*/256);
     core::FleetRecorder fleet(sink,
                               core::FleetRecorder::Cadence{kHeartbeatPeriods});
 
@@ -216,13 +206,6 @@ CampaignResult run_campaign(telemetry::DrainMode mode,
   return res;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -231,24 +214,17 @@ int main(int argc, char** argv) {
   bench::print_header(
       "fleet_telemetry",
       "Fleet telemetry campaign -- 240 stubs x 2 days, diurnal drift",
-      "Eq. (5) false-alarm rate at production horizons; EWMA K tracking; "
-      "byte-identical threaded drain");
+      "Eq. (5) false-alarm rate at production horizons; EWMA K tracking");
 
   const char* dir = std::getenv("SYNDOG_BENCH_DIR");
   const std::string base = dir != nullptr ? std::string(dir) + "/" : "";
-  const std::string path_inline = base + "fleet_telemetry_inline.tsf";
-  const std::string path_threaded = base + "fleet_telemetry_threaded.tsf";
+  const std::string path = base + "fleet_telemetry.tsf";
 
   const obs::WallClock clock;
   const std::int64_t wall_start = clock.now_ns();
-  const CampaignResult inline_run =
-      run_campaign(telemetry::DrainMode::kInline, path_inline);
-  const CampaignResult threaded_run =
-      run_campaign(telemetry::DrainMode::kThreaded, path_threaded);
+  const CampaignResult run = run_campaign(path);
   const double wall_s =
       static_cast<double>(clock.now_ns() - wall_start) / 1e9;
-
-  const bool drain_equal = slurp(path_inline) == slurp(path_threaded);
 
   // Eq. (5) predictions from the campaign's own measurements. Two
   // kernels for the same Brook & Evans Markov chain:
@@ -260,8 +236,8 @@ int main(int argc, char** argv) {
   //     lambda histogram — the count-aware prediction this bench
   //     validates the realized rate against.
   detect::ArlSpec gauss;
-  gauss.mean = inline_run.x_stats.mean();
-  gauss.stddev = inline_run.x_stats.stddev();
+  gauss.mean = run.x_stats.mean();
+  gauss.stddev = run.x_stats.stddev();
   gauss.offset = kOffsetA;
   gauss.threshold = kThresholdN;
   gauss.states = 400;
@@ -273,7 +249,7 @@ int main(int argc, char** argv) {
   double arl_bin_max = 0.0;
   for (int bin = 0; bin < kLambdaBins; ++bin) {
     const std::int64_t count =
-        inline_run.lambda_hist[static_cast<std::size_t>(bin)];
+        run.lambda_hist[static_cast<std::size_t>(bin)];
     if (count == 0) continue;
     const double lambda =
         kLambdaLo + (bin + 0.5) * (kLambdaHi - kLambdaLo) / kLambdaBins;
@@ -292,21 +268,21 @@ int main(int argc, char** argv) {
   }
   const double predicted_arl = rate_weight / weighted_rate;
   const double realized_arl =
-      inline_run.false_alarm_edges == 0
-          ? static_cast<double>(inline_run.clean_periods)
-          : static_cast<double>(inline_run.clean_periods) /
-                static_cast<double>(inline_run.false_alarm_edges);
+      run.false_alarm_edges == 0
+          ? static_cast<double>(run.clean_periods)
+          : static_cast<double>(run.clean_periods) /
+                static_cast<double>(run.false_alarm_edges);
   const double arl_ratio = realized_arl / predicted_arl;
 
-  // Read the inline file back: the rollup layer must agree with what the
-  // run itself counted, and the K-bar drift series feeds the sidecar.
-  std::ifstream tsf_in(path_inline, std::ios::binary);
+  // Read the file back: the rollup layer must agree with what the run
+  // itself counted, and the K-bar drift series feeds the sidecar.
+  std::ifstream tsf_in(path, std::ios::binary);
   const telemetry::TsfReader reader(tsf_in);
   const auto timeline = telemetry::alarm_timeline(reader, "alarm");
   const bool timeline_matches =
       reader.end() == telemetry::ReadEnd::kEof &&
       static_cast<std::int64_t>(timeline.rising_edges) ==
-          inline_run.total_rising_edges;
+          run.total_rising_edges;
   const auto drift = telemetry::metric_drift(reader, "k",
                                              util::SimTime::hours(1));
   std::vector<double> kbar_t_s;
@@ -323,29 +299,25 @@ int main(int argc, char** argv) {
               kAgents, kAgents / kAgentsPerAs,
               static_cast<long long>(kPeriods), kSimDays,
               static_cast<long long>(kHeartbeatPeriods));
-  std::printf("tsf file: %llu bytes, %llu samples, %llu blocks; "
-              "drain_equal=%s, drops=%llu\n",
-              static_cast<unsigned long long>(inline_run.file_bytes),
-              static_cast<unsigned long long>(inline_run.sink_stats.drained),
-              static_cast<unsigned long long>(inline_run.sink_stats.blocks),
-              drain_equal ? "yes" : "NO",
-              static_cast<unsigned long long>(
-                  threaded_run.sink_stats.dropped));
+  std::printf("tsf file: %llu bytes, %llu samples, %llu blocks\n",
+              static_cast<unsigned long long>(run.file_bytes),
+              static_cast<unsigned long long>(run.sink_stats.drained),
+              static_cast<unsigned long long>(run.sink_stats.blocks));
   std::printf("Xn: mean %.4f sigma %.4f over %lld clean periods; "
               "K rel err %.4f\n",
-              inline_run.x_stats.mean(), inline_run.x_stats.stddev(),
-              static_cast<long long>(inline_run.clean_periods),
-              inline_run.k_rel_err.mean());
+              run.x_stats.mean(), run.x_stats.stddev(),
+              static_cast<long long>(run.clean_periods),
+              run.k_rel_err.mean());
   std::printf("false alarms: %lld edges -> realized ARL %.0f periods; "
               "Poisson-kernel Brook-Evans predicts %.0f (ratio %.2f)\n",
-              static_cast<long long>(inline_run.false_alarm_edges),
+              static_cast<long long>(run.false_alarm_edges),
               realized_arl, predicted_arl, arl_ratio);
   std::printf("  per-lambda-bin ARL %.0f..%.0f; Gaussian-kernel "
               "prediction %.0f (off %.0fx -- scaled-Poisson tail)\n",
               arl_bin_min, arl_bin_max, predicted_arl_gaussian,
               predicted_arl_gaussian / predicted_arl);
   std::printf("flood: %d/%d stubs detected; timeline_matches=%s\n",
-              inline_run.flood_detected, kFloodAgents,
+              run.flood_detected, kFloodAgents,
               timeline_matches ? "yes" : "NO");
   if (!deterministic) {
     std::printf("wall: %.2f s (%.2f M observe/s)\n", wall_s,
@@ -359,18 +331,15 @@ int main(int argc, char** argv) {
   sidecar.scalar("heartbeat_periods",
                  static_cast<double>(kHeartbeatPeriods));
   sidecar.scalar("samples_written",
-                 static_cast<double>(inline_run.sink_stats.drained));
-  sidecar.scalar("file_bytes", static_cast<double>(inline_run.file_bytes));
-  sidecar.scalar("drain_equal", drain_equal ? 1.0 : 0.0);
-  sidecar.scalar("sink_dropped",
-                 static_cast<double>(threaded_run.sink_stats.dropped));
-  sidecar.scalar("x_mean", inline_run.x_stats.mean());
-  sidecar.scalar("x_stddev", inline_run.x_stats.stddev());
-  sidecar.scalar("k_track_rel_err", inline_run.k_rel_err.mean());
+                 static_cast<double>(run.sink_stats.drained));
+  sidecar.scalar("file_bytes", static_cast<double>(run.file_bytes));
+  sidecar.scalar("x_mean", run.x_stats.mean());
+  sidecar.scalar("x_stddev", run.x_stats.stddev());
+  sidecar.scalar("k_track_rel_err", run.k_rel_err.mean());
   sidecar.scalar("false_alarm_edges",
-                 static_cast<double>(inline_run.false_alarm_edges));
+                 static_cast<double>(run.false_alarm_edges));
   sidecar.scalar("clean_periods",
-                 static_cast<double>(inline_run.clean_periods));
+                 static_cast<double>(run.clean_periods));
   sidecar.scalar("realized_arl_periods", realized_arl);
   sidecar.scalar("predicted_arl_periods", predicted_arl);
   sidecar.scalar("predicted_arl_gaussian", predicted_arl_gaussian);
@@ -379,7 +348,7 @@ int main(int argc, char** argv) {
   sidecar.scalar("arl_ratio", arl_ratio);
   sidecar.scalar("flood_agents", kFloodAgents);
   sidecar.scalar("flood_detected",
-                 static_cast<double>(inline_run.flood_detected));
+                 static_cast<double>(run.flood_detected));
   sidecar.scalar("timeline_matches", timeline_matches ? 1.0 : 0.0);
   sidecar.series("kbar_t_s", kbar_t_s);
   sidecar.series("kbar_mean", kbar_mean);
@@ -387,5 +356,5 @@ int main(int argc, char** argv) {
     sidecar.scalar("observe_per_sec",
                    static_cast<double>(kPeriods) * kAgents / wall_s);
   }
-  return drain_equal && timeline_matches ? 0 : 1;
+  return timeline_matches ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 // alarmed and when, how the K-bar baseline drifted, and how healthy the
 // fleet is. All output is deterministic — identical files print
 // byte-identical text (tests/fleetctl_determinism.cmake pins this, and
-// pins that --gen's inline and threaded drains write identical files).
+// pins that two `gen` runs write identical files).
 //
 //   $ syndog_fleetctl gen fleet.tsf           # write a demo campaign
 //   $ syndog_fleetctl summary fleet.tsf       # whole-file JSON
@@ -15,7 +15,6 @@
 //   $ syndog_fleetctl drift fleet.tsf y       # any metric's drift
 //   $ syndog_fleetctl health fleet.tsf        # per-AS health CSV
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -36,7 +35,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s gen <out.tsf> [--threaded]\n"
+      "usage: %s gen <out.tsf>\n"
       "       %s summary <file.tsf>\n"
       "       %s alarms <file.tsf>\n"
       "       %s kbar <file.tsf> [--bucket-s N] [--as N]\n"
@@ -58,7 +57,7 @@ int usage(const char* argv0) {
 /// Demo campaign: 12 stubs in 3 ASes over ~3.3 h of sim time. Two stubs
 /// of AS 64498 flood near the end (their alarms populate the timeline)
 /// and two agents end the run in non-healthy states.
-void generate_demo(const std::string& path, telemetry::DrainMode mode) {
+void generate_demo(const std::string& path) {
   constexpr std::uint64_t kSeed = 20020816;
   constexpr int kAgents = 12;
   constexpr int kAgentsPerAs = 4;
@@ -67,9 +66,7 @@ void generate_demo(const std::string& path, telemetry::DrainMode mode) {
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open " + path);
-  telemetry::TelemetrySinkConfig cfg;
-  cfg.mode = mode;
-  telemetry::TelemetrySink sink(out, cfg);
+  telemetry::TelemetrySink sink(out);
   {
     core::FleetRecorder fleet(sink, core::FleetRecorder::Cadence{5});
     core::SynDogParams params;
@@ -153,15 +150,9 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   try {
     if (cmd == "gen") {
-      telemetry::DrainMode mode = telemetry::DrainMode::kInline;
-      if (argc == 4 && std::strcmp(argv[3], "--threaded") == 0) {
-        mode = telemetry::DrainMode::kThreaded;
-      } else if (argc != 3) {
-        return usage(argv[0]);
-      }
-      generate_demo(path, mode);
-      std::printf("wrote %s (%s drain)\n", path.c_str(),
-                  std::string(to_string(mode)).c_str());
+      if (argc != 3) return usage(argv[0]);
+      generate_demo(path);
+      std::printf("wrote %s\n", path.c_str());
       return 0;
     }
 

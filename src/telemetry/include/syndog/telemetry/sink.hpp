@@ -1,85 +1,57 @@
 // TelemetrySink — the fleet aggregation endpoint agents stream into.
 //
 // Producers (per-agent wiring in src/core, or anything else holding a
-// series id) call push(); the sink appends the sample to a syndog-tsf/1
-// stream through a TsfWriter. Two drain modes:
+// series id) call push(); the sink appends the sample synchronously to a
+// syndog-tsf/1 stream through a TsfWriter, on the caller's thread. On
+// top of the writer it memoizes name → id registration and adapts obs
+// metric snapshots and event traces into samples.
 //
-//   kInline   — push() appends synchronously on the caller's thread. The
-//               deterministic reference: no threads, no queue.
-//   kThreaded — push() enqueues into a bounded lock-free MPSC queue and a
-//               dedicated consumer thread drains it (the COutput
-//               consumer-thread pattern). Producers never block the DES
-//               hot path: a full queue drops the sample and counts it in
-//               stats().dropped — overflow is visible, never silent.
-//
-// Byte-identity contract: with a single producer and zero drops, the
-// threaded drain writes a byte-identical file to the inline reference —
-// the queue preserves push order, dictionary ids are assigned at
-// registration time on the producer, and block flushes trigger on
-// per-series sample counts, so thread interleaving never reaches the
-// bytes. tests/telemetry_test.cpp holds this invariant.
+// Byte-identity contract: the bytes are a pure function of the push
+// order — dictionary ids are assigned in registration order and block
+// flushes trigger on per-series sample counts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "syndog/obs/metrics.hpp"
 #include "syndog/obs/trace.hpp"
-#include "syndog/telemetry/queue.hpp"
 #include "syndog/telemetry/tsf.hpp"
 #include "syndog/util/time.hpp"
 
 namespace syndog::telemetry {
 
-enum class DrainMode : std::uint8_t {
-  kInline = 0,   ///< synchronous append; the deterministic reference
-  kThreaded = 1, ///< bounded MPSC queue + consumer thread
-};
-
-[[nodiscard]] std::string_view to_string(DrainMode mode);
-
-struct TelemetrySinkConfig {
-  DrainMode mode = DrainMode::kInline;
-  std::size_t queue_capacity = 1 << 16;  ///< samples (threaded mode only)
-  std::size_t block_capacity = 512;      ///< samples per tsf block
-};
-
 /// Counters describing one sink's lifetime (all monotonic).
 struct SinkStats {
-  std::uint64_t pushed = 0;   ///< samples accepted (queued or appended)
-  std::uint64_t dropped = 0;  ///< samples lost to a full queue
   std::uint64_t drained = 0;  ///< samples appended to the tsf stream
   std::uint64_t blocks = 0;   ///< tsf blocks written so far
 };
 
 class TelemetrySink {
  public:
-  explicit TelemetrySink(std::ostream& out, TelemetrySinkConfig cfg = {});
-  /// Finishes the stream if finish() was not called explicitly.
-  ~TelemetrySink();
+  /// `block_capacity` = samples per tsf block (see TsfWriter). The
+  /// stream is finished on destruction if finish() was not called.
+  explicit TelemetrySink(std::ostream& out, std::size_t block_capacity = 512);
   TelemetrySink(const TelemetrySink&) = delete;
   TelemetrySink& operator=(const TelemetrySink&) = delete;
 
   /// Registration: ids are dense, assigned in call order (producer order
-  /// is part of the byte-identity contract). Not hot-path — each call
-  /// takes the writer lock and may allocate.
+  /// is part of the byte-identity contract). Not hot-path — may allocate.
   std::uint32_t register_agent(std::string_view name, std::uint32_t as_number);
   /// Returns the metric's id, registering it on first use.
   std::uint32_t metric_id(std::string_view name);
   /// Returns the series id for agent × metric, opening it on first use.
   std::uint32_t series_id(std::uint32_t agent, std::uint32_t metric);
 
-  /// Hot path. Threaded mode: one lock-free enqueue, zero allocations,
-  /// never blocks (full queue → counted drop). Inline mode: synchronous
-  /// append (allocation-free between block flushes).
-  void push(std::uint32_t series, util::SimTime at, double value);
+  /// Hot path: one synchronous append (allocation-free between block
+  /// flushes). Throws std::logic_error after finish().
+  void push(std::uint32_t series, util::SimTime at, double value) {
+    writer_.append(series, at, value);
+  }
 
   /// Flattens an obs metrics snapshot through MetricsSnapshot::
   /// for_each_scalar and pushes one sample per scalar, timestamped `at`.
@@ -94,41 +66,19 @@ class TelemetrySink {
   /// transitions → "trace.health". Other payloads are skipped.
   void push_trace(std::uint32_t agent, const obs::EventTracer& tracer);
 
-  /// Drains everything, joins the consumer thread (threaded mode), writes
-  /// the tsf footer and flushes the stream. Idempotent; push() after
-  /// finish() throws.
-  void finish();
+  /// Writes the tsf footer and flushes the stream (TsfWriter::finish:
+  /// idempotent, throws std::runtime_error when the stream failed).
+  void finish() { writer_.finish(); }
 
-  [[nodiscard]] SinkStats stats() const;
-  [[nodiscard]] DrainMode mode() const { return cfg_.mode; }
-  [[nodiscard]] bool finished() const {
-    return finished_.load(std::memory_order_acquire);
+  [[nodiscard]] SinkStats stats() const {
+    return SinkStats{writer_.samples_written(), writer_.blocks_written()};
   }
 
  private:
-  /// POD crossing the queue; 24 bytes, trivially copyable.
-  struct Sample {
-    std::uint32_t series = 0;
-    std::int64_t at_ns = 0;
-    double value = 0.0;
-  };
-
-  void consume();
-  std::size_t drain_batch();
-
-  TelemetrySinkConfig cfg_;
-  mutable std::mutex writer_mutex_;  ///< guards writer_ + registration maps
   TsfWriter writer_;
   std::map<std::string, std::uint32_t, std::less<>> metric_ids_;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t>
       series_ids_;
-  SampleQueue<Sample> queue_;
-  std::thread consumer_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> finished_{false};
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> drained_{0};
 };
 
 }  // namespace syndog::telemetry

@@ -57,7 +57,7 @@ struct TsfSeries {
 /// Streaming writer. Register agents/metrics, open series, append
 /// samples, then finish(); the footer is written exactly once. Appends
 /// between block flushes touch only preallocated storage (the scratch
-/// encode buffer is sized at open_series time), so the inline drain mode
+/// encode buffer is sized at open_series time), so a TelemetrySink push
 /// stays off the allocator in steady state.
 class TsfWriter {
  public:
@@ -78,7 +78,9 @@ class TsfWriter {
   void append(std::uint32_t series, util::SimTime at, double value);
 
   /// Flushes every partial block (in series-id order), writes the footer
-  /// and trailer, and flushes the stream. Idempotent.
+  /// and trailer, and flushes the stream. Idempotent. Throws
+  /// std::runtime_error when the stream has failed (like pcap::Writer::
+  /// flush); the destructor's implicit finish never throws.
   void finish();
 
   [[nodiscard]] bool finished() const { return finished_; }
@@ -95,6 +97,8 @@ class TsfWriter {
   };
 
   void flush_block(std::uint32_t series_id);
+  /// Marks the writer finished, then writes the tail finish() describes.
+  void write_tail();
 
   std::ostream& out_;
   std::size_t block_capacity_;

@@ -1,40 +1,18 @@
 #include "syndog/telemetry/sink.hpp"
 
-#include <chrono>
-#include <stdexcept>
 #include <variant>
 
 namespace syndog::telemetry {
 
-std::string_view to_string(DrainMode mode) {
-  switch (mode) {
-    case DrainMode::kInline:
-      return "inline";
-    case DrainMode::kThreaded:
-      return "threaded";
-  }
-  return "unknown";
-}
-
-TelemetrySink::TelemetrySink(std::ostream& out, TelemetrySinkConfig cfg)
-    : cfg_(cfg),
-      writer_(out, cfg.block_capacity),
-      queue_(cfg.mode == DrainMode::kThreaded ? cfg.queue_capacity : 2) {
-  if (cfg_.mode == DrainMode::kThreaded) {
-    consumer_ = std::thread([this] { consume(); });
-  }
-}
-
-TelemetrySink::~TelemetrySink() { finish(); }
+TelemetrySink::TelemetrySink(std::ostream& out, std::size_t block_capacity)
+    : writer_(out, block_capacity) {}
 
 std::uint32_t TelemetrySink::register_agent(std::string_view name,
                                             std::uint32_t as_number) {
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
   return writer_.add_agent(name, as_number);
 }
 
 std::uint32_t TelemetrySink::metric_id(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
   const auto it = metric_ids_.find(name);
   if (it != metric_ids_.end()) return it->second;
   const std::uint32_t id = writer_.add_metric(name);
@@ -44,32 +22,12 @@ std::uint32_t TelemetrySink::metric_id(std::string_view name) {
 
 std::uint32_t TelemetrySink::series_id(std::uint32_t agent,
                                        std::uint32_t metric) {
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
   const auto key = std::make_pair(agent, metric);
   const auto it = series_ids_.find(key);
   if (it != series_ids_.end()) return it->second;
   const std::uint32_t id = writer_.open_series(agent, metric);
   series_ids_.emplace(key, id);
   return id;
-}
-
-void TelemetrySink::push(std::uint32_t series, util::SimTime at,
-                         double value) {
-  if (finished_.load(std::memory_order_acquire)) {
-    throw std::logic_error("TelemetrySink: push after finish");
-  }
-  if (cfg_.mode == DrainMode::kThreaded) {
-    if (queue_.try_push(Sample{series, at.ns(), value})) {
-      pushed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
-  writer_.append(series, at, value);
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  drained_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TelemetrySink::push_snapshot(std::uint32_t agent, util::SimTime at,
@@ -106,54 +64,6 @@ void TelemetrySink::push_trace(std::uint32_t agent,
            static_cast<double>(health->to));
     }
   });
-}
-
-std::size_t TelemetrySink::drain_batch() {
-  // Bounded batch per lock hold so registration calls from the producer
-  // are never starved behind a long drain.
-  constexpr std::size_t kBatch = 1024;
-  Sample s;
-  std::size_t n = 0;
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
-  while (n < kBatch && queue_.try_pop(s)) {
-    writer_.append(s.series, util::SimTime::nanoseconds(s.at_ns), s.value);
-    ++n;
-  }
-  if (n != 0) drained_.fetch_add(n, std::memory_order_relaxed);
-  return n;
-}
-
-void TelemetrySink::consume() {
-  for (;;) {
-    if (drain_batch() != 0) continue;
-    if (stop_.load(std::memory_order_acquire)) {
-      // stop_ is set after the last push; one more empty drain after
-      // observing it means the queue is truly exhausted.
-      if (drain_batch() == 0) return;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-void TelemetrySink::finish() {
-  if (finished_.exchange(true, std::memory_order_acq_rel)) return;
-  if (consumer_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    consumer_.join();
-  }
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
-  writer_.finish();
-}
-
-SinkStats TelemetrySink::stats() const {
-  SinkStats s;
-  s.pushed = pushed_.load(std::memory_order_relaxed);
-  s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.drained = drained_.load(std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(writer_mutex_);
-  s.blocks = writer_.blocks_written();
-  return s;
 }
 
 }  // namespace syndog::telemetry

@@ -126,7 +126,9 @@ TsfWriter::TsfWriter(std::ostream& out, std::size_t block_capacity)
 }
 
 TsfWriter::~TsfWriter() {
-  if (!finished_) finish();
+  // An implicit finish has no caller to report a stream failure to; an
+  // explicit finish() is how a caller learns of one.
+  if (!finished_) write_tail();
 }
 
 std::uint32_t TsfWriter::add_agent(std::string_view name,
@@ -206,6 +208,12 @@ void TsfWriter::flush_block(std::uint32_t series_id) {
 
 void TsfWriter::finish() {
   if (finished_) return;
+  write_tail();
+  if (!out_) throw std::runtime_error("TsfWriter: stream write failed");
+}
+
+void TsfWriter::write_tail() {
+  finished_ = true;  // first, so a failed stream is never written twice
   for (std::uint32_t i = 0; i < series_.size(); ++i) flush_block(i);
   std::vector<std::uint8_t> footer;
   put_varint(footer, agents_.size());
@@ -235,7 +243,6 @@ void TsfWriter::finish() {
   std::memcpy(trailer + 12, kTrailerMagic, 4);
   out_.write(reinterpret_cast<const char*>(trailer), kTrailerSize);
   out_.flush();
-  finished_ = true;
 }
 
 // ---------------------------------------------------------------- reader

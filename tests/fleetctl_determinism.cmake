@@ -1,9 +1,8 @@
-# Runs `syndog_fleetctl gen` three times — twice inline, once with the
-# threaded drain — and requires all three syndog-tsf/1 files to be
-# byte-identical, then runs the summary, alarms, and mitigation rollups
-# twice each and requires byte-identical text. Guards the two determinism contracts of
-# the telemetry layer: a campaign is a pure function of its seed, and the
-# consumer-thread drain never reaches the bytes (docs/OBSERVABILITY.md).
+# Runs `syndog_fleetctl gen` twice and requires the two syndog-tsf/1
+# files to be byte-identical, then runs the summary, alarms, and
+# mitigation rollups twice each and requires byte-identical text. Guards
+# the determinism contract of the telemetry layer: a campaign and its
+# rollups are a pure function of the seed (docs/OBSERVABILITY.md).
 #
 # Usage: cmake -DFLEETCTL=<path-to-syndog_fleetctl> -DWORK=<dir>
 #              -P fleetctl_determinism.cmake
@@ -14,13 +13,9 @@ endif()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
-foreach(run a b c)
-  set(flag "")
-  if(run STREQUAL "c")
-    set(flag "--threaded")
-  endif()
+foreach(run a b)
   execute_process(
-    COMMAND ${FLEETCTL} gen "${WORK}/${run}.tsf" ${flag}
+    COMMAND ${FLEETCTL} gen "${WORK}/${run}.tsf"
     RESULT_VARIABLE status
     OUTPUT_VARIABLE out
     ERROR_VARIABLE out)
@@ -29,17 +24,12 @@ foreach(run a b c)
   endif()
 endforeach()
 
-foreach(other b c)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${WORK}/a.tsf" "${WORK}/${other}.tsf"
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR
-            "gen runs a and ${other} wrote different tsf bytes "
-            "(run c is the threaded drain; a/b are inline)")
-  endif()
-endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${WORK}/a.tsf" "${WORK}/b.tsf"
+  RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+  message(FATAL_ERROR "gen runs a and b wrote different tsf bytes")
+endif()
 
 foreach(cmd summary alarms mitigation)
   set(texts "")

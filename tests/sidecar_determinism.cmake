@@ -4,7 +4,7 @@
 # export must be a pure function of the bench's seeds). Generic sibling
 # of replay_determinism.cmake; EXTRA_COMPARE may list additional
 # file names (relative to the sidecar dir) that must also match, e.g. the
-# tsf files bench_fleet_telemetry writes.
+# tsf file bench_fleet_telemetry writes.
 #
 # Usage: cmake -DBENCH=<path> -DNAME=<bench name> -DWORK=<dir>
 #              [-DEXTRA_COMPARE=f1,f2] -P sidecar_determinism.cmake

@@ -5,7 +5,6 @@
 
 #include "syndog/stats/histogram.hpp"
 #include "syndog/stats/online.hpp"
-#include "syndog/stats/quantile.hpp"
 #include "syndog/stats/series.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -101,50 +100,6 @@ TEST(EwmaMeanVarTest, TracksMoments) {
   for (int i = 0; i < 20000; ++i) mv.add(rng.normal(7.0, 3.0));
   EXPECT_NEAR(mv.mean(), 7.0, 0.5);
   EXPECT_NEAR(mv.stddev(), 3.0, 0.5);
-}
-
-// --- quantiles --------------------------------------------------------------
-
-TEST(P2QuantileTest, ExactBelowFiveSamples) {
-  P2Quantile q(0.5);
-  q.add(3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
-}
-
-TEST(P2QuantileTest, ApproximatesMedianOfUniform) {
-  util::Rng rng(7);
-  P2Quantile q(0.5);
-  for (int i = 0; i < 50000; ++i) q.add(rng.uniform());
-  EXPECT_NEAR(q.value(), 0.5, 0.02);
-}
-
-TEST(P2QuantileTest, ApproximatesTailQuantile) {
-  util::Rng rng(9);
-  P2Quantile q(0.95);
-  ExactQuantiles exact;
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.exponential_mean(2.0);
-    q.add(x);
-    exact.add(x);
-  }
-  EXPECT_NEAR(q.value(), exact.quantile(0.95), 0.3);
-}
-
-TEST(P2QuantileTest, RejectsBadQ) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(ExactQuantilesTest, InterpolatesAndClamps) {
-  ExactQuantiles q;
-  q.add_all({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(q.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(q.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(q.median(), 2.5);
-  EXPECT_DOUBLE_EQ(q.quantile(-1.0), 1.0);  // clamped
-  EXPECT_DOUBLE_EQ(ExactQuantiles{}.quantile(0.5), 0.0);
 }
 
 // --- Histogram --------------------------------------------------------------

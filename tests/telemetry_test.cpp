@@ -1,19 +1,20 @@
-// Fleet telemetry backend: syndog-tsf/1 round-trip and damage tolerance,
-// TelemetrySink drain modes (inline reference vs consumer thread), the
-// byte-identity contract between them, rollups, and the zero-allocation
-// guarantee on the producer path.
+// Fleet telemetry backend: syndog-tsf/1 round-trip, damage tolerance and
+// stream failures, the TelemetrySink and its adapters, FleetRecorder's
+// sampling cadence, rollups, and the zero-allocation guarantee on the
+// producer path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "syndog/core/fleet.hpp"
 #include "syndog/core/syndog.hpp"
-#include "syndog/telemetry/queue.hpp"
 #include "syndog/telemetry/rollup.hpp"
 #include "syndog/telemetry/sink.hpp"
 #include "syndog/telemetry/tsf.hpp"
@@ -26,44 +27,13 @@ namespace {
 
 using syndog::core::FleetRecorder;
 using syndog::core::SynDogParams;
-using syndog::telemetry::DrainMode;
 using syndog::telemetry::ReadEnd;
-using syndog::telemetry::SampleQueue;
 using syndog::telemetry::TelemetrySink;
-using syndog::telemetry::TelemetrySinkConfig;
 using syndog::telemetry::TsfReader;
 using syndog::telemetry::TsfSample;
 using syndog::telemetry::TsfWriter;
 using syndog::util::Rng;
 using syndog::util::SimTime;
-
-// ---------------------------------------------------------------- queue
-
-TEST(SampleQueueTest, FifoAndOverflow) {
-  SampleQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full: refused, not blocked
-  int out = -1;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.try_pop(out));
-  // Slots recycle after wrap-around.
-  for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(q.try_push(round));
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, round);
-  }
-}
-
-TEST(SampleQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SampleQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SampleQueue<int>(5).capacity(), 8u);
-  EXPECT_EQ(SampleQueue<int>(64).capacity(), 64u);
-  EXPECT_THROW(SampleQueue<int>(0), std::invalid_argument);
-}
 
 // ------------------------------------------------------------ tsf format
 
@@ -302,6 +272,39 @@ TEST(TsfFormatTest, BlockSeriesIdOutsideTheFooterIsDamage) {
   EXPECT_EQ(reader.series().size(), 1u);
 }
 
+TEST(TsfFormatTest, FinishThrowsWhenTheStreamFails) {
+  std::ostringstream out;
+  {
+    TsfWriter writer(out, /*block_capacity=*/4);
+    const std::uint32_t series =
+        writer.open_series(writer.add_agent("stub-a", 64512),
+                           writer.add_metric("k"));
+    for (int i = 0; i < 6; ++i) {
+      writer.append(series, SimTime::seconds(20 * (i + 1)), 100.0 + i);
+    }
+    out.setstate(std::ios::badbit);
+    EXPECT_THROW(writer.finish(), std::runtime_error);
+    EXPECT_TRUE(writer.finished());
+    // The failed finish already counts: nothing is written a second time,
+    // by another finish() or by the destructor.
+    const std::size_t written = out.str().size();
+    out.clear();
+    writer.finish();
+    EXPECT_EQ(out.str().size(), written);
+  }
+  // A sink whose stream fails and is never finished explicitly: the
+  // implicit finish in its destruction must not throw.
+  std::ostringstream sink_out;
+  {
+    TelemetrySink sink(sink_out);
+    const std::uint32_t agent = sink.register_agent("stub", 64512);
+    sink.push(sink.series_id(agent, sink.metric_id("k")),
+              SimTime::seconds(20), 1.0);
+    sink_out.setstate(std::ios::badbit);
+  }
+  EXPECT_TRUE(sink_out.bad());
+}
+
 TEST(TsfFormatTest, EmptyFileIsCleanEof) {
   std::ostringstream out;
   TsfWriter writer(out);
@@ -317,14 +320,10 @@ TEST(TsfFormatTest, EmptyFileIsCleanEof) {
 
 /// Drives the same deterministic mini-campaign through a sink and returns
 /// the file bytes plus final stats.
-std::string run_campaign(DrainMode mode, std::uint64_t seed,
+std::string run_campaign(std::uint64_t seed,
                          syndog::telemetry::SinkStats* stats_out = nullptr) {
   std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = mode;
-  cfg.queue_capacity = 1 << 14;
-  cfg.block_capacity = 64;
-  TelemetrySink sink(out, cfg);
+  TelemetrySink sink(out, /*block_capacity=*/64);
   FleetRecorder fleet(sink);
   Rng rng(seed);
   for (int a = 0; a < 8; ++a) {
@@ -350,9 +349,7 @@ std::string run_campaign(DrainMode mode, std::uint64_t seed,
 
 TEST(TelemetrySinkTest, InlineCampaignRoundTrips) {
   syndog::telemetry::SinkStats stats;
-  const std::string bytes = run_campaign(DrainMode::kInline, 7, &stats);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.pushed, stats.drained);
+  const std::string bytes = run_campaign(7, &stats);
   EXPECT_GT(stats.blocks, 0u);
   std::istringstream in(bytes);
   TsfReader reader(in);
@@ -372,10 +369,8 @@ TEST(TelemetrySinkTest, InlineCampaignRoundTrips) {
 }
 
 TEST(TelemetrySinkTest, SameSeedSameBytes) {
-  EXPECT_EQ(run_campaign(DrainMode::kInline, 41),
-            run_campaign(DrainMode::kInline, 41));
-  EXPECT_NE(run_campaign(DrainMode::kInline, 41),
-            run_campaign(DrainMode::kInline, 42));
+  EXPECT_EQ(run_campaign(41), run_campaign(41));
+  EXPECT_NE(run_campaign(41), run_campaign(42));
 }
 
 TEST(TelemetrySinkTest, PushAfterFinishThrows) {
@@ -425,96 +420,79 @@ TEST(TelemetrySinkTest, SnapshotAndTraceAdapters) {
   EXPECT_FALSE(timeline.edges[1].raised);
 }
 
-// -------------------------------------------------- threaded drain (tsan)
+// -------------------------------------------------------- fleet cadence
 
-TEST(TelemetryThreadedTest, ByteIdenticalToInlineReference) {
-  syndog::telemetry::SinkStats inline_stats;
-  syndog::telemetry::SinkStats threaded_stats;
-  const std::string ref = run_campaign(DrainMode::kInline, 11, &inline_stats);
-  const std::string threaded =
-      run_campaign(DrainMode::kThreaded, 11, &threaded_stats);
-  ASSERT_EQ(threaded_stats.dropped, 0u);
-  EXPECT_EQ(threaded_stats.drained, inline_stats.drained);
-  EXPECT_EQ(threaded, ref);  // the contract: interleaving never reaches bytes
-}
-
-TEST(TelemetryThreadedTest, AccountingBalancesUnderPressure) {
-  // A deliberately tiny queue: drops are *allowed* here — the invariant
-  // under pressure is that nothing vanishes silently and the file holds
-  // exactly the drained samples.
+TEST(FleetRecorderTest, HeartbeatDecimatesAndEdgesForceFullSets) {
+  constexpr std::int64_t kHeartbeat = 10;
+  constexpr std::int64_t kPeriods = 100;
   std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 8;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  constexpr std::uint64_t kAttempts = 50'000;
-  for (std::uint64_t i = 0; i < kAttempts; ++i) {
-    sink.push(series, SimTime::nanoseconds(static_cast<std::int64_t>(i)),
-              static_cast<double>(i));
+  TelemetrySink sink(out);
+  std::vector<std::int64_t> edge_periods;
+  {
+    FleetRecorder fleet(sink, FleetRecorder::Cadence{kHeartbeat});
+    fleet.add_agent("stub", 64512, SynDogParams{});
+    bool alarm = false;
+    for (std::int64_t period = 0; period < kPeriods; ++period) {
+      // Balanced handshakes, except a five-period flood that doubles
+      // the SYNs: the alarm rises during it and clears after it.
+      const bool flooding = period >= 33 && period < 38;
+      const auto report = fleet.observe(0, flooding ? 200 : 100, 100,
+                                        SimTime::seconds(20 * (period + 1)));
+      if (report.alarm != alarm) edge_periods.push_back(period);
+      alarm = report.alarm;
+    }
   }
   sink.finish();
-  const auto stats = sink.stats();
-  EXPECT_EQ(stats.pushed + stats.dropped, kAttempts);
-  EXPECT_EQ(stats.drained, stats.pushed);
+  ASSERT_EQ(edge_periods.size(), 2u);  // one raise, one clear
+
+  std::vector<std::int64_t> expected_k;  // heartbeats plus edge periods
+  for (std::int64_t period = 0; period < kPeriods; ++period) {
+    if (period % kHeartbeat == 0 ||
+        std::find(edge_periods.begin(), edge_periods.end(), period) !=
+            edge_periods.end()) {
+      expected_k.push_back(period);
+    }
+  }
+  // Both edges fall between heartbeats, so each forces an extra full set.
+  ASSERT_EQ(expected_k.size(),
+            static_cast<std::size_t>(kPeriods / kHeartbeat) + 2);
+
   std::istringstream in(out.str());
   TsfReader reader(in);
-  EXPECT_EQ(reader.end(), ReadEnd::kEof);
-  EXPECT_EQ(reader.total_samples(), stats.drained);
-}
-
-TEST(TelemetryThreadedTest, FinishDrainsEverythingPushedBeforeIt) {
-  std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  constexpr std::uint64_t kSamples = 20'000;
-  for (std::uint64_t i = 0; i < kSamples; ++i) {
-    sink.push(series, SimTime::nanoseconds(static_cast<std::int64_t>(i)),
-              static_cast<double>(i));
+  ASSERT_EQ(reader.end(), ReadEnd::kEof);
+  const auto samples_of = [&](std::string_view metric) {
+    const std::int64_t id = reader.find_metric(metric);
+    for (std::uint32_t s = 0; s < reader.series().size(); ++s) {
+      if (reader.series()[s].metric == id) return reader.samples(s);
+    }
+    ADD_FAILURE() << "no series for " << metric;
+    return std::vector<TsfSample>{};
+  };
+  const auto alarm = samples_of("alarm");
+  ASSERT_EQ(alarm.size(), 2u);
+  EXPECT_EQ(alarm[0].at, SimTime::seconds(20 * (edge_periods[0] + 1)));
+  EXPECT_DOUBLE_EQ(alarm[0].value, 1.0);
+  EXPECT_EQ(alarm[1].at, SimTime::seconds(20 * (edge_periods[1] + 1)));
+  EXPECT_DOUBLE_EQ(alarm[1].value, 0.0);
+  const auto k = samples_of("k");
+  ASSERT_EQ(k.size(), expected_k.size());
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    EXPECT_EQ(k[i].at, SimTime::seconds(20 * (expected_k[i] + 1)))
+        << "sample " << i;
   }
-  sink.finish();
-  const auto stats = sink.stats();
-  ASSERT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.drained, kSamples);
+  EXPECT_TRUE(samples_of("health").empty());  // fast-forward: no edges
+
+  std::ostringstream unused;
+  TelemetrySink other(unused);
+  EXPECT_THROW(FleetRecorder(other, FleetRecorder::Cadence{0}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- allocation guard
 
-TEST(TelemetryAllocTest, ThreadedPushIsAllocationFree) {
-  std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.mode = DrainMode::kThreaded;
-  cfg.queue_capacity = 1 << 15;
-  // Block capacity larger than the pushed count: the consumer appends into
-  // preallocated column vectors and never flushes during the window, so
-  // the guard covers the whole pipeline, not just the queue.
-  cfg.block_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-  const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
-  sink.push(series, SimTime::seconds(20), 1.0);  // warm-up
-
-  syndog::testsupport::AllocGuard guard;
-  for (int i = 0; i < 10'000; ++i) {
-    sink.push(series, SimTime::seconds(20 * (i + 2)),
-              static_cast<double>(i));
-  }
-  const std::size_t allocs = guard.stop();
-  EXPECT_EQ(allocs, 0u);
-  sink.finish();
-  EXPECT_EQ(sink.stats().dropped, 0u);
-}
-
 TEST(TelemetryAllocTest, InlineAppendIsAllocationFreeBetweenFlushes) {
   std::ostringstream out;
-  TelemetrySinkConfig cfg;
-  cfg.block_capacity = 1 << 16;
-  TelemetrySink sink(out, cfg);
+  TelemetrySink sink(out, /*block_capacity=*/1 << 16);
   const std::uint32_t agent = sink.register_agent("stub", 64512);
   const std::uint32_t series = sink.series_id(agent, sink.metric_id("k"));
   sink.push(series, SimTime::seconds(20), 1.0);

@@ -31,16 +31,15 @@ from .model import ERROR, Finding, Rule, register
 # only runner.cpp (the threaded window loop: cells claimed off one
 # counter, one std::barrier whose completion step runs
 # exchange_and_advance) spawns threads; there is no runner header, and
-# CampaignSim itself is sequential per cell and patrolled. src/telemetry
-# (sink drain thread) and src/util (logging level atomics, worker
-# plumbing) stay module-wide seams — their concurrency is not confined
-# to one file.
+# CampaignSim itself is sequential per cell and patrolled. src/util
+# (logging level atomics, worker plumbing) stays a module-wide seam — its
+# concurrency is not confined to one file. src/telemetry is no seam: its
+# sink appends on the producer's thread.
 _SEAM_DIRS = (
     "src/ingest/sharded",
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
     "src/campaign/runner",
-    "src/telemetry/",
     "src/util/",
 )
 
@@ -77,7 +76,7 @@ def _check_raw_thread(sf: SourceFile, ctx) -> Iterable[Finding]:
                 "",
                 "thread spawning lives only in the sanctioned seam files "
                 "(src/ingest sharded/frame_ring, src/campaign "
-                "runner, src/telemetry sink drain, src/util); route "
+                "runner, src/util); route "
                 "parallel work through those seams so the deterministic "
                 "single-thread reference stays authoritative",
             )
@@ -321,7 +320,7 @@ def _scan_scope(
                         f"{where} mutable object '{name_tok.text}' is shared "
                         "state outside the sanctioned seam files (src/ingest "
                         "sharded/frame_ring, src/campaign/runner, "
-                        "src/telemetry, src/util); pass state explicitly or "
+                        "src/util); pass state explicitly or "
                         "move the seam",
                     )
                 )
