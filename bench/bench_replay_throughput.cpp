@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       core::SynDogParams::paper_defaults());
   engine.add_sink(demux);
   engine.attach_observer(bench::sidecar()->registry());
-  demux.attach_observer(nullptr, bench::sidecar()->registry());
+  demux.attach_observer(bench::sidecar()->registry());
 
   const obs::WallClock clock;
   const std::int64_t wall_start = clock.now_ns();

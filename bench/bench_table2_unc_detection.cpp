@@ -44,7 +44,7 @@ int main() {
   // Sidecar extras: the UNC calibration scalars this table rests on, and
   // the per-period CUSUM trajectory of one representative floor-rate trial
   // run through the instrumented SynDog (its counters/gauges land in the
-  // sidecar "metrics" block, the per-period events in "events").
+  // sidecar "metrics" block).
   const auto [k_bar, c] = bench::record_site_calibration(spec, "unc");
   std::printf("calibration: K-bar %.1f (paper ~2114), c %.4f (paper ~0.049)\n",
               k_bar, c);
@@ -52,8 +52,7 @@ int main() {
   bench::Sidecar& side = *bench::sidecar();
   const bench::FloodTrial trial = bench::make_flood_trial(spec, 37.0, cfg, 0);
   const std::vector<core::PeriodReport> reports = core::run_over_series(
-      params, trial.out_syn, trial.in_syn_ack, &side.tracer(),
-      &side.registry());
+      params, trial.out_syn, trial.in_syn_ack, &side.registry());
   std::vector<double> yn;
   yn.reserve(reports.size());
   for (const core::PeriodReport& r : reports) yn.push_back(r.y);

@@ -15,10 +15,6 @@ namespace syndog::bench {
 
 namespace {
 
-// A generous ring: the longest bench trial is ~5400 periods, each emitting
-// a rollover + a CUSUM update, so 64k events hold several trials.
-constexpr std::size_t kTracerCapacity = 1 << 16;
-
 // Bench harness singleton: bench binaries are single-threaded and the
 // pointer is written once at startup, read once by the atexit hook.
 // syndog-lint: allow-next-line(concurrency.shared_mutable_static) -- single-threaded bench singleton
@@ -53,8 +49,7 @@ void append_json_object(
 
 }  // namespace
 
-Sidecar::Sidecar(std::string name)
-    : name_(std::move(name)), tracer_(kTracerCapacity) {
+Sidecar::Sidecar(std::string name) : name_(std::move(name)) {
   if (name_.empty()) {
     throw std::invalid_argument("sidecar: experiment name must be non-empty");
   }
@@ -101,11 +96,7 @@ std::string Sidecar::to_json() const {
   }
   out += "},\"metrics\":";
   out += registry_.snapshot().to_json();
-  out += ",\"events\":{\"recorded\":";
-  out += obs::json_number(static_cast<std::uint64_t>(tracer_.size()));
-  out += ",\"dropped\":";
-  out += obs::json_number(tracer_.dropped());
-  out += "}}\n";
+  out += "}\n";
   return out;
 }
 

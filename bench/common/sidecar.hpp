@@ -8,9 +8,9 @@
 // detection probability, delay) become diffable artifacts instead of log
 // prose.
 //
-// The sidecar also owns an obs::Registry and an obs::EventTracer; benches
-// that drive instrumented components (core::SynDog, sim::Scheduler) attach
-// these so the exported "metrics" block reflects the run.
+// The sidecar also owns an obs::Registry; benches that drive instrumented
+// components (core::SynDog, sim::Scheduler) attach it so the exported
+// "metrics" block reflects the run.
 #pragma once
 
 #include <map>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 
 namespace syndog::bench {
 
@@ -33,7 +32,6 @@ class Sidecar {
   void series(const std::string& key, std::vector<double> values);
 
   [[nodiscard]] obs::Registry& registry() { return registry_; }
-  [[nodiscard]] obs::EventTracer& tracer() { return tracer_; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::string to_json() const;
@@ -48,7 +46,6 @@ class Sidecar {
   std::map<std::string, std::string, std::less<>> text_;
   std::map<std::string, std::vector<double>, std::less<>> series_;
   obs::Registry registry_;
-  obs::EventTracer tracer_;
 };
 
 /// Opens the process-wide sidecar (idempotent for the same name; throws if

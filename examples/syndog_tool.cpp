@@ -22,19 +22,22 @@
 //       derive a site profile (K-bar, c, burstiness, recommended
 //       detector parameters) from any pcap/pcapng capture
 //
-// analyze and calibrate accept both classic pcap and pcapng files.
+// analyze and calibrate accept both classic pcap and pcapng files, and
+// stream them: memory stays flat whatever the capture's size or epoch.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <utility>
 
 #include "syndog/attack/campaign.hpp"
 #include "syndog/attack/flood.hpp"
-#include "syndog/classify/segment.hpp"
-#include "syndog/core/locator.hpp"
-#include "syndog/core/sniffer.hpp"
+#include "syndog/core/agent.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/arl_bins.hpp"
+#include "syndog/ingest/agent_demux.hpp"
+#include "syndog/ingest/replay.hpp"
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/pcap/pcapng.hpp"
 #include "syndog/stats/online.hpp"
@@ -128,66 +131,82 @@ int cmd_gen_trace(const util::Config& cfg) {
   return 0;
 }
 
-int cmd_analyze(const std::string& path, const util::Config& cfg) {
+/// One streamed pass of a capture through a first-mile agent for the
+/// stub `stub=` (default 10.1.0.0/16). ingest::ReplayEngine rebases
+/// absolute-epoch timestamps and closes each observation period on its
+/// scheduler; AgentDemux routes a frame outbound when its source is in
+/// the stub or its destination is not, inbound otherwise.
+class CaptureRun {
+ public:
+  /// Replays `file` to its end and closes the final partial period.
+  CaptureRun(std::ifstream file, net::Ipv4Prefix stub,
+             const core::SynDogParams& params)
+      : file_(std::move(file)),
+        engine_(file_),
+        demux_(engine_.scheduler(), {ingest::StubSpec{stub, "stub"}},
+               params) {
+    engine_.add_sink(demux_);
+    engine_.run();
+    demux_.close_final_period();
+  }
+
+  [[nodiscard]] const ingest::PipelineStats& stats() const {
+    return engine_.stats();
+  }
+  [[nodiscard]] const core::SynDogAgent& agent() const {
+    return demux_.agent(0);
+  }
+
+ private:
+  std::ifstream file_;  // read by engine_, so declared before it
+  ingest::ReplayEngine engine_;
+  ingest::AgentDemux demux_;
+};
+
+/// Opens `path` and replays it through a CaptureRun; nullptr (after a
+/// message on stderr) when the file or the stub= prefix is unusable.
+std::unique_ptr<CaptureRun> run_capture(const std::string& path,
+                                        const util::Config& cfg,
+                                        const core::SynDogParams& params) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
+    return nullptr;
   }
-  const auto stub = net::Ipv4Prefix::parse(
-      cfg.get_string("stub", "10.1.0.0/16"));
+  const auto stub =
+      net::Ipv4Prefix::parse(cfg.get_string("stub", "10.1.0.0/16"));
   if (!stub) {
     std::fprintf(stderr, "bad stub prefix\n");
-    return 1;
+    return nullptr;
   }
+  return std::make_unique<CaptureRun>(std::move(file), *stub, params);
+}
 
-  const std::vector<pcap::Record> records = pcap::read_any_capture(file);
+int cmd_analyze(const std::string& path, const util::Config& cfg) {
   const core::SynDogParams params = parse_params(cfg);
-  core::SynDog dog(params);
-  core::Sniffer outbound(core::SnifferRole::kOutbound);
-  core::Sniffer inbound(core::SnifferRole::kInbound);
-  core::SourceLocator locator(*stub);
+  const std::unique_ptr<CaptureRun> run = run_capture(path, cfg, params);
+  if (!run) return 1;
+  const core::SynDogAgent& agent = run->agent();
 
   util::TextTable table({"period", "SYN", "SYN/ACK", "Xn", "yn", "alarm"});
-  util::SimTime period_end = params.observation_period;
   int alarms = 0;
-  const auto close_period = [&] {
-    const core::PeriodReport r = dog.observe_period(
-        static_cast<std::int64_t>(outbound.harvest()),
-        static_cast<std::int64_t>(inbound.harvest()));
+  for (const core::PeriodReport& r : agent.history()) {
     alarms += r.alarm ? 1 : 0;
     table.add_row({std::to_string(r.period_index),
                    std::to_string(r.syn_count),
                    std::to_string(r.syn_ack_count),
                    util::format_double(r.x, 3),
                    util::format_double(r.y, 3), r.alarm ? "ALARM" : ""});
-  };
-
-  for (const pcap::Record& rec : records) {
-    while (rec.timestamp >= period_end) {
-      close_period();
-      period_end += params.observation_period;
-    }
-    const auto pkt = net::decode_frame(rec.data);
-    if (!pkt) continue;
-    const bool out_dir =
-        stub->contains(pkt->ip.src) || !stub->contains(pkt->ip.dst);
-    if (out_dir) {
-      outbound.on_frame(rec.data);
-      locator.on_packet(rec.timestamp, *pkt);
-    } else {
-      inbound.on_frame(rec.data);
-    }
   }
-  close_period();
 
   std::printf("%s", table.to_string().c_str());
   std::printf("%d alarm period(s); K estimate %.1f; Eq. (8) floor %.2f "
               "SYN/s\n",
-              alarms, dog.k(), dog.min_detectable_rate());
+              alarms, agent.detector().k(),
+              agent.detector().min_detectable_rate());
   if (alarms > 0) {
     std::printf("suspects (stations emitting spoofed-source SYNs):\n");
-    for (const core::Suspect& s : locator.suspects()) {
+    for (const core::Suspect& s : agent.locator().suspects()) {
       std::printf("  %s  spoofed=%llu total=%llu first=%s last=%s\n",
                   s.mac.to_string().c_str(),
                   static_cast<unsigned long long>(s.spoofed_syns),
@@ -340,48 +359,22 @@ int cmd_sweep(const util::Config& cfg) {
 /// SYN/ACK statistics, the normalized-difference mean c, and detector
 /// parameters recommended by the same rules AdaptiveSynDog uses.
 int cmd_calibrate(const std::string& path, const util::Config& cfg) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  const auto stub =
-      net::Ipv4Prefix::parse(cfg.get_string("stub", "10.1.0.0/16"));
-  if (!stub) {
-    std::fprintf(stderr, "bad stub prefix\n");
-    return 1;
-  }
-  const util::SimTime t0 = util::SimTime::seconds(cfg.get_int("t0", 20));
-
-  const std::vector<pcap::Record> records = pcap::read_any_capture(file);
-  if (records.empty()) {
+  core::SynDogParams params = core::SynDogParams::paper_defaults();
+  params.observation_period = util::SimTime::seconds(cfg.get_int("t0", 20));
+  const util::SimTime t0 = params.observation_period;
+  const std::unique_ptr<CaptureRun> run = run_capture(path, cfg, params);
+  if (!run) return 1;
+  if (run->stats().records == 0) {
     std::fprintf(stderr, "%s: no packets\n", path.c_str());
     return 1;
   }
 
-  // Bucket outgoing SYNs and incoming SYN/ACKs per period.
+  // Outgoing SYNs and incoming SYN/ACKs per period, as the agent counted.
   std::vector<std::int64_t> syns;
   std::vector<std::int64_t> acks;
-  for (const pcap::Record& rec : records) {
-    const auto idx = static_cast<std::size_t>(rec.timestamp / t0);
-    if (idx >= syns.size()) {
-      syns.resize(idx + 1, 0);
-      acks.resize(idx + 1, 0);
-    }
-    const auto kind = classify::classify_frame_fast(rec.data);
-    if (kind != classify::SegmentKind::kSyn &&
-        kind != classify::SegmentKind::kSynAck) {
-      continue;
-    }
-    const auto pkt = net::decode_frame(rec.data);
-    if (!pkt) continue;
-    const bool out_dir =
-        stub->contains(pkt->ip.src) || !stub->contains(pkt->ip.dst);
-    if (kind == classify::SegmentKind::kSyn && out_dir) {
-      ++syns[idx];
-    } else if (kind == classify::SegmentKind::kSynAck && !out_dir) {
-      ++acks[idx];
-    }
+  for (const core::PeriodReport& r : run->agent().history()) {
+    syns.push_back(r.syn_count);
+    acks.push_back(r.syn_ack_count);
   }
 
   const trace::SiteProfile profile =
@@ -393,7 +386,8 @@ int cmd_calibrate(const std::string& path, const util::Config& cfg) {
       "recommended detector parameters (c + 6 sigma rule, N = 3a):\n"
       "  a = %.3f  N = %.3f  -> detection floor %.2f SYN/s\n"
       "universal parameters would give a floor of %.2f SYN/s\n",
-      path.c_str(), records.size(), profile.periods,
+      path.c_str(), static_cast<std::size_t>(run->stats().records),
+      profile.periods,
       static_cast<long long>(t0.to_seconds()), profile.k_bar,
       profile.k_stddev, profile.k_cv, profile.c, profile.x_sigma,
       profile.recommended_a, profile.recommended_threshold,

@@ -3,17 +3,13 @@
 // The classifier itself (segment.hpp) stays a pure function — cheapness at
 // line rate is the paper's §2 design point. SegmentMetrics is the optional
 // observer a sniffer attaches next to it: one cached obs::Counter per
-// segment kind (exact totals, O(1) per packet) plus a sampled
-// obs::ClassifierHit event stream so the tracer shows *what kinds* of
-// segments a busy period carried without recording every packet.
+// segment kind, so exact totals cost one add per packet.
 #pragma once
 
-#include <cstdint>
 #include <string_view>
 
 #include "syndog/classify/segment.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 
 namespace syndog::classify {
 
@@ -24,29 +20,16 @@ namespace syndog::classify {
 class SegmentMetrics {
  public:
   /// Registers `<prefix>.<kind>` counters (e.g. "sniffer.out.syn") in
-  /// `registry`, which must outlive this object. When `tracer` is given,
-  /// every `sample_every`-th classified packet is also recorded as an
-  /// obs::ClassifierHit event.
-  SegmentMetrics(obs::Registry& registry, std::string_view prefix,
-                 obs::EventTracer* tracer = nullptr,
-                 std::uint64_t sample_every = 4096);
+  /// `registry`, which must outlive this object.
+  SegmentMetrics(obs::Registry& registry, std::string_view prefix);
 
-  /// O(1): one counter add, plus a ring write on sampled packets.
-  void on_segment(util::SimTime at, SegmentKind kind) {
+  /// O(1): one counter add.
+  void on_segment(SegmentKind kind) {
     counters_[static_cast<std::size_t>(kind)]->add();
-    if (tracer_ != nullptr && ++seen_ % sample_every_ == 0) {
-      tracer_->record(at, obs::ClassifierHit{
-                              static_cast<std::uint8_t>(kind), seen_});
-    }
   }
-
-  [[nodiscard]] std::uint64_t seen() const { return seen_; }
 
  private:
   obs::Counter* counters_[kSegmentKindCount] = {};
-  obs::EventTracer* tracer_;
-  std::uint64_t sample_every_;
-  std::uint64_t seen_ = 0;
 };
 
 }  // namespace syndog::classify

@@ -1,6 +1,5 @@
 #include "syndog/classify/instrument.hpp"
 
-#include <stdexcept>
 #include <string>
 
 namespace syndog::classify {
@@ -26,13 +25,7 @@ std::string_view segment_metric_name(SegmentKind kind) {
 }
 
 SegmentMetrics::SegmentMetrics(obs::Registry& registry,
-                               std::string_view prefix,
-                               obs::EventTracer* tracer,
-                               std::uint64_t sample_every)
-    : tracer_(tracer), sample_every_(sample_every) {
-  if (sample_every_ == 0) {
-    throw std::invalid_argument("SegmentMetrics: sample_every must be > 0");
-  }
+                               std::string_view prefix) {
   for (std::size_t i = 0; i < kSegmentKindCount; ++i) {
     const std::string name =
         std::string(prefix) + "." +

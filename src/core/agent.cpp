@@ -63,30 +63,22 @@ void SynDogAgent::on_interface(Interface side, util::SimTime at,
                                const net::Packet& packet) {
   if (side == counted_interfaces(mode_).syns) {
     const classify::SegmentKind kind = outbound_.on_packet(packet);
-    if (outbound_metrics_) outbound_metrics_->on_segment(at, kind);
+    if (outbound_metrics_) outbound_metrics_->on_segment(kind);
     // SYN emitters are on the local segment only in first-mile mode;
     // in last-mile mode the sources are beyond the router, so there is
     // no MAC evidence to gather.
     if (mode_ == AgentMode::kFirstMile) locator_.on_packet(at, packet);
   } else {
     const classify::SegmentKind kind = inbound_.on_packet(packet);
-    if (inbound_metrics_) inbound_metrics_->on_segment(at, kind);
+    if (inbound_metrics_) inbound_metrics_->on_segment(kind);
   }
 }
 
-void SynDogAgent::attach_observer(obs::EventTracer* tracer,
-                                  obs::Registry& registry) {
-  tracer_ = tracer;
+void SynDogAgent::attach_observer(obs::Registry& registry) {
   registry_ = &registry;
-  // The detector stamps period n at epoch + (n+1)·t0; with the current
-  // scheduler time minus the periods already fed as the epoch, that lands
-  // exactly on the scheduler time of each on_period_end() tick.
-  syndog_.attach_observer(
-      tracer, &registry,
-      scheduler_.now() -
-          syndog_.periods_observed() * params_.observation_period);
-  outbound_metrics_.emplace(registry, "sniffer.out", tracer);
-  inbound_metrics_.emplace(registry, "sniffer.in", tracer);
+  syndog_.attach_observer(&registry);
+  outbound_metrics_.emplace(registry, "sniffer.out");
+  inbound_metrics_.emplace(registry, "sniffer.in");
 }
 
 void SynDogAgent::set_period_callback(PeriodCallback cb) {
@@ -111,8 +103,7 @@ void SynDogAgent::notify_sniffer_outage(bool active) {
   if (active) {
     outage_touched_ = true;
     clean_streak_ = 0;
-    transition(scheduler_.now(), AgentHealth::kBlind,
-               HealthReason::kSnifferOutage);
+    transition(AgentHealth::kBlind);
   }
   // Deactivation is acted on at the next rollover: the partial counters
   // are discarded once more and the agent re-arms through quarantine.
@@ -131,24 +122,15 @@ void SynDogAgent::schedule_next_period() {
                                             [this] { on_period_end(); });
 }
 
-void SynDogAgent::transition(util::SimTime at, AgentHealth to,
-                             HealthReason reason) {
+void SynDogAgent::transition(AgentHealth to) {
   if (health_ == to) return;
-  const auto from = static_cast<std::uint8_t>(health_);
   health_ = to;
-  if (tracer_ != nullptr) {
-    tracer_->record(at,
-                    obs::HealthTransition{from,
-                                          static_cast<std::uint8_t>(to),
-                                          static_cast<std::uint8_t>(reason),
-                                          syndog_.periods_observed()});
-  }
   if (registry_ != nullptr) {
     registry_->counter("agent.health_transitions").add();
   }
 }
 
-void SynDogAgent::begin_quarantine(util::SimTime at) {
+void SynDogAgent::begin_quarantine() {
   // The statistic accumulated before/through the blind interval mixes
   // real and faulted evidence; discard it but keep K (site level changes
   // slowly) and hold alarms until the detector has re-earned trust.
@@ -158,14 +140,14 @@ void SynDogAgent::begin_quarantine(util::SimTime at) {
   ++recoveries_;
   clean_streak_ = 0;
   if (registry_ != nullptr) registry_->counter("agent.recoveries").add();
-  transition(at, AgentHealth::kDegraded, HealthReason::kQuarantine);
+  transition(AgentHealth::kDegraded);
 }
 
-void SynDogAgent::note_clean_period(util::SimTime at) {
+void SynDogAgent::note_clean_period() {
   ++clean_streak_;
   if (health_ == AgentHealth::kDegraded && quarantine_remaining_ == 0 &&
       clean_streak_ >= policy_.heal_after) {
-    transition(at, AgentHealth::kHealthy, HealthReason::kRecovered);
+    transition(AgentHealth::kHealthy);
   }
   if (backoff_periods_ > policy_.quarantine_initial &&
       clean_streak_ % policy_.backoff_decay_after == 0) {
@@ -218,7 +200,7 @@ void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
   if (missed > 0) {
     syndog_.note_gap_periods(missed);
     clean_streak_ = 0;
-    transition(at, AgentHealth::kDegraded, HealthReason::kPeriodGap);
+    transition(AgentHealth::kDegraded);
   }
 
   // (b) Known sniffer outage: the counters are garbage (partial or zero),
@@ -230,7 +212,7 @@ void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
     ++blind_periods_;
     if (registry_ != nullptr) registry_->counter("agent.blind_periods").add();
     syndog_.note_gap_periods(1);
-    if (outage_ended) begin_quarantine(at);
+    if (outage_ended) begin_quarantine();
     return;
   }
 
@@ -248,17 +230,13 @@ void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
       if (registry_ != nullptr) {
         registry_->counter("agent.collapse_periods").add();
       }
-      transition(at, AgentHealth::kDegraded, HealthReason::kSynAckCollapse);
+      transition(AgentHealth::kDegraded);
       return;
     }
   } else {
     consecutive_collapsed_ = 0;
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->record(at, obs::PeriodRollover{syndog_.periods_observed(),
-                                            syns, syn_acks});
-  }
   const PeriodReport report = syndog_.observe_period(syns, syn_acks);
   history_.push_back(report);
 
@@ -283,7 +261,7 @@ void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
     }
   }
 
-  if (missed == 0 && consecutive_collapsed_ == 0) note_clean_period(at);
+  if (missed == 0 && consecutive_collapsed_ == 0) note_clean_period();
   for (const PeriodCallback& cb : on_period_) cb(report, health_, at);
 }
 

@@ -71,21 +71,11 @@ struct CountedInterfaces {
              : CountedInterfaces{Interface::kInbound, Interface::kOutbound};
 }
 
-/// Agent operational health (exported in obs::HealthTransition events).
+/// Agent operational health (the fleet telemetry "health" series).
 enum class AgentHealth : std::uint8_t {
   kHealthy = 0,   ///< counters trusted, alarms live
   kDegraded = 1,  ///< partial evidence (gaps, collapse, quarantine)
   kBlind = 2,     ///< sniffers known dead; periods are discarded
-};
-
-/// Why the agent last changed health state.
-enum class HealthReason : std::uint8_t {
-  kNone = 0,
-  kSnifferOutage = 1,   ///< notify_sniffer_outage(true)
-  kPeriodGap = 2,       ///< period timer fired late; rollovers missed
-  kSynAckCollapse = 3,  ///< SYN/ACKs vanished relative to K (dead downlink)
-  kQuarantine = 4,      ///< post-blind self-reset; alarms suppressed
-  kRecovered = 5,       ///< clean streak completed; back to healthy
 };
 
 /// Tunables for the degradation layer. Periods are observation periods.
@@ -150,14 +140,13 @@ class SynDogAgent {
     on_interface(Interface::kInbound, at, packet);
   }
 
-  /// Attaches telemetry sinks (must outlive the agent; nullptr detaches
-  /// the tracer). Period rollovers, the CUSUM derivation, and alarm edges
-  /// are recorded into `tracer` timestamped with the scheduler clock;
-  /// per-segment-kind classifier counters ("sniffer.out.*" /
-  /// "sniffer.in.*") and the "syndog.*" instruments land in `registry`.
-  /// Degradation instruments ("agent.*") and obs::HealthTransition events
-  /// are created lazily, only once a fault actually occurs.
-  void attach_observer(obs::EventTracer* tracer, obs::Registry& registry);
+  /// Attaches `registry` (must outlive the agent): per-segment-kind
+  /// classifier counters ("sniffer.out.*" / "sniffer.in.*") and the
+  /// "syndog.*" instruments land there. Degradation instruments
+  /// ("agent.*") are created lazily, only once a fault actually occurs.
+  /// Per-period state is not a registry concern: it reaches consumers
+  /// through the period callbacks below.
+  void attach_observer(obs::Registry& registry);
 
   /// Replaces the degradation tunables (validated). Call before faults
   /// start; does not retroactively reinterpret past periods.
@@ -256,9 +245,9 @@ class SynDogAgent {
                     const net::Packet& packet);
   void on_period_end();
   void schedule_next_period();
-  void transition(util::SimTime at, AgentHealth to, HealthReason reason);
-  void begin_quarantine(util::SimTime at);
-  void note_clean_period(util::SimTime at);
+  void transition(AgentHealth to);
+  void begin_quarantine();
+  void note_clean_period();
   [[nodiscard]] bool synack_collapsed(std::int64_t syns,
                                       std::int64_t syn_acks) const;
 
@@ -292,7 +281,6 @@ class SynDogAgent {
   std::int64_t recoveries_ = 0;
 
   // Telemetry (optional; see attach_observer).
-  obs::EventTracer* tracer_ = nullptr;
   obs::Registry* registry_ = nullptr;
   std::optional<classify::SegmentMetrics> outbound_metrics_;
   std::optional<classify::SegmentMetrics> inbound_metrics_;

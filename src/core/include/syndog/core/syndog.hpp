@@ -21,7 +21,6 @@
 
 #include "syndog/detect/cusum.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/stats/online.hpp"
 #include "syndog/util/time.hpp"
 
@@ -85,15 +84,11 @@ class SynDog {
   PeriodReport observe_period(std::int64_t syn_count,
                               std::int64_t syn_ack_count);
 
-  /// Attaches telemetry sinks; both optional (nullptr detaches) and must
-  /// outlive the detector. Each observe_period() then records an
-  /// obs::CusumUpdate — and obs::AlarmRaised / obs::AlarmCleared on alarm
-  /// edges — timestamped at `epoch + (n+1)·t0` (the end of period n on the
-  /// DES clock; an agent passes its attach time as the epoch), and updates
-  /// the "syndog.*" instruments in `registry`. Purely observational:
-  /// detection behaviour is identical with or without sinks.
-  void attach_observer(obs::EventTracer* tracer, obs::Registry* registry,
-                       util::SimTime epoch = util::SimTime::zero());
+  /// Attaches the "syndog.*" instruments of `registry` (nullptr
+  /// detaches; must outlive the detector), which each observe_period()
+  /// then updates. Purely observational: detection behaviour is identical
+  /// with or without a registry.
+  void attach_observer(obs::Registry* registry);
 
   [[nodiscard]] const SynDogParams& params() const { return params_; }
   [[nodiscard]] double y() const { return cusum_.statistic(); }
@@ -113,8 +108,8 @@ class SynDog {
   void rearm();
 
   /// Accounts `n` observation periods the sniffers missed entirely (tap
-  /// outage, stalled timer). The period index advances so the tracer
-  /// timeline stays aligned with the DES clock, and the miss is counted —
+  /// outage, stalled timer). The period index advances so it stays
+  /// aligned with the DES clock, and the miss is counted —
   /// K and yn are left untouched, because "no data" is not "zero SYNs":
   /// feeding zeros would both crash K and bank spurious negative drift.
   void note_gap_periods(std::int64_t n);
@@ -142,13 +137,11 @@ class SynDog {
   std::int64_t gap_periods_ = 0;
   bool last_alarm_ = false;
 
-  // Telemetry sinks (optional; see attach_observer). The registry pointer
-  // is kept so fault-only instruments ("syndog.gap_periods",
+  // Telemetry (optional; see attach_observer). The registry pointer is
+  // kept so fault-only instruments ("syndog.gap_periods",
   // "syndog.x_clamped_periods") can be created lazily: they appear in a
   // snapshot only once the condition has occurred, keeping fault-free runs
   // byte-identical to builds that predate them.
-  obs::EventTracer* tracer_ = nullptr;
-  util::SimTime trace_epoch_;
   obs::Registry* registry_ = nullptr;
   obs::Counter* periods_counter_ = nullptr;
   obs::Counter* alarm_periods_counter_ = nullptr;
@@ -158,12 +151,11 @@ class SynDog {
 };
 
 /// Batch helper: runs SYN-dog over parallel per-period count series and
-/// returns the reports (used by the trace-driven benches and tests). When
-/// telemetry sinks are given they are attached for the run (epoch 0), so
-/// the traced {Δn, K, Xn, yn} stream mirrors the returned reports.
+/// returns the reports (used by the trace-driven benches and tests). A
+/// given `registry` is attached for the run.
 [[nodiscard]] std::vector<PeriodReport> run_over_series(
     const SynDogParams& params, const std::vector<std::int64_t>& syns,
     const std::vector<std::int64_t>& syn_acks,
-    obs::EventTracer* tracer = nullptr, obs::Registry* registry = nullptr);
+    obs::Registry* registry = nullptr);
 
 }  // namespace syndog::core

@@ -53,10 +53,7 @@ double SynDog::k() const {
   return k_.primed() ? k_.value() : 0.0;
 }
 
-void SynDog::attach_observer(obs::EventTracer* tracer,
-                             obs::Registry* registry, util::SimTime epoch) {
-  tracer_ = tracer;
-  trace_epoch_ = epoch;
+void SynDog::attach_observer(obs::Registry* registry) {
   registry_ = registry;
   if (registry != nullptr) {
     periods_counter_ = &registry->counter("syndog.periods");
@@ -110,20 +107,6 @@ PeriodReport SynDog::observe_period(std::int64_t syn_count,
   const bool was_alarmed = last_alarm_;
   last_alarm_ = decision.alarm;
 
-  if (tracer_ != nullptr) {
-    const util::SimTime at =
-        trace_epoch_ +
-        (report.period_index + 1) * params_.observation_period;
-    tracer_->record(at,
-                    obs::CusumUpdate{report.period_index, report.delta,
-                                     report.k_estimate, report.x, report.y});
-    if (report.alarm && !was_alarmed) {
-      tracer_->record(at, obs::AlarmRaised{report.period_index, report.y,
-                                           params_.threshold});
-    } else if (!report.alarm && was_alarmed) {
-      tracer_->record(at, obs::AlarmCleared{report.period_index, report.y});
-    }
-  }
   if (periods_counter_ != nullptr) {
     periods_counter_->add();
     if (report.alarm) {
@@ -189,13 +172,12 @@ double SynDog::expected_detection_periods(double fi, double c) const {
 
 std::vector<PeriodReport> run_over_series(
     const SynDogParams& params, const std::vector<std::int64_t>& syns,
-    const std::vector<std::int64_t>& syn_acks, obs::EventTracer* tracer,
-    obs::Registry* registry) {
+    const std::vector<std::int64_t>& syn_acks, obs::Registry* registry) {
   if (syns.size() != syn_acks.size()) {
     throw std::invalid_argument("run_over_series: series size mismatch");
   }
   SynDog dog(params);
-  dog.attach_observer(tracer, registry);
+  dog.attach_observer(registry);
   std::vector<PeriodReport> reports;
   reports.reserve(syns.size());
   for (std::size_t n = 0; n < syns.size(); ++n) {

@@ -8,19 +8,13 @@ namespace syndog::detect {
 
 TrialResult run_trial(ChangeDetector& detector,
                       const std::vector<double>& series,
-                      std::size_t attack_onset, const TraceOptions& trace) {
+                      std::size_t attack_onset) {
   TrialResult result;
   result.statistic_path.reserve(series.size());
   bool was_alarmed = false;  // rising-edge detection for false-alarm count
   for (std::size_t n = 0; n < series.size(); ++n) {
     const Decision decision = detector.update(series[n]);
     result.statistic_path.push_back(decision.statistic);
-    if (trace.tracer != nullptr) {
-      trace.tracer->record(
-          trace.period * static_cast<std::int64_t>(n),
-          obs::DetectorStep{static_cast<std::int64_t>(n), series[n],
-                            decision.statistic, decision.alarm});
-    }
     if (n < attack_onset) {
       if (decision.alarm && !was_alarmed) {
         ++result.false_alarms;

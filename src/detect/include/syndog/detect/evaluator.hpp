@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "syndog/detect/change_detector.hpp"
-#include "syndog/obs/trace.hpp"
 
 namespace syndog::detect {
 
@@ -30,16 +29,6 @@ struct TrialResult {
   std::vector<double> statistic_path;
 };
 
-/// Optional telemetry for run_trial: when `tracer` is set, every detector
-/// update is recorded as an obs::DetectorStep timestamped at
-/// `period * index` on the DES clock (period zero leaves ordering to the
-/// seq/index fields). This is how the GLR/Shiryaev/ARL comparators expose
-/// their statistic paths to the exporters without a CUSUM-shaped API.
-struct TraceOptions {
-  obs::EventTracer* tracer = nullptr;
-  util::SimTime period = util::SimTime::zero();
-};
-
 /// Feeds `series` to a fresh detector. `attack_onset` is the index of the
 /// first attack-affected observation (pass series.size() for attack-free
 /// runs). The detector keeps running after a pre-onset alarm (the statistic
@@ -47,8 +36,7 @@ struct TraceOptions {
 /// monitor behaves.
 [[nodiscard]] TrialResult run_trial(ChangeDetector& detector,
                                     const std::vector<double>& series,
-                                    std::size_t attack_onset,
-                                    const TraceOptions& trace = {});
+                                    std::size_t attack_onset);
 
 /// Ensemble aggregate over trials, mirroring the paper's table columns.
 struct EnsembleResult {

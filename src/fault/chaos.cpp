@@ -121,12 +121,6 @@ void ChaosController::on_window_edge(const FaultSpec& spec, bool active) {
   if (active_gauge_ != nullptr) {
     active_gauge_->set(static_cast<double>(active_faults_));
   }
-  if (tracer_ != nullptr) {
-    tracer_->record(sim_.scheduler().now(),
-                    obs::FaultEdge{static_cast<std::uint8_t>(spec.kind),
-                                   static_cast<std::uint8_t>(spec.target),
-                                   active});
-  }
   if (spec.kind == FaultKind::kTapOutage) {
     const std::int64_t before = open_tap_outages_;
     open_tap_outages_ += active ? 1 : -1;
@@ -156,18 +150,10 @@ bool ChaosController::divert_inbound(util::SimTime now,
   return false;
 }
 
-void ChaosController::attach_observer(obs::Registry* registry,
-                                      obs::EventTracer* tracer) {
-  tracer_ = tracer;
-  if (registry != nullptr) {
-    edges_counter_ = &registry->counter("fault.edges");
-    diverted_counter_ = &registry->counter("fault.diverted_syn_acks");
-    active_gauge_ = &registry->gauge("fault.active_faults");
-  } else {
-    edges_counter_ = nullptr;
-    diverted_counter_ = nullptr;
-    active_gauge_ = nullptr;
-  }
+void ChaosController::attach_observer(obs::Registry& registry) {
+  edges_counter_ = &registry.counter("fault.edges");
+  diverted_counter_ = &registry.counter("fault.diverted_syn_acks");
+  active_gauge_ = &registry.gauge("fault.active_faults");
 }
 
 }  // namespace syndog::fault

@@ -8,11 +8,10 @@
 // windows never open — leaves every packet-level outcome of the
 // simulation byte-identical to an unfaulted run.
 //
-// Fault window edges are announced three ways, all optional: an
-// obs::FaultEdge trace event, the "fault.*" registry instruments, and —
-// for tap outages — a callback the agent harness can route into
-// core::SynDogAgent::notify_sniffer_outage (the fault layer itself does
-// not depend on core).
+// Fault window edges are announced two ways, both optional: the "fault.*"
+// registry instruments and — for tap outages — a callback the agent
+// harness can route into core::SynDogAgent::notify_sniffer_outage (the
+// fault layer itself does not depend on core).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,6 @@
 #include "syndog/fault/schedule.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/util/rng.hpp"
@@ -57,10 +55,10 @@ class ChaosController {
     outage_listener_ = std::move(listener);
   }
 
-  /// Attaches telemetry ("fault.edges" counter, "fault.active_faults"
-  /// gauge, obs::FaultEdge events). Sinks must outlive the controller;
-  /// nullptr tracer disables tracing.
-  void attach_observer(obs::Registry* registry, obs::EventTracer* tracer);
+  /// Attaches telemetry ("fault.edges" and "fault.diverted_syn_acks"
+  /// counters, "fault.active_faults" gauge); `registry` must outlive the
+  /// controller.
+  void attach_observer(obs::Registry& registry);
 
   /// SYN/ACKs diverted around the inbound tap so far.
   [[nodiscard]] std::uint64_t diverted_syn_acks() const {
@@ -91,7 +89,6 @@ class ChaosController {
   std::uint64_t diverted_syn_acks_ = 0;
 
   // Telemetry (optional; see attach_observer).
-  obs::EventTracer* tracer_ = nullptr;
   obs::Counter* edges_counter_ = nullptr;
   obs::Counter* diverted_counter_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;

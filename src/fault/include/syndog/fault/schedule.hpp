@@ -16,7 +16,7 @@
 
 namespace syndog::fault {
 
-/// What misbehaves (values are stable: they appear in obs::FaultEdge).
+/// What misbehaves.
 enum class FaultKind : std::uint8_t {
   /// The link is administratively dead for the window: every packet is
   /// dropped (counted as dropped_link_down, not as loss).
@@ -38,7 +38,7 @@ enum class FaultKind : std::uint8_t {
   kAsymmetricRoute = 5,
 };
 
-/// What the fault applies to (stable values, exported in obs::FaultEdge).
+/// What the fault applies to.
 enum class FaultTarget : std::uint8_t {
   kUplink = 0,    ///< router -> Internet link
   kDownlink = 1,  ///< Internet -> router link

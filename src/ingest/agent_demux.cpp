@@ -29,10 +29,9 @@ AgentDemux::AgentDemux(sim::Scheduler& scheduler, std::vector<StubSpec> stubs,
 
 AgentDemux::~AgentDemux() = default;
 
-void AgentDemux::attach_observer(obs::EventTracer* tracer,
-                                 obs::Registry& registry) {
+void AgentDemux::attach_observer(obs::Registry& registry) {
   for (const std::unique_ptr<Stub>& stub : stubs_) {
-    stub->agent.attach_observer(tracer, registry);
+    stub->agent.attach_observer(registry);
   }
   local_counter_ = &registry.counter("ingest.demux.local_frames");
   unroutable_counter_ = &registry.counter("ingest.demux.unroutable_frames");

@@ -1,11 +1,11 @@
 // Multi-agent capture demultiplexer.
 //
 // Routes replayed frames to one core::SynDogAgent per stub, so one pass
-// over one capture drives N independent detectors, emitting the same
-// period_rollover / cusum_update / alarm telemetry as the simulated
-// topologies. Each frame goes through the StubRouter (stub_router.hpp)
-// straight into the agent entry (on_outbound / on_inbound) of the stubs
-// whose interfaces it crosses: there is no per-stub sim::LeafRouter, so
+// over one capture drives N independent detectors, each with the same
+// period reports, alarms and counters as in the simulated topologies.
+// Each frame goes through the StubRouter (stub_router.hpp) straight into
+// the agent entry (on_outbound / on_inbound) of the stubs whose
+// interfaces it crosses: there is no per-stub sim::LeafRouter, so
 // no "router.*" counters either. LAN-local frames count in
 // local_frames(), frames matching no stub with default_stub = -1 in
 // unroutable_frames().
@@ -21,7 +21,6 @@
 #include "syndog/ingest/replay.hpp"
 #include "syndog/ingest/stub_router.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/sim/scheduler.hpp"
 
 namespace syndog::ingest {
@@ -45,9 +44,9 @@ class AgentDemux final : public ReplaySink {
   AgentDemux(const AgentDemux&) = delete;
   AgentDemux& operator=(const AgentDemux&) = delete;
 
-  /// Wires agent telemetry and demux counters ("ingest.demux.*") into the
-  /// sinks. `tracer` may be nullptr; both must outlive the demux.
-  void attach_observer(obs::EventTracer* tracer, obs::Registry& registry);
+  /// Wires agent instruments and demux counters ("ingest.demux.*") into
+  /// `registry`, which must outlive the demux.
+  void attach_observer(obs::Registry& registry);
 
   void on_frame(util::SimTime at, const Frame& frame) override;
 

@@ -1,11 +1,11 @@
 // Format-agnostic incremental capture source.
 //
 // Sniffs the first four bytes of a stream (pcap::is_pcapng) to choose
-// between the classic pcap reader and the pcapng reader, then yields records one at a time
-// through the readers' buffer-reusing next_into() path — unlike
-// pcap::read_any_capture, which slurps the whole file into a vector. The
-// terminal state (clean EOF vs truncation) is surfaced unchanged so the
-// replay engine can account for damaged captures.
+// between the classic pcap reader and the pcapng reader, then yields
+// records one at a time through the readers' buffer-reusing next_into()
+// path, so memory stays flat whatever the capture size. The terminal
+// state (clean EOF vs truncation) is surfaced unchanged so the replay
+// engine can account for damaged captures.
 #pragma once
 
 #include <cstdint>

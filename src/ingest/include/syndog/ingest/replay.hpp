@@ -39,35 +39,20 @@ enum class ReplayClock : std::uint8_t {
   kPaced,  ///< throttle to `speed` x capture time per wall time
 };
 
-/// How capture timestamps map onto the scheduler's epoch-zero clock.
-enum class TimeOrigin : std::uint8_t {
-  /// kFirstFrame when the first timestamp exceeds 24 h (a real capture
-  /// stamped with an absolute epoch), kCaptureZero otherwise (synthetic
-  /// captures already start near zero).
-  kAuto,
-  kCaptureZero,  ///< use timestamps as-is
-  kFirstFrame,   ///< subtract the first frame's timestamp
-};
-
-/// The epoch rebase both ingest datapaths apply to every decoded frame:
-/// the first timestamp fixes the epoch by the TimeOrigin rule, and each
-/// result is clamped to the previous one, so out-of-order or pre-epoch
-/// stamps can never rewind the replay clock.
+/// The epoch rebase both ingest datapaths apply to every decoded frame,
+/// mapping capture timestamps onto the scheduler's epoch-zero clock. A
+/// first timestamp beyond 24 h is an absolute-epoch stamp from a real
+/// capture and becomes the epoch; a smaller one marks a synthetic
+/// capture that already starts near zero, kept as-is. Each result is
+/// clamped to the previous one, so out-of-order or pre-epoch stamps can
+/// never rewind the replay clock.
 class EpochRebase {
  public:
-  explicit EpochRebase(TimeOrigin origin) : origin_(origin) {}
-
   /// Replay-clock time of the next decoded frame, stamped `capture_at`.
   [[nodiscard]] util::SimTime operator()(util::SimTime capture_at) {
     if (!first_seen_) {
       first_seen_ = true;
-      // kAuto: a first stamp beyond 24 h is an absolute-epoch stamp from
-      // a real capture, not a synthetic zero-based trace.
-      if (origin_ == TimeOrigin::kFirstFrame ||
-          (origin_ == TimeOrigin::kAuto &&
-           capture_at > util::SimTime::seconds(86400))) {
-        epoch_ = capture_at;
-      }
+      if (capture_at > util::SimTime::seconds(86400)) epoch_ = capture_at;
     }
     const util::SimTime at = capture_at - epoch_;
     if (at > last_) last_ = at;
@@ -80,7 +65,6 @@ class EpochRebase {
   [[nodiscard]] util::SimTime last() const { return last_; }
 
  private:
-  TimeOrigin origin_;
   bool first_seen_ = false;
   util::SimTime epoch_ = util::SimTime::zero();
   util::SimTime last_ = util::SimTime::zero();
@@ -89,7 +73,6 @@ class EpochRebase {
 struct ReplayConfig {
   ReplayClock clock = ReplayClock::kAsFastAsPossible;
   double speed = 1.0;  ///< kPaced: capture seconds per wall second
-  TimeOrigin origin = TimeOrigin::kAuto;
   void validate() const;
 };
 
@@ -139,7 +122,7 @@ class ReplayEngine final {
     return source_.end_state();
   }
   /// Capture timestamp subtracted from every frame (0 until the first
-  /// frame is seen under kAuto/kFirstFrame).
+  /// frame, and for captures that start within 24 h of zero).
   [[nodiscard]] util::SimTime epoch() const { return rebase_.epoch(); }
   [[nodiscard]] util::SimTime last_frame_at() const { return rebase_.last(); }
   [[nodiscard]] std::uint64_t frames_replayed() const {

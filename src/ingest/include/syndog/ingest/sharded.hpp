@@ -62,7 +62,6 @@ struct ShardedConfig {
   /// Flag bytes buffered per (stub, direction) before a SIMD sweep folds
   /// them into the open period's partial counts.
   std::size_t flush_threshold = 4096;
-  TimeOrigin origin = TimeOrigin::kAuto;
   core::SynDogParams params;
   core::AgentHealthPolicy health;
   core::AgentMode mode = core::AgentMode::kFirstMile;

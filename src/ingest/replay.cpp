@@ -18,7 +18,6 @@ void ReplayConfig::validate() const {
 ReplayEngine::ReplayEngine(std::istream& in, ReplayConfig cfg)
     : cfg_((cfg.validate(), cfg)),
       source_(in),
-      rebase_(cfg.origin),
       wall_(&real_clock_) {}
 
 void ReplayEngine::add_sink(ReplaySink& sink) { sinks_.push_back(&sink); }

@@ -112,8 +112,7 @@ ShardedReplay::ShardedReplay(std::vector<StubSpec> stubs, ShardedConfig cfg)
     : stubs_(std::move(stubs)),
       cfg_((cfg.validate(), cfg)),
       router_(stubs_, cfg_.default_stub),
-      t0_ns_(cfg_.params.observation_period.ns()),
-      rebase_(cfg_.origin) {
+      t0_ns_(cfg_.params.observation_period.ns()) {
   shards_.reserve(cfg_.threads);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing
   for (std::size_t i = 0; i < cfg_.threads; ++i) {
     shards_.push_back(std::make_unique<Shard>(  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing

@@ -6,12 +6,6 @@
 
 namespace syndog::mitigate {
 
-std::uint64_t mac_to_u64(net::MacAddress mac) {
-  std::uint64_t v = 0;
-  for (const std::uint8_t b : mac.bytes()) v = (v << 8) | b;
-  return v;
-}
-
 MitigationController::MitigationController(core::SynDogAgent& agent,
                                            sim::LeafRouter& router,
                                            MitigationPolicy policy)
@@ -30,9 +24,7 @@ MitigationController::MitigationController(core::SynDogAgent& agent,
       });
 }
 
-void MitigationController::attach_observer(obs::EventTracer* tracer,
-                                           obs::Registry& registry) {
-  tracer_ = tracer;
+void MitigationController::attach_observer(obs::Registry& registry) {
   registry_ = &registry;
 }
 
@@ -89,12 +81,6 @@ void MitigationController::transition(util::SimTime now, net::MacAddress mac,
   }
   if (to == Stage::kQuarantine) ++stats_.quarantine_entries;
   if (to == Stage::kObserve) ++stats_.full_releases;
-  if (tracer_ != nullptr) {
-    tracer_->record(now, obs::MitigationEdge{
-                             mac_to_u64(mac), static_cast<std::uint8_t>(from),
-                             static_cast<std::uint8_t>(to),
-                             static_cast<std::uint8_t>(reason)});
-  }
   const StageEdge edge{now, mac, from, to, reason};
   for (const EdgeListener& listener : edge_listeners_) listener(edge);
 }

@@ -32,7 +32,6 @@
 #include "syndog/mitigate/token_bucket.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/util/time.hpp"
 
@@ -74,12 +73,11 @@ class MitigationController {
   MitigationController(const MitigationController&) = delete;
   MitigationController& operator=(const MitigationController&) = delete;
 
-  /// Attaches telemetry (both optional; must outlive the controller).
-  /// Stage edges are recorded as obs::MitigationEdge events and
-  /// "mitigate.*" counters — created lazily, only once a decision
+  /// Attaches `registry` (must outlive the controller). Stage edges count
+  /// into "mitigate.*" counters — created lazily, only once a decision
   /// actually happens, so an engagement-free run leaves the registry
   /// untouched.
-  void attach_observer(obs::EventTracer* tracer, obs::Registry& registry);
+  void attach_observer(obs::Registry& registry);
 
   /// Appends a stage-edge subscriber (MitigationRecorder uses this).
   void add_edge_listener(EdgeListener listener);
@@ -129,7 +127,6 @@ class MitigationController {
   std::vector<EdgeListener> edge_listeners_;
 
   // Telemetry (optional; see attach_observer). Counters are lazy.
-  obs::EventTracer* tracer_ = nullptr;
   obs::Registry* registry_ = nullptr;
   obs::Counter* engagements_counter_ = nullptr;
   obs::Counter* escalations_counter_ = nullptr;
@@ -140,8 +137,5 @@ class MitigationController {
   obs::Counter* dropped_legit_counter_ = nullptr;
   obs::Counter* throttled_counter_ = nullptr;
 };
-
-/// Packs a MAC into the 48-bit integer obs::MitigationEdge carries.
-[[nodiscard]] std::uint64_t mac_to_u64(net::MacAddress mac);
 
 }  // namespace syndog::mitigate

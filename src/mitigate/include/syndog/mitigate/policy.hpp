@@ -42,7 +42,7 @@ enum class Stage : std::uint8_t {
   return "?";
 }
 
-/// Why a stage transition happened (exported in obs::MitigationEdge).
+/// Why a stage transition happened (MitigationController::StageEdge).
 enum class EdgeReason : std::uint8_t {
   kEngage = 0,       ///< observe -> first enabled stage (alarm streak)
   kEscalate = 1,     ///< rate-limit -> quarantine (alarm persisted)

@@ -1,146 +1,9 @@
 #include "syndog/obs/export.hpp"
 
 #include <cstdio>
-#include <map>
-#include <optional>
 #include <stdexcept>
 
-#include "syndog/obs/json.hpp"
-
 namespace syndog::obs {
-
-namespace {
-
-struct PayloadJson {
-  std::string operator()(const PeriodRollover& e) const {
-    return std::string("\"type\":\"period_rollover\",\"period\":") +
-           json_number(e.period) + ",\"syn\":" + json_number(e.syn) +
-           ",\"syn_ack\":" + json_number(e.syn_ack);
-  }
-  std::string operator()(const CusumUpdate& e) const {
-    return std::string("\"type\":\"cusum_update\",\"period\":") +
-           json_number(e.period) + ",\"delta\":" + json_number(e.delta) +
-           ",\"k\":" + json_number(e.k) + ",\"x\":" + json_number(e.x) +
-           ",\"y\":" + json_number(e.y);
-  }
-  std::string operator()(const AlarmRaised& e) const {
-    return std::string("\"type\":\"alarm_raised\",\"period\":") +
-           json_number(e.period) + ",\"y\":" + json_number(e.y) +
-           ",\"threshold\":" + json_number(e.threshold);
-  }
-  std::string operator()(const AlarmCleared& e) const {
-    return std::string("\"type\":\"alarm_cleared\",\"period\":") +
-           json_number(e.period) + ",\"y\":" + json_number(e.y);
-  }
-  std::string operator()(const DetectorStep& e) const {
-    return std::string("\"type\":\"detector_step\",\"index\":") +
-           json_number(e.index) + ",\"x\":" + json_number(e.x) +
-           ",\"statistic\":" + json_number(e.statistic) +
-           ",\"alarm\":" + (e.alarm ? "true" : "false");
-  }
-  std::string operator()(const ClassifierHit& e) const {
-    return std::string("\"type\":\"classifier_hit\",\"segment_kind\":") +
-           json_number(static_cast<std::uint64_t>(e.segment_kind)) +
-           ",\"total_seen\":" + json_number(e.total_seen);
-  }
-  std::string operator()(const QueueDepth& e) const {
-    return std::string("\"type\":\"queue_depth\",\"pending\":") +
-           json_number(e.pending) +
-           ",\"executed\":" + json_number(e.executed);
-  }
-  std::string operator()(const FaultEdge& e) const {
-    return std::string("\"type\":\"fault_edge\",\"kind\":") +
-           json_number(static_cast<std::uint64_t>(e.kind)) + ",\"target\":" +
-           json_number(static_cast<std::uint64_t>(e.target)) +
-           ",\"active\":" + (e.active ? "true" : "false");
-  }
-  std::string operator()(const HealthTransition& e) const {
-    return std::string("\"type\":\"health_transition\",\"from\":") +
-           json_number(static_cast<std::uint64_t>(e.from)) + ",\"to\":" +
-           json_number(static_cast<std::uint64_t>(e.to)) + ",\"reason\":" +
-           json_number(static_cast<std::uint64_t>(e.reason)) +
-           ",\"period\":" + json_number(e.period);
-  }
-  std::string operator()(const MitigationEdge& e) const {
-    return std::string("\"type\":\"mitigation_edge\",\"target\":") +
-           json_number(e.target) + ",\"from\":" +
-           json_number(static_cast<std::uint64_t>(e.from)) + ",\"to\":" +
-           json_number(static_cast<std::uint64_t>(e.to)) + ",\"reason\":" +
-           json_number(static_cast<std::uint64_t>(e.reason));
-  }
-};
-
-}  // namespace
-
-std::string event_to_json(const Event& event) {
-  std::string out = "{\"t_ns\":" + json_number(event.at.ns()) +
-                    ",\"seq\":" + json_number(event.seq) + ",";
-  out += std::visit(PayloadJson{}, event.payload);
-  out.push_back('}');
-  return out;
-}
-
-std::string to_jsonl(const EventTracer& tracer) {
-  std::string out;
-  tracer.for_each([&out](const Event& e) {
-    out += event_to_json(e);
-    out.push_back('\n');
-  });
-  return out;
-}
-
-std::string period_series_csv(const EventTracer& tracer) {
-  struct Row {
-    std::optional<util::SimTime> at;
-    std::optional<std::int64_t> syn;
-    std::optional<std::int64_t> syn_ack;
-    std::optional<CusumUpdate> cusum;
-    int alarm_edge = 0;  ///< +1 raised this period, -1 cleared, 0 none
-  };
-  std::map<std::int64_t, Row> rows;
-
-  tracer.for_each([&rows](const Event& e) {
-    if (const auto* p = std::get_if<PeriodRollover>(&e.payload)) {
-      Row& row = rows[p->period];
-      row.at = row.at.value_or(e.at);
-      row.syn = p->syn;
-      row.syn_ack = p->syn_ack;
-    } else if (const auto* c = std::get_if<CusumUpdate>(&e.payload)) {
-      Row& row = rows[c->period];
-      row.at = e.at;
-      row.cusum = *c;
-    } else if (const auto* a = std::get_if<AlarmRaised>(&e.payload)) {
-      rows[a->period].alarm_edge = 1;
-    } else if (const auto* a2 = std::get_if<AlarmCleared>(&e.payload)) {
-      rows[a2->period].alarm_edge = -1;
-    }
-  });
-
-  std::string out = "period,t_s,syn,syn_ack,delta,k,x,y,alarm\n";
-  bool alarm = false;
-  for (const auto& [period, row] : rows) {
-    if (row.alarm_edge != 0) alarm = row.alarm_edge > 0;
-    out += json_number(period);
-    out.push_back(',');
-    if (row.at) out += json_number(row.at->to_seconds());
-    out.push_back(',');
-    if (row.syn) out += json_number(*row.syn);
-    out.push_back(',');
-    if (row.syn_ack) out += json_number(*row.syn_ack);
-    out.push_back(',');
-    if (row.cusum) out += json_number(row.cusum->delta);
-    out.push_back(',');
-    if (row.cusum) out += json_number(row.cusum->k);
-    out.push_back(',');
-    if (row.cusum) out += json_number(row.cusum->x);
-    out.push_back(',');
-    if (row.cusum) out += json_number(row.cusum->y);
-    out.push_back(',');
-    out += alarm ? "1" : "0";
-    out.push_back('\n');
-  }
-  return out;
-}
 
 void write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -1,32 +1,9 @@
-// Exporters: JSONL event streams and CSV period series.
-//
-// Formats are documented in docs/OBSERVABILITY.md. Rendering is fully
-// deterministic (stable field order, shortest-round-trip numbers), so two
-// runs from the same seed produce byte-identical output — tests assert
-// exactly that.
+// File export for rendered telemetry (the BENCH_*.json sidecars).
 #pragma once
 
 #include <string>
 
-#include "syndog/obs/trace.hpp"
-
 namespace syndog::obs {
-
-/// One event as a single-line JSON object:
-///   {"t_ns":<ns>,"seq":N,"type":"cusum_update","period":5,...}
-[[nodiscard]] std::string event_to_json(const Event& event);
-
-/// Retained events, oldest-first, one JSON object per line.
-[[nodiscard]] std::string to_jsonl(const EventTracer& tracer);
-
-/// The per-period series implied by the trace, as CSV with header
-///   period,t_s,syn,syn_ack,delta,k,x,y,alarm
-/// built by joining PeriodRollover and CusumUpdate events on the period
-/// index and marking periods covered by a raised alarm. Rows appear for
-/// every period that has at least one of the two event kinds; missing
-/// fields render empty. This is the figure-reproduction format (Figs. 5,
-/// 7, 8): a run's dynamics replay from the export alone.
-[[nodiscard]] std::string period_series_csv(const EventTracer& tracer);
 
 /// Writes `content` to `path` (truncating); throws std::runtime_error on
 /// I/O failure so a bench cannot silently emit nothing.

@@ -1,7 +1,8 @@
 // Metrics registry: named counters, gauges, and fixed-bucket histograms.
 //
-// The registry is the accumulation side of the telemetry layer (the event
-// tracer in trace.hpp is the sequencing side). Instruments are created once
+// The registry holds the aggregate side of observation; per-period
+// detector state travels through core::SynDogAgent's period callbacks
+// into the fleet telemetry file instead. Instruments are created once
 // by name and then updated through stable references, so the hot paths the
 // paper's "low computation overhead" claim covers (classifier, sniffers,
 // CUSUM update) pay one integer add per observation — no lookup, no lock,
@@ -98,15 +99,6 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 
   [[nodiscard]] std::string to_json() const;
-
-  /// Flattens every instrument to (name, value) scalar pairs in the same
-  /// stable order the JSON export uses: counters as "counter.<name>",
-  /// gauges as "gauge.<name>", histograms as "histogram.<name>.count" /
-  /// ".sum". This is the serialization seam the fleet telemetry sink
-  /// (src/telemetry) ingests snapshots through — per-bucket counts are
-  /// deliberately not flattened (bucket layouts belong to the JSON side).
-  void for_each_scalar(
-      const std::function<void(std::string_view, double)>& fn) const;
 };
 
 /// Owns instruments by name. References returned by the getters are stable

@@ -8,8 +8,9 @@
 // ManualWallClock to make timing code itself deterministic.
 //
 // Wall-clock readings may feed metrics (perf histograms in a Registry) but
-// must never be recorded into an EventTracer: event exports are part of the
-// byte-identical-replay contract.
+// never a deterministic output: per-period reports, fleet telemetry files
+// and deterministic sidecars are part of the byte-identical-replay
+// contract.
 #pragma once
 
 #include <cstdint>

@@ -116,26 +116,4 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-void MetricsSnapshot::for_each_scalar(
-    const std::function<void(std::string_view, double)>& fn) const {
-  std::string scratch;
-  const auto emit = [&](const char* family, const std::string& name,
-                        const char* suffix, double value) {
-    scratch.assign(family);
-    scratch += name;
-    scratch += suffix;
-    fn(scratch, value);
-  };
-  for (const CounterSample& c : counters) {
-    emit("counter.", c.name, "", static_cast<double>(c.value));
-  }
-  for (const GaugeSample& g : gauges) {
-    emit("gauge.", g.name, "", g.value);
-  }
-  for (const HistogramSample& h : histograms) {
-    emit("histogram.", h.name, ".count", static_cast<double>(h.count));
-    emit("histogram.", h.name, ".sum", h.sum);
-  }
-}
-
 }  // namespace syndog::obs

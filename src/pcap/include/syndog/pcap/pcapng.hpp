@@ -105,8 +105,4 @@ class PcapngReader {
 /// Stream form: reads the first four bytes and puts them back.
 [[nodiscard]] bool is_pcapng(std::istream& in);
 
-/// Sniffs the first bytes of a stream and constructs the right reader;
-/// returns records from either format. Throws on unrecognizable input.
-[[nodiscard]] std::vector<Record> read_any_capture(std::istream& in);
-
 }  // namespace syndog::pcap

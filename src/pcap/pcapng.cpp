@@ -334,9 +334,4 @@ bool is_pcapng(std::istream& in) {
       net::ByteSpan{reinterpret_cast<const std::uint8_t*>(magic.data()), got});
 }
 
-std::vector<Record> read_any_capture(std::istream& in) {
-  if (is_pcapng(in)) return PcapngReader(in).read_all();
-  return Reader(in).read_all();  // classic pcap (throws on bad magic)
-}
-
 }  // namespace syndog::pcap

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/sim/packet_pool.hpp"
 #include "syndog/util/inline_callback.hpp"
 #include "syndog/util/time.hpp"
@@ -73,15 +72,11 @@ class Scheduler {
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Attaches telemetry sinks (must outlive the scheduler; pass nullptr to
-  /// detach). `registry` gains the "sim.events_executed" /
+  /// Attaches `registry` (must outlive the scheduler; pass nullptr to
+  /// detach), which gains the "sim.events_executed" /
   /// "sim.events_scheduled" / "sim.events_cancelled" counters and the
-  /// "sim.queue_depth" gauge; when `tracer` is set, every
-  /// `sample_every`-th executed event also records an obs::QueueDepth
-  /// sample at the current sim time.
-  void attach_observer(obs::Registry* registry,
-                       obs::EventTracer* tracer = nullptr,
-                       std::uint64_t sample_every = 1024);
+  /// "sim.queue_depth" gauge.
+  void attach_observer(obs::Registry* registry);
 
  private:
   /// One arena slot. `gen` tags the slot's current incarnation: bumped on
@@ -140,8 +135,6 @@ class Scheduler {
   std::uint64_t executed_ = 0;
 
   // Telemetry (optional; see attach_observer).
-  obs::EventTracer* tracer_ = nullptr;
-  std::uint64_t sample_every_ = 1024;
   obs::Counter* executed_counter_ = nullptr;
   obs::Counter* scheduled_counter_ = nullptr;
   obs::Counter* cancelled_counter_ = nullptr;

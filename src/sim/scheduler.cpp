@@ -132,9 +132,6 @@ bool Scheduler::step() {
     executed_counter_->add();
     depth_gauge_->set(static_cast<double>(pending_));
   }
-  if (tracer_ != nullptr && executed_ % sample_every_ == 0) {
-    tracer_->record(now_, obs::QueueDepth{pending_, executed_});
-  }
   // Move the callback out and recycle the slot *before* invoking, so a
   // re-entrant schedule_at from inside the callback may reuse it.
   Callback fn = std::move(slot.fn);
@@ -145,15 +142,7 @@ bool Scheduler::step() {
   return true;
 }
 
-void Scheduler::attach_observer(obs::Registry* registry,
-                                obs::EventTracer* tracer,
-                                std::uint64_t sample_every) {
-  if (sample_every == 0) {
-    throw std::invalid_argument(
-        "Scheduler::attach_observer: sample_every must be > 0");
-  }
-  tracer_ = tracer;
-  sample_every_ = sample_every;
+void Scheduler::attach_observer(obs::Registry* registry) {
   if (registry != nullptr) {
     executed_counter_ = &registry->counter("sim.events_executed");
     scheduled_counter_ = &registry->counter("sim.events_scheduled");

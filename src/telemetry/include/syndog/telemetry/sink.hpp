@@ -3,8 +3,7 @@
 // Producers (per-agent wiring in src/core, or anything else holding a
 // series id) call push(); the sink appends the sample synchronously to a
 // syndog-tsf/1 stream through a TsfWriter, on the caller's thread. On
-// top of the writer it memoizes name → id registration and adapts obs
-// metric snapshots and event traces into samples.
+// top of the writer it memoizes name → id registration.
 //
 // Byte-identity contract: the bytes are a pure function of the push
 // order — dictionary ids are assigned in registration order and block
@@ -12,14 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 
-#include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/telemetry/tsf.hpp"
 #include "syndog/util/time.hpp"
 
@@ -52,19 +50,6 @@ class TelemetrySink {
   void push(std::uint32_t series, util::SimTime at, double value) {
     writer_.append(series, at, value);
   }
-
-  /// Flattens an obs metrics snapshot through MetricsSnapshot::
-  /// for_each_scalar and pushes one sample per scalar, timestamped `at`.
-  /// Registers "counter.*" / "gauge.*" / "histogram.*" metrics on first
-  /// use.
-  void push_snapshot(std::uint32_t agent, util::SimTime at,
-                     const obs::MetricsSnapshot& snapshot);
-
-  /// Pushes the detector-relevant events retained by an obs tracer:
-  /// PeriodRollover → "trace.syn"/"trace.syn_ack", CusumUpdate →
-  /// "trace.k"/"trace.y", alarm edges → "trace.alarm" (1/0), health
-  /// transitions → "trace.health". Other payloads are skipped.
-  void push_trace(std::uint32_t agent, const obs::EventTracer& tracer);
 
   /// Writes the tsf footer and flushes the stream (TsfWriter::finish:
   /// idempotent, throws std::runtime_error when the stream failed).

@@ -16,8 +16,9 @@ namespace syndog::util {
 
 /// Reads an environment variable; nullopt when unset. The process
 /// environment is the one sanctioned out-of-band input channel (e.g.
-/// SYNDOG_LOG for the log level): it can tune presentation, never the
-/// experiment itself — results must stay a function of seeds and config.
+/// SYNDOG_BENCH_DIR for where a bench writes its sidecar): it can tune
+/// presentation, never the experiment itself — results must stay a
+/// function of seeds and config.
 [[nodiscard]] std::optional<std::string> env_var(std::string_view name);
 
 class Config {

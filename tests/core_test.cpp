@@ -164,56 +164,6 @@ TEST(SynDogTest, RunOverSeriesMatchesIncremental) {
                std::invalid_argument);
 }
 
-TEST(SynDogTest, TracedCusumUpdatesMirrorReports) {
-  // Flood-shaped series: quiet, then SYNs far outrunning SYN/ACKs so the
-  // alarm raises, then quiet again so it clears — exercising every event
-  // kind the detector can emit. The bounded-CUSUM cap keeps yn from
-  // climbing so high during the flood that it cannot decay back below N
-  // within the tail.
-  std::vector<std::int64_t> syns(30, 1000);
-  std::vector<std::int64_t> acks(30, 950);
-  for (std::size_t n = 10; n < 20; ++n) syns[n] = 3000;
-
-  SynDogParams params = SynDogParams::paper_defaults();
-  params.statistic_cap = 2.0;
-  obs::EventTracer tracer(256);
-  obs::Registry registry;
-  const auto reports =
-      run_over_series(params, syns, acks, &tracer, &registry);
-
-  std::size_t updates = 0;
-  bool saw_raise = false;
-  bool saw_clear = false;
-  const util::SimTime t0 =
-      SynDogParams::paper_defaults().observation_period;
-  for (const obs::Event& e : tracer.events()) {
-    if (const auto* u = std::get_if<obs::CusumUpdate>(&e.payload)) {
-      const PeriodReport& r = reports[updates];
-      EXPECT_EQ(u->period, r.period_index);
-      EXPECT_DOUBLE_EQ(u->delta, r.delta);
-      EXPECT_DOUBLE_EQ(u->k, r.k_estimate);
-      EXPECT_DOUBLE_EQ(u->x, r.x);
-      EXPECT_DOUBLE_EQ(u->y, r.y);
-      EXPECT_EQ(e.at, t0 * (r.period_index + 1));
-      ++updates;
-    } else if (std::get_if<obs::AlarmRaised>(&e.payload)) {
-      saw_raise = true;
-    } else if (std::get_if<obs::AlarmCleared>(&e.payload)) {
-      saw_clear = true;
-    }
-  }
-  EXPECT_EQ(updates, reports.size());
-  EXPECT_TRUE(saw_raise);
-  EXPECT_TRUE(saw_clear);
-
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  std::uint64_t periods = 0;
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name == "syndog.periods") periods = c.value;
-  }
-  EXPECT_EQ(periods, reports.size());
-}
-
 // --- Sniffer ---------------------------------------------------------------------
 
 net::Packet packet_with_flags(net::TcpFlags flags) {

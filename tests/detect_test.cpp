@@ -241,27 +241,6 @@ TEST(EvaluatorTest, EnsembleAggregation) {
   EXPECT_TRUE(std::isinf(r.mean_false_alarm_spacing));  // no false alarms
 }
 
-TEST(EvaluatorTest, TracedStepsMirrorStatisticPath) {
-  NonParametricCusum cusum({0.35, 1.05});
-  const std::vector<double> series = {0.0, 2.0, 0.0, 0.0, 0.0,
-                                      1.0, 1.0, 1.0, 1.0, 1.0};
-  obs::EventTracer tracer(64);
-  const TraceOptions trace{&tracer, util::SimTime::seconds(20)};
-  const TrialResult result = run_trial(cusum, series, 5, trace);
-
-  ASSERT_EQ(tracer.size(), series.size());
-  const std::vector<obs::Event> events = tracer.events();
-  for (std::size_t n = 0; n < series.size(); ++n) {
-    const auto& step = std::get<obs::DetectorStep>(events[n].payload);
-    EXPECT_EQ(step.index, static_cast<std::int64_t>(n));
-    EXPECT_DOUBLE_EQ(step.x, series[n]);
-    EXPECT_DOUBLE_EQ(step.statistic, result.statistic_path[n]);
-    EXPECT_EQ(step.alarm, result.statistic_path[n] > 1.05);
-    EXPECT_EQ(events[n].at,
-              trace.period * static_cast<std::int64_t>(n));
-  }
-}
-
 TEST(EvaluatorTest, ValidatesInputs) {
   const auto factory = [] {
     return std::make_unique<NonParametricCusum>(

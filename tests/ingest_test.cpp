@@ -295,6 +295,27 @@ TEST(CaptureSourceTest, RejectsGarbage) {
   EXPECT_THROW(CaptureSource source(in), std::runtime_error);
 }
 
+TEST(CaptureSourceTest, DispatchesOnMagic) {
+  // One frame through each format: the sniffed reader must hand back the
+  // written bytes and timestamp.
+  const net::ByteBuffer frame = net::encode_frame(sample_packet(3, true));
+  const auto read_one = [&frame](std::istream& in, CaptureFormat format) {
+    CaptureSource source(in);
+    EXPECT_EQ(source.format(), format);
+    pcap::Record rec;
+    ASSERT_TRUE(source.next(rec));
+    EXPECT_EQ(rec.data, frame);
+    EXPECT_EQ(rec.timestamp, SimTime::seconds(2));
+    EXPECT_FALSE(source.next(rec));
+  };
+  std::stringstream classic;
+  pcap::Writer(classic).write(SimTime::seconds(2), frame);
+  read_one(classic, CaptureFormat::kPcap);
+  std::stringstream modern;
+  pcap::PcapngWriter(modern).write(SimTime::seconds(2), frame);
+  read_one(modern, CaptureFormat::kPcapng);
+}
+
 // ---------------------------------------------------------------------
 // The ingest pump: CaptureSource -> ReplayEngine -> ReplaySink
 
@@ -874,7 +895,7 @@ TEST(IngestShardedTest, MatchesOracleMixedProtocolTraffic) {
 
 TEST(IngestShardedTest, MatchesOracleAbsoluteEpochTimestamps) {
   // 2024-style absolute stamps: both datapaths must rebase to the first
-  // decoded frame under TimeOrigin::kAuto.
+  // decoded frame (EpochRebase's 24 h rule).
   const std::int64_t epoch_ns = 1'700'000'000LL * 1'000'000'000LL;
   std::ostringstream out(std::ios::binary);
   pcap::Writer writer(out);

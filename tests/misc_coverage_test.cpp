@@ -1,42 +1,15 @@
-// Coverage for the smaller utility surfaces: the logger, ICMP round
-// trips, inbound-direction trace rendering, and the presentation
-// helpers' numeric paths.
+// Coverage for the smaller utility surfaces: ICMP round trips,
+// inbound-direction trace rendering, and the presentation helpers'
+// numeric paths.
 #include <gtest/gtest.h>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/stats/histogram.hpp"
 #include "syndog/trace/render.hpp"
 #include "syndog/trace/site.hpp"
-#include "syndog/util/logging.hpp"
 #include "syndog/util/table.hpp"
 
 namespace syndog {
 namespace {
-
-// --- logging -------------------------------------------------------------------
-
-TEST(LoggingTest, LevelThresholdFilters) {
-  const util::LogLevel before = util::log_level();
-  util::set_log_level(util::LogLevel::kError);
-  EXPECT_EQ(util::log_level(), util::LogLevel::kError);
-  // Below-threshold statements must not evaluate their stream bodies.
-  int evaluated = 0;
-  SYNDOG_LOG(Info, "test") << "side effect " << ++evaluated;
-  EXPECT_EQ(evaluated, 0);
-  SYNDOG_LOG(Error, "test") << "visible " << ++evaluated;
-  EXPECT_EQ(evaluated, 1);
-  util::set_log_level(before);
-}
-
-TEST(LoggingTest, OffSilencesEverything) {
-  const util::LogLevel before = util::log_level();
-  util::set_log_level(util::LogLevel::kOff);
-  // Nothing to assert on stderr portably; this exercises the kOff branch
-  // in log_line and the macro guard.
-  util::log_line(util::LogLevel::kError, "test", "should not print");
-  SYNDOG_LOG(Error, "test") << "also suppressed";
-  util::set_log_level(before);
-}
 
 // --- ICMP ---------------------------------------------------------------------
 
@@ -114,17 +87,6 @@ TEST(RenderTest, InboundConnectionsRenderMirrored) {
 }
 
 // --- presentation helpers -----------------------------------------------------------
-
-TEST(PresentationTest, HistogramRendersBars) {
-  stats::Histogram h(0.0, 10.0, 5);
-  for (int i = 0; i < 50; ++i) h.add(3.0);
-  for (int i = 0; i < 10; ++i) h.add(7.0);
-  h.add(-1.0);
-  const std::string out = h.to_string(20);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find("underflow 1"), std::string::npos);
-  EXPECT_NE(out.find("50"), std::string::npos);
-}
 
 TEST(PresentationTest, TableValueRowsAndCsvExport) {
   util::TextTable t({"fi", "prob"});

@@ -197,7 +197,7 @@ TEST(MitigationStateMachineTest, QuarantineReleasesThroughPassingProbe) {
                                   MitigationPolicy::staged_defaults());
   MitigationRecorder recorder(controller);
   obs::Registry registry;
-  controller.attach_observer(nullptr, registry);
+  controller.attach_observer(registry);
   network.schedule_outbound_background(background_starts(3.0, 12, 33));
   // One long burst: alarm streak walks observe -> rate-limit ->
   // quarantine; after the flood the decay releases it into a probe.

@@ -4,14 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "syndog/core/syndog.hpp"
-#include "syndog/obs/export.hpp"
 #include "syndog/obs/json.hpp"
 #include "syndog/obs/metrics.hpp"
-#include "syndog/obs/trace.hpp"
 #include "syndog/obs/wallclock.hpp"
-#include "syndog/util/rng.hpp"
-#include "syndog/util/time.hpp"
 
 namespace syndog::obs {
 namespace {
@@ -79,93 +74,6 @@ TEST(MetricsTest, SnapshotIsSortedAndDeterministic) {
   // Identical registry state renders to byte-identical JSON.
   EXPECT_EQ(snap.to_json(), b.snapshot().to_json());
   EXPECT_NE(snap.to_json().find("\"alpha\":1"), std::string::npos);
-}
-
-// --- Event tracer ----------------------------------------------------------
-
-TEST(TracerTest, RingOverflowKeepsNewestAndCounts) {
-  EventTracer tracer(4);
-  for (int i = 0; i < 6; ++i) {
-    tracer.record(util::SimTime::seconds(i), PeriodRollover{i, 10 + i, 9 + i});
-  }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.recorded(), 6u);
-  EXPECT_EQ(tracer.dropped(), 2u);
-
-  const std::vector<Event> events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest retained is seq 2 (events 0 and 1 were evicted), in order.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, i + 2);
-    EXPECT_EQ(std::get<PeriodRollover>(events[i].payload).period,
-              static_cast<std::int64_t>(i) + 2);
-  }
-
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-// --- Exporters -------------------------------------------------------------
-
-TEST(ExportTest, EventRendersAsStableJson) {
-  EventTracer tracer(8);
-  tracer.record(util::SimTime::seconds(20),
-                CusumUpdate{1, 50.0, 2114.5, 0.25, 0.0});
-  const std::vector<Event> events = tracer.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(event_to_json(events[0]),
-            "{\"t_ns\":20000000000,\"seq\":0,\"type\":\"cusum_update\","
-            "\"period\":1,\"delta\":50,\"k\":2114.5,\"x\":0.25,\"y\":0}");
-}
-
-TEST(ExportTest, SameSeedRunsProduceIdenticalJsonl) {
-  // The reproducibility contract of the whole layer: run the detector over
-  // a seeded series twice and the rendered event streams must match byte
-  // for byte.
-  const auto run = [] {
-    util::Rng rng(7);
-    std::vector<std::int64_t> syns;
-    std::vector<std::int64_t> syn_acks;
-    for (int n = 0; n < 200; ++n) {
-      const std::int64_t ack = rng.uniform_int(1900, 2300);
-      syn_acks.push_back(ack);
-      syns.push_back(ack + rng.uniform_int(0, 200) +
-                     (n >= 150 ? 900 : 0));  // drift into an alarm
-    }
-    EventTracer tracer(1024);
-    Registry registry;
-    (void)core::run_over_series(core::SynDogParams::paper_defaults(), syns,
-                                syn_acks, &tracer, &registry);
-    return to_jsonl(tracer);
-  };
-  const std::string first = run();
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, run());
-  EXPECT_NE(first.find("\"type\":\"alarm_raised\""), std::string::npos);
-}
-
-TEST(ExportTest, PeriodSeriesCsvJoinsAndCarriesAlarm) {
-  EventTracer tracer(32);
-  const util::SimTime t1 = util::SimTime::seconds(20);
-  const util::SimTime t2 = util::SimTime::seconds(40);
-  const util::SimTime t3 = util::SimTime::seconds(60);
-  tracer.record(t1, PeriodRollover{0, 100, 90});
-  tracer.record(t1, CusumUpdate{0, 10.0, 90.0, 0.1, 0.0});
-  tracer.record(t2, PeriodRollover{1, 300, 90});
-  tracer.record(t2, CusumUpdate{1, 210.0, 90.0, 2.3, 1.6});
-  tracer.record(t2, AlarmRaised{1, 1.6, 1.05});
-  tracer.record(t3, PeriodRollover{2, 100, 90});
-  tracer.record(t3, CusumUpdate{2, 10.0, 90.0, 0.1, 0.0});
-  tracer.record(t3, AlarmCleared{2, 0.0});
-
-  const std::string csv = period_series_csv(tracer);
-  const std::string expected =
-      "period,t_s,syn,syn_ack,delta,k,x,y,alarm\n"
-      "0,20,100,90,10,90,0.1,0,0\n"
-      "1,40,300,90,210,90,2.3,1.6,1\n"
-      "2,60,100,90,10,90,0.1,0,0\n";
-  EXPECT_EQ(csv, expected);
 }
 
 // --- Wall-clock seam -------------------------------------------------------

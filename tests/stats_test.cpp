@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "syndog/stats/histogram.hpp"
 #include "syndog/stats/online.hpp"
 #include "syndog/stats/series.hpp"
 #include "syndog/util/rng.hpp"
@@ -101,28 +100,6 @@ TEST(EwmaMeanVarTest, TracksMoments) {
   EXPECT_NEAR(mv.mean(), 7.0, 0.5);
   EXPECT_NEAR(mv.stddev(), 3.0, 0.5);
 }
-
-// --- Histogram --------------------------------------------------------------
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 25.0}) h.add(x);
-  EXPECT_EQ(h.total(), 7);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 2);
-  EXPECT_EQ(h.count_in_bin(0), 2);  // 0.0 and 1.9
-  EXPECT_EQ(h.count_in_bin(1), 1);  // 2.0
-  EXPECT_EQ(h.count_in_bin(4), 1);  // 9.99
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_NEAR(h.cumulative_fraction(4), 1.0, 1e-12);
-}
-
-TEST(HistogramTest, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-// --- series helpers ------------------------------------------------------------
 
 TEST(SeriesTest, PearsonCorrelation) {
   const std::vector<double> xs = {1, 2, 3, 4, 5};

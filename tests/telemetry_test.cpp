@@ -1,6 +1,6 @@
 // Fleet telemetry backend: syndog-tsf/1 round-trip, damage tolerance and
-// stream failures, the TelemetrySink and its adapters, FleetRecorder's
-// sampling cadence, rollups, and the zero-allocation guarantee on the
+// stream failures, the TelemetrySink, FleetRecorder's sampling cadence and
+// its live-DES slot, rollups, and the zero-allocation guarantee on the
 // producer path.
 
 #include <gtest/gtest.h>
@@ -13,8 +13,13 @@
 #include <string_view>
 #include <vector>
 
+#include "syndog/attack/flood.hpp"
+#include "syndog/core/agent.hpp"
 #include "syndog/core/fleet.hpp"
 #include "syndog/core/syndog.hpp"
+#include "syndog/fault/chaos.hpp"
+#include "syndog/obs/metrics.hpp"
+#include "syndog/sim/network.hpp"
 #include "syndog/telemetry/rollup.hpp"
 #include "syndog/telemetry/sink.hpp"
 #include "syndog/telemetry/tsf.hpp"
@@ -385,41 +390,6 @@ TEST(TelemetrySinkTest, PushAfterFinishThrows) {
                std::logic_error);
 }
 
-TEST(TelemetrySinkTest, SnapshotAndTraceAdapters) {
-  std::ostringstream out;
-  TelemetrySink sink(out);
-  const std::uint32_t agent = sink.register_agent("stub", 64512);
-
-  syndog::obs::Registry registry;
-  registry.counter("packets").add(42);
-  registry.gauge("depth").set(3.5);
-  sink.push_snapshot(agent, SimTime::seconds(20), registry.snapshot());
-
-  syndog::obs::EventTracer tracer(16);
-  tracer.record(SimTime::seconds(20),
-                syndog::obs::PeriodRollover{0, 100, 90});
-  tracer.record(SimTime::seconds(20),
-                syndog::obs::CusumUpdate{0, 10.0, 90.0, 0.11, 0.0});
-  tracer.record(SimTime::seconds(40),
-                syndog::obs::AlarmRaised{1, 1.2, 1.05});
-  tracer.record(SimTime::seconds(60), syndog::obs::AlarmCleared{2, 0.3});
-  sink.push_trace(agent, tracer);
-  sink.finish();
-
-  std::istringstream in(out.str());
-  TsfReader reader(in);
-  ASSERT_EQ(reader.end(), ReadEnd::kEof);
-  EXPECT_GE(reader.find_metric("counter.packets"), 0);
-  EXPECT_GE(reader.find_metric("gauge.depth"), 0);
-  EXPECT_GE(reader.find_metric("trace.syn"), 0);
-  const auto timeline =
-      syndog::telemetry::alarm_timeline(reader, "trace.alarm");
-  EXPECT_EQ(timeline.rising_edges, 1u);
-  ASSERT_EQ(timeline.edges.size(), 2u);
-  EXPECT_EQ(timeline.edges[0].at, SimTime::seconds(40));
-  EXPECT_FALSE(timeline.edges[1].raised);
-}
-
 // -------------------------------------------------------- fleet cadence
 
 TEST(FleetRecorderTest, HeartbeatDecimatesAndEdgesForceFullSets) {
@@ -486,6 +456,127 @@ TEST(FleetRecorderTest, HeartbeatDecimatesAndEdgesForceFullSets) {
   TelemetrySink other(unused);
   EXPECT_THROW(FleetRecorder(other, FleetRecorder::Cadence{0}),
                std::invalid_argument);
+}
+
+TEST(FleetRecorderTest, AttachMirrorsAgentHistoryAndEdges) {
+  // A live stub (3 conn/s from 10 hosts) whose tap goes dark for two
+  // minutes — blind periods, then quarantine and recovery — and which
+  // later emits a floor-rate flood. The bounded-CUSUM cap lets the alarm
+  // clear within a few periods of the flood's end, so the run carries
+  // both alarm edges and both health edges.
+  syndog::sim::StubNetworkParams net_params;
+  net_params.num_hosts = 10;
+  net_params.cloud.no_answer_probability = 0.05;
+  net_params.seed = 21;
+  syndog::sim::StubNetworkSim network(net_params);
+  SynDogParams params = SynDogParams::paper_defaults();
+  params.statistic_cap = 2.0;
+  syndog::core::SynDogAgent agent(network.router(), network.scheduler(),
+                                  params);
+  syndog::obs::Registry registry;
+  agent.attach_observer(registry);
+
+  syndog::fault::FaultSchedule faults;
+  faults.tap_outage(SimTime::seconds(120), SimTime::seconds(240));
+  syndog::fault::ChaosController chaos(network, std::move(faults), 7);
+  chaos.set_outage_listener([&agent](SimTime, bool active) {
+    agent.notify_sniffer_outage(active);
+  });
+  Rng background(33);
+  std::vector<SimTime> starts;
+  for (double t = background.exponential_mean(1.0 / 3.0); t < 12 * 60.0;
+       t += background.exponential_mean(1.0 / 3.0)) {
+    starts.push_back(SimTime::from_seconds(t));
+  }
+  network.schedule_outbound_background(starts);
+  syndog::attack::FloodSpec flood;
+  flood.rate = 37.0;
+  flood.start = SimTime::minutes(6);
+  flood.duration = SimTime::minutes(3);
+  Rng flood_rng(41);
+  network.launch_flood(
+      4, syndog::attack::generate_flood_times(flood, flood_rng),
+      syndog::net::Ipv4Address(198, 51, 100, 7), 80,
+      *syndog::net::Ipv4Prefix::parse("203.0.113.0/24"));
+
+  // What the agent hands its period callbacks, to derive the edges.
+  std::vector<SimTime> fed_at;
+  std::vector<double> fed_health;
+  agent.add_period_callback([&](const syndog::core::PeriodReport&,
+                                syndog::core::AgentHealth health,
+                                SimTime at) {
+    fed_at.push_back(at);
+    fed_health.push_back(static_cast<double>(health));
+  });
+
+  std::ostringstream out;
+  TelemetrySink sink(out);
+  FleetRecorder fleet(sink, FleetRecorder::Cadence{1});
+  fleet.attach(agent, "stub", 64512);
+  network.run_until(SimTime::minutes(12));
+  sink.finish();
+
+  const std::vector<syndog::core::PeriodReport>& history = agent.history();
+  ASSERT_EQ(history.size(), fed_at.size());
+  EXPECT_GT(agent.blind_periods(), 0);
+  EXPECT_EQ(registry.counter("syndog.periods").value(), history.size());
+
+  std::vector<TsfSample> alarm_edges;
+  std::vector<TsfSample> health_edges;
+  bool alarm = false;
+  double health = 0.0;
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    if (history[i].alarm != alarm) {
+      alarm = history[i].alarm;
+      alarm_edges.push_back({fed_at[i], alarm ? 1.0 : 0.0});
+    }
+    if (fed_health[i] != health) {
+      health = fed_health[i];
+      health_edges.push_back({fed_at[i], health});
+    }
+  }
+  ASSERT_EQ(alarm_edges.size(), 2u);  // one raise, one clear
+  ASSERT_EQ(health_edges.size(), 2u);  // quarantined, then healed
+
+  std::istringstream in(out.str());
+  TsfReader reader(in);
+  ASSERT_EQ(reader.end(), ReadEnd::kEof);
+  const auto samples_of = [&](std::string_view metric) {
+    const std::int64_t id = reader.find_metric(metric);
+    for (std::uint32_t s = 0; s < reader.series().size(); ++s) {
+      if (reader.series()[s].metric == id) return reader.samples(s);
+    }
+    ADD_FAILURE() << "no series for " << metric;
+    return std::vector<TsfSample>{};
+  };
+  const auto expect_series = [&](std::string_view metric, auto value_of) {
+    const std::vector<TsfSample> got = samples_of(metric);
+    ASSERT_EQ(got.size(), history.size()) << metric;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].at, fed_at[i]) << metric << " period " << i;
+      EXPECT_EQ(got[i].value, value_of(history[i]))
+          << metric << " period " << i;
+    }
+  };
+  using Report = syndog::core::PeriodReport;
+  expect_series("syn", [](const Report& r) {
+    return static_cast<double>(r.syn_count);
+  });
+  expect_series("syn_ack", [](const Report& r) {
+    return static_cast<double>(r.syn_ack_count);
+  });
+  expect_series("k", [](const Report& r) { return r.k_estimate; });
+  expect_series("y", [](const Report& r) { return r.y; });
+  const auto same_edges = [](const std::vector<TsfSample>& got,
+                             const std::vector<TsfSample>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].at, want[i].at) << "edge " << i;
+      EXPECT_EQ(got[i].value, want[i].value) << "edge " << i;
+    }
+  };
+  same_edges(samples_of("alarm"), alarm_edges);
+  same_edges(samples_of("health"), health_edges);
 }
 
 // ------------------------------------------------------- allocation guard

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "syndog/util/config.hpp"
-#include "syndog/util/logging.hpp"
 #include "syndog/util/rng.hpp"
 #include "syndog/util/sorted.hpp"
 #include "syndog/util/strings.hpp"
@@ -206,29 +205,6 @@ TEST(ConfigTest, EnvVarReadsProcessEnvironment) {
             std::optional<std::string>("hello"));
   ::unsetenv("SYNDOG_UTIL_TEST_VAR");
   EXPECT_FALSE(env_var("SYNDOG_UTIL_TEST_VAR").has_value());
-}
-
-// --- Logging ---------------------------------------------------------------
-
-TEST(LoggingTest, ParsesLevelNamesCaseInsensitively) {
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("ERROR"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("Warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("DeBuG"), LogLevel::kDebug);
-  EXPECT_FALSE(parse_log_level("verbose").has_value());
-  EXPECT_FALSE(parse_log_level("").has_value());
-}
-
-TEST(LoggingTest, SetLogLevelWinsOverEnvironment) {
-  // SYNDOG_LOG is only consulted on the very first threshold read, so an
-  // explicit set must stick even with the env var present.
-  ::setenv("SYNDOG_LOG", "debug", 1);
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(LogLevel::kWarn);  // restore the suite default
-  ::unsetenv("SYNDOG_LOG");
 }
 
 // --- TextTable / CsvWriter ----------------------------------------------------

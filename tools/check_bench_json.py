@@ -25,7 +25,6 @@ Schema (syndog-bench/1):
                histograms  str -> {bounds: [num...] strictly increasing,
                                    counts: [int...] of len(bounds)+1,
                                    count: int, sum: finite number}
-    events   object: {recorded: int >= 0, dropped: int >= 0}
 
 --expect asserts a scalar range: "table2_unc_detection:unc_k_bar:1900:2400"
 checks that the file whose name is table2_unc_detection has scalar
@@ -155,12 +154,6 @@ def check_file(path: Path, errors: list[str]) -> dict | None:
         else:
             for hname, hist in hists.items():
                 check_histogram(hname, hist, local)
-
-    events = doc.get("events")
-    if not isinstance(events, dict) or not is_count(
-        events.get("recorded")
-    ) or not is_count(events.get("dropped")):
-        local.append("events: expected {recorded: int >= 0, dropped: int >= 0}")
 
     errors.extend(f"{path}: {msg}" for msg in local)
     return doc

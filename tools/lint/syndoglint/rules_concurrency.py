@@ -31,16 +31,14 @@ from .model import ERROR, Finding, Rule, register
 # only runner.cpp (the threaded window loop: cells claimed off one
 # counter, one std::barrier whose completion step runs
 # exchange_and_advance) spawns threads; there is no runner header, and
-# CampaignSim itself is sequential per cell and patrolled. src/util
-# (logging level atomics, worker plumbing) stays a module-wide seam — its
-# concurrency is not confined to one file. src/telemetry is no seam: its
-# sink appends on the producer's thread.
+# CampaignSim itself is sequential per cell and patrolled. src/util and
+# src/telemetry are no seams: util holds no thread, atomic or mutable
+# global, and the telemetry sink appends on the producer's thread.
 _SEAM_DIRS = (
     "src/ingest/sharded",
     "src/ingest/include/syndog/ingest/sharded",
     "src/ingest/include/syndog/ingest/frame_ring",
     "src/campaign/runner",
-    "src/util/",
 )
 
 # Library-ish trees the rules patrol. tests/ is exempt: tests spin threads
@@ -76,7 +74,7 @@ def _check_raw_thread(sf: SourceFile, ctx) -> Iterable[Finding]:
                 "",
                 "thread spawning lives only in the sanctioned seam files "
                 "(src/ingest sharded/frame_ring, src/campaign "
-                "runner, src/util); route "
+                "runner); route "
                 "parallel work through those seams so the deterministic "
                 "single-thread reference stays authoritative",
             )
@@ -94,14 +92,14 @@ register(
             "ingest must match the single-thread pump exactly; sharded DES "
             "must merge to byte-identical sidecars) is only checkable if "
             "thread creation is confined to seams built for it: "
-            "ShardedReplay's producer/consumer fan-out, the campaign "
-            "runner, and util's worker plumbing. A thread spawned elsewhere "
+            "ShardedReplay's producer/consumer fan-out and the campaign "
+            "runner. A thread spawned elsewhere "
             "bypasses the barriers, mailboxes, and deterministic-merge "
             "machinery those seams provide."
         ),
         fix_hint=(
-            "Move the parallel section behind the sharded replay, the "
-            "campaign runner, or a util worker seam; if a new "
+            "Move the parallel section behind the sharded replay or the "
+            "campaign runner; if a new "
             "seam is genuinely "
             "needed, add its file prefix to the sanctioned list in "
             "rules_concurrency.py in the same PR that adds its "
@@ -319,9 +317,8 @@ def _scan_scope(
                         "",
                         f"{where} mutable object '{name_tok.text}' is shared "
                         "state outside the sanctioned seam files (src/ingest "
-                        "sharded/frame_ring, src/campaign/runner, "
-                        "src/util); pass state explicitly or "
-                        "move the seam",
+                        "sharded/frame_ring, src/campaign/runner); pass "
+                        "state explicitly or move the seam",
                     )
                 )
         elif not mutable_decl and _is_function_decl(tokens, i, decl_end):
@@ -360,16 +357,16 @@ register(
             "two stubs in the sharded DES, or the ingest producer and "
             "consumer, can touch it without any seam mediating — a data "
             "race at worst and hidden cross-run coupling at best. The tree "
-            "keeps all such state behind src/util (e.g. the logging level "
-            "atomics) and the ingest seam files, where the threading "
-            "contracts are tested under TSan. Constants "
-            "(const/constexpr/constinit) are fine anywhere."
+            "keeps all such state in the ingest and campaign seam files, "
+            "where the threading contracts are tested under TSan. "
+            "Constants (const/constexpr/constinit) are fine anywhere."
         ),
         fix_hint=(
             "Pass the state through constructor/function parameters, hang "
             "it off the owning object, or mark it const/constexpr. If it "
-            "is genuinely a process-wide seam, move it to src/util with an "
-            "atomic type and a TSan-covered test."
+            "is genuinely shared across threads, add its file to the seam "
+            "list in rules_concurrency.py with an atomic type and a "
+            "TSan-covered test."
         ),
         targets=_targets,
         check=_check_shared_mutable_static,

@@ -27,7 +27,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     "net": {"util"},
     "pcap": {"net", "util"},
     "classify": {"net", "obs", "util"},
-    "detect": {"obs", "stats", "util"},
+    "detect": {"stats", "util"},
     "trace": {"net", "stats", "util"},
     "sim": {"net", "obs", "util"},
     "fault": {"net", "obs", "sim", "util"},
