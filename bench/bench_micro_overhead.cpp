@@ -1,12 +1,14 @@
 // Microbenchmarks for the paper's "low computation overhead" claim (§1):
-// per-packet classification cost and per-period CUSUM cost, measured
-// with google-benchmark.
+// per-packet classification and stub-routing cost and per-period CUSUM
+// cost, measured with google-benchmark.
 //
 // The headline numbers: one flag classification is a few nanoseconds and
 // one CUSUM update is O(10) ns — i.e. SYN-dog adds no meaningful load to
 // a leaf router, and its state is a handful of scalars.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/sidecar.hpp"
@@ -14,6 +16,7 @@
 #include "syndog/core/sniffer.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/cusum.hpp"
+#include "syndog/ingest/stub_router.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/wallclock.hpp"
 #include "syndog/sim/victim_defense.hpp"
@@ -61,6 +64,39 @@ void BM_SnifferOnPacket(benchmark::State& state) {
   benchmark::DoNotOptimize(sniffer.lifetime_count());
 }
 BENCHMARK(BM_SnifferOnPacket);
+
+/// One frame's stub attribution among `state.range(0)` adjacent /24
+/// stubs (4 and 512: the stub counts of perfbench's ingest-minframe and
+/// ingest-fleet): one endpoint on a random stub host, the other a random
+/// address, in either direction.
+void BM_StubRouterRoute(benchmark::State& state) {
+  const auto stubs = static_cast<std::uint32_t>(state.range(0));
+  std::vector<ingest::StubSpec> specs;
+  for (std::uint32_t s = 0; s < stubs; ++s) {
+    specs.push_back(
+        {net::Ipv4Prefix(net::Ipv4Address{0x0A000000u + (s << 8)}, 24),
+         "stub" + std::to_string(s)});
+  }
+  const ingest::StubRouter router(specs, 0);
+  util::Rng rng(6);
+  std::vector<std::uint32_t> ends;
+  for (int i = 0; i < 1024; ++i) {
+    const std::uint32_t host =
+        0x0A000000u + (static_cast<std::uint32_t>(rng.uniform_int(
+                           0, stubs - 1)) << 8) + (rng.next_u32() & 0xffu);
+    const std::uint32_t remote = rng.next_u32();
+    const bool outbound = rng.bernoulli(0.5);
+    ends.push_back(outbound ? host : remote);
+    ends.push_back(outbound ? remote : host);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.route(ends[i], ends[i + 1]));
+    i += 2;
+    if (i == ends.size()) i = 0;
+  }
+}
+BENCHMARK(BM_StubRouterRoute)->Arg(4)->Arg(512);
 
 void BM_CusumUpdate(benchmark::State& state) {
   detect::NonParametricCusum cusum(

@@ -2,8 +2,10 @@
 //
 // A capture seen from one vantage point carries traffic for many stub
 // networks; each frame crosses the monitored interfaces of at most two
-// of them. StubRouter decides which: a flat table of stub prefixes,
-// matched first-match in stub order, plus the direction rule
+// of them. StubRouter decides which. Each endpoint belongs to the first
+// stub in list order whose prefix contains it (one binary search over a
+// table of address intervals, each labelled with that stub), and the
+// direction rule maps the two endpoints' stubs to interfaces:
 //   * src in stub A, dst elsewhere   -> outbound through A
 //   * dst in stub B, src elsewhere   -> inbound through B
 //   * src in A and dst in B (A != B) -> both of the above
@@ -49,34 +51,43 @@ class StubRouter {
   /// is outside [-1, stubs.size()).
   StubRouter(const std::vector<StubSpec>& stubs, int default_stub);
 
-  /// Routes a frame by its IPv4 endpoints (host order).
+  /// Routes a frame by its IPv4 endpoints (host order). O(log n) in
+  /// the number of stubs.
   [[nodiscard]] StubRoute route(std::uint32_t src, std::uint32_t dst) const {
-    int src_stub = -1;
-    int dst_stub = -1;
-    // One pass over the table for both endpoints, no early exit: the
-    // common frame has one endpoint outside every stub anyway.
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-      const Entry& e = table_[i];
-      if (src_stub < 0 && (src & e.mask) == e.net) {
-        src_stub = static_cast<int>(i);
-      }
-      if (dst_stub < 0 && (dst & e.mask) == e.net) {
-        dst_stub = static_cast<int>(i);
-      }
-    }
+    const int src_stub = stub_of(src);
+    const int dst_stub = stub_of(dst);
     if (src_stub >= 0 && src_stub == dst_stub) return {-1, -1, true};
     if (src_stub < 0 && dst_stub < 0) return {default_stub_, -1, false};
     return {src_stub, dst_stub, false};
   }
 
  private:
-  /// A prefix reduced to the two words a match compares.
-  struct Entry {
-    std::uint32_t mask;
-    std::uint32_t net;
+  struct Interval {
+    std::uint32_t start;  ///< runs up to the next interval's start
+    int owner;            ///< first-match stub, -1 outside every prefix
   };
 
-  std::vector<Entry> table_;
+  /// First-match stub of `addr`, -1 for none: the owner of the last
+  /// interval that starts at or below it (the first starts at 0). This is
+  /// std::upper_bound minus one without a data-dependent branch: each
+  /// halving step is a conditional move and the trip count depends only
+  /// on the table size. std::upper_bound mispredicts about every other
+  /// step on random addresses, which at 4 stubs costs more than a scan
+  /// of the prefixes.
+  [[nodiscard]] int stub_of(std::uint32_t addr) const {
+    const Interval* first = table_.data();
+    for (std::size_t len = table_.size(); len > 1;) {
+      const std::size_t half = len / 2;
+      first = first[half].start <= addr ? first + half : first;
+      len -= half;
+    }
+    return first->owner;
+  }
+
+  /// Ascending by start, the first at 0. Each prefix adds at most two
+  /// boundaries, so there are at most 2 * stubs + 1 intervals, and
+  /// neighbours never share an owner.
+  std::vector<Interval> table_;
   int default_stub_;
 };
 

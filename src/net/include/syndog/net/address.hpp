@@ -81,7 +81,8 @@ class Ipv4Prefix {
   [[nodiscard]] bool contains(Ipv4Address addr) const;
   /// The `offset`-th host address inside the prefix (offset 0 = base).
   [[nodiscard]] Ipv4Address host(std::uint32_t offset) const;
-  /// Number of addresses covered (2^(32-length); 0 means 2^32 at length 0).
+  /// Number of addresses covered, 2^(32-length): 2^32 at length 0, which
+  /// is why it is 64 bits wide.
   [[nodiscard]] std::uint64_t size() const;
   [[nodiscard]] std::string to_string() const;
 

@@ -12,8 +12,6 @@
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <string>
-#include <vector>
 
 #include "syndog/net/wire.hpp"
 #include "syndog/util/time.hpp"
@@ -136,8 +134,6 @@ class Reader {
   /// steady-state streaming performs no allocation. Returns false at end
   /// of stream (consult end_state() for why).
   [[nodiscard]] bool next_into(Record& out);
-  /// Remaining records in one vector.
-  [[nodiscard]] std::vector<Record> read_all();
   [[nodiscard]] std::uint64_t records_read() const { return records_; }
   /// kStreaming until next()/next_into() returns empty, then kEof or
   /// kTruncated.
@@ -156,11 +152,5 @@ class Reader {
   std::uint64_t records_ = 0;
   ReadEnd end_ = ReadEnd::kStreaming;
 };
-
-/// Convenience wrappers over file paths.
-void write_file(const std::string& path, const std::vector<Record>& records,
-                LinkType link_type = LinkType::kEthernet,
-                bool nanosecond = false);
-[[nodiscard]] std::vector<Record> read_file(const std::string& path);
 
 }  // namespace syndog::pcap

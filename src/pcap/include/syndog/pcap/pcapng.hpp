@@ -59,7 +59,6 @@ class PcapngReader {
   /// steady-state streaming performs no allocation. Returns false at end
   /// of stream (consult end_state() for why).
   [[nodiscard]] bool next_into(Record& out);
-  [[nodiscard]] std::vector<Record> read_all();
 
   [[nodiscard]] std::uint64_t records_read() const { return records_; }
   /// kStreaming until next()/next_into() returns empty, then kEof or

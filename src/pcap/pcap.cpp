@@ -1,7 +1,6 @@
 #include "syndog/pcap/pcap.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "syndog/net/wire.hpp"
@@ -186,34 +185,6 @@ std::optional<Record> Reader::next() {
   Record rec;
   if (!next_into(rec)) return std::nullopt;
   return rec;
-}
-
-std::vector<Record> Reader::read_all() {
-  std::vector<Record> out;
-  while (auto rec = next()) {
-    out.push_back(std::move(*rec));
-  }
-  return out;
-}
-
-void write_file(const std::string& path, const std::vector<Record>& records,
-                LinkType link_type, bool nanosecond) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("pcap: cannot open for write: " + path);
-  Writer writer(out, link_type, nanosecond);
-  for (const Record& rec : records) {
-    writer.write(rec.timestamp, rec.data);
-  }
-  // The ofstream destructor swallows flush errors; surface them here so a
-  // full disk cannot silently leave a short capture behind.
-  writer.flush();
-}
-
-std::vector<Record> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  Reader reader(in);
-  return reader.read_all();
 }
 
 }  // namespace syndog::pcap

@@ -308,14 +308,6 @@ std::optional<Record> PcapngReader::next() {
   return rec;
 }
 
-std::vector<Record> PcapngReader::read_all() {
-  std::vector<Record> out;
-  while (auto rec = next()) {
-    out.push_back(std::move(*rec));
-  }
-  return out;
-}
-
 bool is_pcapng(net::ByteSpan head) {
   if (head.size() < 4) {
     throw std::runtime_error("capture: file too short to sniff format");

@@ -61,6 +61,8 @@ TEST(Ipv4PrefixTest, EdgeLengths) {
   const Ipv4Prefix host(*Ipv4Address::parse("1.2.3.4"), 32);
   EXPECT_TRUE(host.contains(*Ipv4Address::parse("1.2.3.4")));
   EXPECT_FALSE(host.contains(*Ipv4Address::parse("1.2.3.5")));
+  EXPECT_EQ(all.size(), std::uint64_t{1} << 32);
+  EXPECT_EQ(host.size(), 1u);
   EXPECT_FALSE(Ipv4Prefix::parse("10.0.0.0/33").has_value());
   EXPECT_FALSE(Ipv4Prefix::parse("10.0.0.0").has_value());
 }

@@ -268,7 +268,8 @@ TEST(PcapngTest, SkipsTimestampPastInt64Nanoseconds) {
   // unknown interface, and the next one still reads.
   std::stringstream in(capture_with_tsresol(0, std::int64_t{1} << 40, {7}));
   PcapngReader reader(in);
-  const std::vector<Record> records = reader.read_all();
+  std::vector<Record> records;
+  while (auto rec = reader.next()) records.push_back(std::move(*rec));
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].timestamp, util::SimTime::seconds(7));
   EXPECT_EQ(records[0].data, sample_frame(2));

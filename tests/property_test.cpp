@@ -217,7 +217,8 @@ TEST(FuzzLiteTest, TruncatedPcapFilesNeverCrashReader) {
     std::stringstream cut(full.substr(0, len));
     try {
       pcap::Reader reader(cut);
-      (void)reader.read_all();
+      while (reader.next()) {
+      }
     } catch (const std::runtime_error&) {
       // Malformed header: acceptable, as long as it's an exception.
     }
