@@ -9,9 +9,9 @@
 // hands net::FlowDigest slots from its producer to each shard's consumer.
 //
 // Concurrency contract: exactly one producer thread calls try_claim() /
-// publish(); exactly one consumer thread calls readable() / release().
-// Both roles may also run on one thread. Capacity is rounded up to a
-// power of two so index masking replaces modulo.
+// publish() (or commit() / flush()); exactly one consumer thread calls
+// readable() / release(). Both roles may also run on one thread. Capacity
+// is rounded up to a power of two so index masking replaces modulo.
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
@@ -55,7 +55,8 @@ class SlotRing {
   }
 
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  /// Occupied slots. Exact on the owning threads; a snapshot otherwise.
+  /// Published slots not yet released. Exact on the owning threads; a
+  /// snapshot otherwise.
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(
         head_.load(std::memory_order_acquire) -
@@ -66,22 +67,37 @@ class SlotRing {
   // -- producer side ------------------------------------------------------
 
   /// Slot to fill next, or nullptr when the ring is full. The slot is not
-  /// visible to the consumer until publish(). The consumer's cursor is
-  /// re-read only when the cached copy says the ring is full, so steady
-  /// state costs no shared-cache-line traffic per claim.
+  /// visible to the consumer until publish() (or commit() and flush()).
+  /// The consumer's cursor is re-read only when the cached copy says the
+  /// ring is full, so steady state costs no shared-cache-line traffic per
+  /// claim. A producer that waits on a full ring must flush() first.
   [[nodiscard]] Slot* try_claim() {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - cached_tail_ == slots_.size()) {
+    if (written_ - cached_tail_ == slots_.size()) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head - cached_tail_ == slots_.size()) return nullptr;
+      if (written_ - cached_tail_ == slots_.size()) return nullptr;
     }
-    return &slots_[static_cast<std::size_t>(head) & mask_];
+    return &slots_[static_cast<std::size_t>(written_) & mask_];
   }
 
   /// Makes the slot returned by the last try_claim() visible.
   void publish() {
-    head_.store(head_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_release);
+    commit();
+    flush();
+  }
+
+  /// Adds the slot returned by the last try_claim() to the pending batch,
+  /// which the consumer does not see until flush(). Returns the number of
+  /// pending slots.
+  std::size_t commit() {
+    return static_cast<std::size_t>(++written_ - flushed_);
+  }
+
+  /// Makes every committed slot visible. One store to the shared cursor
+  /// per batch: a consumer on another core polls that cursor, so each
+  /// store moves its cache line between the cores.
+  void flush() {
+    flushed_ = written_;
+    head_.store(written_, std::memory_order_release);
   }
 
   // -- consumer side ------------------------------------------------------
@@ -111,12 +127,14 @@ class SlotRing {
  private:
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  /// Producer and consumer cursors on separate cache lines so a
-  /// producer and a consumer thread do not false-share. `cached_tail_` is
-  /// producer-owned (a conservative, monotonic snapshot of `tail_`) and
-  /// shares the producer's line deliberately.
-  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< next slot to write
-  std::uint64_t cached_tail_ = 0;                   ///< producer's tail view
+  /// The shared cursors and the producer's private ones on three cache
+  /// lines, so the producer's per-slot bookkeeping never touches a line
+  /// the consumer reads. `cached_tail_` is a conservative, monotonic
+  /// snapshot of `tail_`.
+  alignas(64) std::atomic<std::uint64_t> head_{0};  ///< end of published slots
+  alignas(64) std::uint64_t written_ = 0;  ///< producer: next slot to fill
+  std::uint64_t flushed_ = 0;              ///< producer: last head_ stored
+  std::uint64_t cached_tail_ = 0;          ///< producer's tail view
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< next slot to read
 };
 

@@ -56,7 +56,10 @@ namespace syndog::ingest {
 
 struct ShardedConfig {
   /// Consumer threads == shards. 1 still runs the threaded datapath (one
-  /// producer + one consumer); the equivalence tests sweep 1..4.
+  /// producer + one consumer); the equivalence tests sweep 1..4. run()
+  /// binds each consumer to a CPU of the caller's affinity mask other
+  /// than the one the caller runs on, reusing them in turn when there
+  /// are more consumers than CPUs.
   std::size_t threads = 4;
   std::size_t ring_capacity = std::size_t{1} << 15;  ///< digests per shard
   /// Flag bytes buffered per (stub, direction) before a SIMD sweep folds

@@ -13,6 +13,10 @@
 #include <thread>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "syndog/classify/batch.hpp"
 #include "syndog/ingest/flow_hash.hpp"
 #include "syndog/ingest/frame_ring.hpp"
@@ -26,6 +30,50 @@ namespace {
 /// Stream-source block size; a record longer than one block grows the
 /// buffer to fit it (pcap::decode_record_header bounds how far).
 constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+/// Digests the producer commits to a shard's ring before it publishes them
+/// with one store: 1 KiB of 32-byte digests, so the ring's head cursor
+/// crosses to the consumer's core once per 16 slot lines instead of once
+/// per digest.
+constexpr std::size_t kPublishBatch = 32;
+
+/// Where the consumer threads go: the calling (producer) thread's allowed
+/// CPUs, less the one it runs on. Empty off Linux or when that leaves
+/// none, and then the kernel places them.
+class WorkerCpus {
+ public:
+#if defined(__linux__)
+  WorkerCpus() {
+    CPU_ZERO(&set_);
+    if (sched_getaffinity(0, sizeof set_, &set_) != 0) CPU_ZERO(&set_);
+    const int producer = sched_getcpu();
+    if (producer >= 0 && producer < CPU_SETSIZE) CPU_CLR(producer, &set_);
+    count_ = static_cast<std::size_t>(CPU_COUNT(&set_));
+  }
+
+  /// Binds the calling thread to worker `i`'s CPU: the i-th of the set,
+  /// reused from the first when there are more workers than CPUs. A
+  /// refusal leaves the thread unbound.
+  void bind(std::size_t i) const {
+    if (count_ == 0) return;
+    std::size_t skip = i % count_;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (!CPU_ISSET(c, &set_) || skip-- != 0) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(c, &one);
+      (void)sched_setaffinity(0, sizeof one, &one);
+      return;
+    }
+  }
+
+ private:
+  cpu_set_t set_;
+  std::size_t count_ = 0;
+#else
+  void bind(std::size_t /*i*/) const {}
+#endif
+};
 
 /// One direction's open-period flag bytes: a flush_threshold-byte slice
 /// of the shard's flag arena, swept with classify::sweep_flags whenever
@@ -176,10 +224,16 @@ void ShardedReplay::run() {
   }
   ran_ = true;
 
+  // Each worker gets a CPU of its own, away from the producer. Left to
+  // itself the kernel may start all of them on the producer's CPU and
+  // keep them there for the whole run, which serializes the pipeline, or
+  // spread them, depending on the load the host saw in the last minute.
+  const WorkerCpus cpus;
   std::vector<std::thread> workers;
   workers.reserve(shards_.size());  // syndog-lint: allow(hotpath.allocation) -- run()-entry sizing, before any digest flows
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    workers.emplace_back([this, sh = shard.get()] {  // syndog-lint: allow(hotpath.allocation) -- one spawn per shard at run() entry
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    workers.emplace_back([this, &cpus, i, sh = shards_[i].get()] {  // syndog-lint: allow(hotpath.allocation) -- one spawn per shard at run() entry
+      cpus.bind(i);
       try {
         consume_shard(*sh);
       } catch (...) {
@@ -209,6 +263,7 @@ void ShardedReplay::run() {
     produce_failure = std::current_exception();
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
+    shard->ring.flush();
     shard->done.store(true, std::memory_order_release);
   }
   for (std::thread& w : workers) w.join();
@@ -330,14 +385,18 @@ void ShardedReplay::feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
 
   Shard& sh = *shards_[shard_of(flow_hash(digest), shards_.size())];
   net::FlowDigest* slot = sh.ring.try_claim();
-  while (slot == nullptr) {
-    // Ring full: block (never drop) until the consumer frees slots. A
-    // crashed consumer keeps draining its ring, so this always ends.
-    std::this_thread::yield();
-    slot = sh.ring.try_claim();
+  if (slot == nullptr) {
+    // Ring full: publish the pending batch, then block (never drop) until
+    // the consumer frees slots. A crashed consumer keeps draining its
+    // ring, so this always ends.
+    sh.ring.flush();
+    do {
+      std::this_thread::yield();
+      slot = sh.ring.try_claim();
+    } while (slot == nullptr);
   }
   *slot = digest;
-  sh.ring.publish();
+  if (sh.ring.commit() == kPublishBatch) sh.ring.flush();
 }
 
 namespace {
