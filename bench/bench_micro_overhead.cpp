@@ -1,6 +1,6 @@
 // Microbenchmarks for the paper's "low computation overhead" claim (§1):
 // per-packet classification and stub-routing cost and per-period CUSUM
-// cost, measured with google-benchmark.
+// and agent period-close cost, measured with google-benchmark.
 //
 // The headline numbers: one flag classification is a few nanoseconds and
 // one CUSUM update is O(10) ns — i.e. SYN-dog adds no meaningful load to
@@ -8,17 +8,20 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/sidecar.hpp"
 #include "syndog/classify/segment.hpp"
+#include "syndog/core/agent.hpp"
 #include "syndog/core/sniffer.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/detect/cusum.hpp"
 #include "syndog/ingest/stub_router.hpp"
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/wallclock.hpp"
+#include "syndog/sim/scheduler.hpp"
 #include "syndog/sim/victim_defense.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -121,6 +124,37 @@ void BM_SynDogObservePeriod(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynDogObservePeriod);
+
+/// One period close on a stub agent (core::SynDogAgent::close_period):
+/// the health path, the CUSUM update and the history append, which the
+/// sharded ingest merge runs once per stub and period. Quiet counts (SYN
+/// and SYN/ACK near 40, so no period alarms), and a fresh agent on an
+/// unrun scheduler every 360 periods (ingest-fleet's period count), so
+/// the history's growth is part of the figure; building it is not.
+void BM_AgentClosePeriod(benchmark::State& state) {
+  constexpr std::int64_t kPeriods = 360;
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+  const std::int64_t t0_ns = params.observation_period.ns();
+  const net::Ipv4Prefix stub(net::Ipv4Address{0x0A000000u}, 24);
+  std::unique_ptr<sim::Scheduler> clock;
+  std::unique_ptr<core::SynDogAgent> agent;
+  std::int64_t p = kPeriods;
+  for (auto _ : state) {
+    if (p == kPeriods) {
+      state.PauseTiming();
+      agent.reset();
+      clock = std::make_unique<sim::Scheduler>();
+      agent = std::make_unique<core::SynDogAgent>(stub, *clock, params);
+      p = 0;
+      state.ResumeTiming();
+    }
+    agent->close_period(util::SimTime::nanoseconds((p + 1) * t0_ns),
+                        40 + (p & 3), 40 + ((p >> 2) & 3), 0);
+    ++p;
+  }
+  benchmark::DoNotOptimize(agent->ever_alarmed());
+}
+BENCHMARK(BM_AgentClosePeriod);
 
 /// Contrast: the per-SYN cost of the stateful victim-side alternatives.
 void BM_SynCookieMakeVerify(benchmark::State& state) {

@@ -4,8 +4,10 @@
 // a consumer: a fixed number of slots allocated once at construction and
 // recycled forever, so streaming an arbitrarily large capture runs in
 // O(capacity) memory with no steady-state allocation (the same
-// slot-arena discipline as sim::PacketPool). Slots are fixed-footprint
-// value types, so reusing one is a plain overwrite. The sharded datapath
+// slot-arena discipline as sim::PacketPool). Slots are trivially
+// copyable value types, so filling one is a plain overwrite, and the
+// arena is raw storage that no constructor ever writes: the producer
+// writes each slot before the consumer can read it. The sharded datapath
 // hands net::FlowDigest slots from its producer to each shard's consumer.
 //
 // Concurrency contract: exactly one producer thread calls try_claim() /
@@ -20,9 +22,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
-#include <vector>
+#include <type_traits>
 
 #include "syndog/net/packet.hpp"
 #include "syndog/util/time.hpp"
@@ -39,9 +42,15 @@ struct Frame {
 
 template <class Slot>
 class SlotRing {
+  static_assert(std::is_trivially_copyable_v<Slot> &&
+                    std::is_trivially_destructible_v<Slot>,
+                "SlotRing slots live in raw storage: filled by plain "
+                "assignment, never constructed or destroyed");
+
  public:
   /// Rounds `capacity` up to a power of two (minimum 2) and allocates all
-  /// slots up front. This is the only allocation the ring ever performs.
+  /// slots up front, uninitialized. This is the only allocation the ring
+  /// ever performs.
   explicit SlotRing(std::size_t capacity) {
     if (capacity == 0) {
       throw std::invalid_argument(
@@ -50,11 +59,13 @@ class SlotRing {
     }
     std::size_t pow2 = 2;
     while (pow2 < capacity) pow2 <<= 1;
-    slots_.resize(pow2);  // syndog-lint: allow(hotpath.allocation) -- construction-time sizing, never grows again
+    // std::allocator takes the bytes from ::operator new (so allocation
+    // meters that hook it count the ring) and constructs no slot.
+    slots_ = {std::allocator<Slot>{}.allocate(pow2), FreeStorage{pow2}};
     mask_ = pow2 - 1;
   }
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
   /// Published slots not yet released. Exact on the owning threads; a
   /// snapshot otherwise.
   [[nodiscard]] std::size_t size() const {
@@ -72,9 +83,9 @@ class SlotRing {
   /// ring is full, so steady state costs no shared-cache-line traffic per
   /// claim. A producer that waits on a full ring must flush() first.
   [[nodiscard]] Slot* try_claim() {
-    if (written_ - cached_tail_ == slots_.size()) {
+    if (written_ - cached_tail_ == capacity()) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (written_ - cached_tail_ == slots_.size()) return nullptr;
+      if (written_ - cached_tail_ == capacity()) return nullptr;
     }
     return &slots_[static_cast<std::size_t>(written_) & mask_];
   }
@@ -109,7 +120,7 @@ class SlotRing {
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     const std::size_t n = static_cast<std::size_t>(head - tail);
     const std::size_t at = static_cast<std::size_t>(tail) & mask_;
-    return {slots_.data() + at, std::min(n, slots_.size() - at)};
+    return {slots_.get() + at, std::min(n, capacity() - at)};
   }
 
   /// Recycles the first `n` readable slots back to the producer.
@@ -125,7 +136,14 @@ class SlotRing {
   }
 
  private:
-  std::vector<Slot> slots_;
+  struct FreeStorage {
+    std::size_t count = 0;
+    void operator()(Slot* slots) const {
+      std::allocator<Slot>{}.deallocate(slots, count);
+    }
+  };
+
+  std::unique_ptr<Slot[], FreeStorage> slots_;
   std::size_t mask_ = 0;
   /// The shared cursors and the producer's private ones on three cache
   /// lines, so the producer's per-slot bookkeeping never touches a line

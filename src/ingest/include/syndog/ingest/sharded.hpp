@@ -20,15 +20,22 @@
 // (core::counted_interfaces), and the period rollover
 // (core::SynDogAgent::close_period).
 //
-// Determinism contract: after the workers join, per-shard period tables
-// merge in stable shard order, and each stub's summed counts close its
-// periods on the core::SynDogAgent of an AgentDemux built in run().
-// Because period counts are integers and integer addition is
-// associative, history(i) is byte-identical — every PeriodReport field,
-// doubles included — to the single-threaded ReplayEngine + AgentDemux
-// oracle's for the same capture, for any thread count, and so are the
-// alarms' times and reports. Tests assert this with operator== on the
-// full report structs.
+// Determinism contract: per-shard period tables merge in stable shard
+// order, and each stub's summed counts close its periods on the
+// core::SynDogAgent of an AgentDemux that run() builds once the capture
+// is read. Every thread of the pass merges: the consumers and the caller
+// meet once at a std::latch, then claim stubs off one atomic counter,
+// and the thread that claims a stub closes all of its periods. Which
+// thread that is cannot show in the output, because the agents share
+// nothing writable: no registry is attached to them, alarms land in each
+// stub's own vector, their never-run scheduler is not touched once they
+// are built, and src/core keeps no mutable global (lint rule
+// concurrency.shared_mutable_static). Because period counts are integers
+// and integer addition is associative, history(i) is byte-identical —
+// every PeriodReport field, doubles included — to the single-threaded
+// ReplayEngine + AgentDemux oracle's for the same capture, for any
+// thread count, and so are the alarms' times and reports. Tests assert
+// this with operator== on the full report structs.
 //
 // Scope: replay analytics. No pacing and no fault injection; the agents
 // see period counts, not packets, so alarms carry no MAC suspects.
@@ -59,7 +66,8 @@ struct ShardedConfig {
   /// producer + one consumer); the equivalence tests sweep 1..4. run()
   /// binds each consumer to a CPU of the caller's affinity mask other
   /// than the one the caller runs on, reusing them in turn when there
-  /// are more consumers than CPUs.
+  /// are more consumers than CPUs. The consumers and the caller then
+  /// share the merge.
   std::size_t threads = 4;
   std::size_t ring_capacity = std::size_t{1} << 15;  ///< digests per shard
   /// Flag bytes buffered per (stub, direction) before a SIMD sweep folds
@@ -168,7 +176,8 @@ class ShardedReplay {
   void feed_record(std::int64_t ts_ns, std::uint32_t orig_len,
                    net::ByteSpan data);
   void consume_shard(Shard& shard);
-  void merge();
+  void close_stub(core::SynDogAgent& agent, std::size_t s,
+                  std::int64_t total_periods);
   void publish_observations();
   [[nodiscard]] const AgentDemux& agents() const;
 

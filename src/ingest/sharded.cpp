@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstring>
 #include <exception>
+#include <latch>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -107,7 +108,8 @@ struct StubShardState {
 
 /// One ring plus the consumer-owned counting state behind it. The
 /// producer touches only `ring`; everything else belongs to the shard's
-/// worker thread until run() joins it.
+/// worker thread until it arrives at the merge latch. After that, each
+/// stub's period table belongs to the thread that claims the stub.
 struct ShardedReplay::Shard {
   Shard(std::size_t ring_capacity, std::size_t stub_count,
         std::size_t flush_threshold)
@@ -224,56 +226,120 @@ void ShardedReplay::run() {
   }
   ran_ = true;
 
+  // Every thread of the pass ends in the merge: each consumer once its
+  // ring is drained, the caller once it has read the capture and built
+  // the agents. Each arrives at `counted` exactly once, failed or not,
+  // and a failure anywhere skips the merge. Past the latch the shard
+  // tables are final, and a stub's tables and agent are touched only by
+  // the thread that claimed the stub. The agents share nothing writable:
+  // no registry is attached to them, alarms land in the stub's own
+  // vector, clock_ is not touched once they are built, and src/core
+  // keeps no mutable global (lint rule concurrency.shared_mutable_static).
+  std::latch counted(static_cast<std::ptrdiff_t>(shards_.size()) + 1);
+  std::exception_ptr produce_failure;
+  std::unique_ptr<AgentDemux> agents;
+  std::int64_t total_periods = 0;
+  std::atomic<std::size_t> next_stub{0};
+  // One slot per participant: the consumers', then the caller's.
+  std::vector<std::exception_ptr> merge_failures(shards_.size() + 1);
+  const auto merge = [&](std::exception_ptr& failure) {
+    counted.arrive_and_wait();
+    const bool failed =
+        produce_failure != nullptr ||
+        std::any_of(shards_.begin(), shards_.end(),
+                    [](const std::unique_ptr<Shard>& sh) {
+                      return sh->failure != nullptr;
+                    });
+    if (failed) return;
+    try {
+      for (std::size_t s = next_stub++; s < stubs_.size(); s = next_stub++) {
+        close_stub(agents->agent(s), s, total_periods);
+      }
+    } catch (...) {
+      failure = std::current_exception();
+    }
+  };
+
   // Each worker gets a CPU of its own, away from the producer. Left to
   // itself the kernel may start all of them on the producer's CPU and
   // keep them there for the whole run, which serializes the pipeline, or
   // spread them, depending on the load the host saw in the last minute.
   const WorkerCpus cpus;
+  const auto consume = [&](std::size_t i) {
+    Shard& sh = *shards_[i];
+    cpus.bind(i);
+    try {
+      consume_shard(sh);
+    } catch (...) {
+      sh.failure = std::current_exception();
+      // Keep draining so the producer's blocking publish never
+      // deadlocks on a dead consumer; counts no longer matter.
+      for (;;) {
+        const std::span<const net::FlowDigest> r = sh.ring.readable();
+        if (r.empty()) {
+          if (sh.done.load(std::memory_order_acquire) && sh.ring.empty()) {
+            break;
+          }
+          std::this_thread::yield();
+          continue;
+        }
+        sh.ring.release(r.size());
+      }
+    }
+    merge(merge_failures[i]);
+  };
   std::vector<std::thread> workers;
   workers.reserve(shards_.size());  // syndog-lint: allow(hotpath.allocation) -- run()-entry sizing, before any digest flows
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    workers.emplace_back([this, &cpus, i, sh = shards_[i].get()] {  // syndog-lint: allow(hotpath.allocation) -- one spawn per shard at run() entry
-      cpus.bind(i);
-      try {
-        consume_shard(*sh);
-      } catch (...) {
-        sh->failure = std::current_exception();
-        // Keep draining so the producer's blocking publish never
-        // deadlocks on a dead consumer; counts no longer matter.
-        for (;;) {
-          const std::span<const net::FlowDigest> r = sh->ring.readable();
-          if (r.empty()) {
-            if (sh->done.load(std::memory_order_acquire) &&
-                sh->ring.empty()) {
-              break;
-            }
-            std::this_thread::yield();
-            continue;
-          }
-          sh->ring.release(r.size());
-        }
-      }
-    });
+    try {
+      workers.emplace_back(consume, i);  // syndog-lint: allow(hotpath.allocation) -- one spawn per shard at run() entry
+    } catch (...) {
+      // Consumers i.. never start, so they never arrive: arrive for them,
+      // and read no capture, so no digest waits in a ring nobody drains.
+      produce_failure = std::current_exception();
+      counted.count_down(static_cast<std::ptrdiff_t>(shards_.size() - i));
+      break;
+    }
   }
 
-  std::exception_ptr produce_failure;
-  try {
-    produce();
-  } catch (...) {
-    produce_failure = std::current_exception();
+  if (!produce_failure) {
+    try {
+      produce();
+    } catch (...) {
+      produce_failure = std::current_exception();
+    }
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
     shard->ring.flush();
     shard->done.store(true, std::memory_order_release);
   }
+  // The agents are built while the consumers drain their rings' tails.
+  if (!produce_failure) {
+    try {
+      agents = std::make_unique<AgentDemux>(  // syndog-lint: allow(hotpath.allocation) -- once per run(), after the last digest is published
+          clock_, stubs_, cfg_.params,
+          DemuxOptions{cfg_.mode, cfg_.default_stub});
+    } catch (...) {
+      produce_failure = std::current_exception();
+    }
+    total_periods = rebase_.last().ns() / t0_ns_ + 1;
+  }
+  merge(merge_failures.back());
   for (std::thread& w : workers) w.join();
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->failure) std::rethrow_exception(shard->failure);
   }
   if (produce_failure) std::rethrow_exception(produce_failure);
+  for (const std::exception_ptr& failure : merge_failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
 
+  agents_ = std::move(agents);
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    local_ += shard->local;
+    unroutable_ += shard->unroutable;
+  }
   stats_.truncated = end_ == pcap::ReadEnd::kTruncated;
-  merge();
   publish_observations();
 }
 
@@ -472,40 +538,30 @@ void ShardedReplay::consume_shard(Shard& sh) {
   sh.flag_arena.reset();  // every flag byte is swept: free it before the merge
 }
 
-/// Deterministic merge: per-stub per-period counts sum across shards in
-/// stable shard order and close the stub agent's periods in order, each
-/// shard's table freed as soon as its stub is done. Replay period ends
-/// are exact, so no period is late (missed = 0).
-void ShardedReplay::merge() {
-  agents_ = std::make_unique<AgentDemux>(  // syndog-lint: allow(hotpath.allocation) -- once per run(), after the workers join
-      clock_, stubs_, cfg_.params,
-      DemuxOptions{cfg_.mode, cfg_.default_stub});
-  const std::int64_t total_periods = rebase_.last().ns() / t0_ns_ + 1;
-  for (std::size_t s = 0; s < stubs_.size(); ++s) {
-    core::SynDogAgent& agent = agents_->agent(s);
-    agent.set_health_policy(cfg_.health);
-    for (std::int64_t p = 0; p < total_periods; ++p) {
-      std::int64_t syn = 0;
-      std::int64_t synack = 0;
-      for (const std::unique_ptr<Shard>& shard : shards_) {
-        const std::vector<std::array<std::int64_t, 2>>& per =
-            shard->stubs[s].periods;
-        if (static_cast<std::size_t>(p) < per.size()) {
-          syn += per[static_cast<std::size_t>(p)][0];
-          synack += per[static_cast<std::size_t>(p)][1];
-        }
-      }
-      agent.close_period(util::SimTime::nanoseconds((p + 1) * t0_ns_), syn,
-                         synack, 0);
-    }
+/// One stub's share of the merge: its per-period counts summed across
+/// shards in shard order close `agent`'s periods in order, then the
+/// stub's shard tables are freed. Replay period ends are exact, so no
+/// period is late (missed = 0).
+void ShardedReplay::close_stub(core::SynDogAgent& agent, std::size_t s,
+                               std::int64_t total_periods) {
+  agent.set_health_policy(cfg_.health);
+  for (std::int64_t p = 0; p < total_periods; ++p) {
+    std::int64_t syn = 0;
+    std::int64_t synack = 0;
     for (const std::unique_ptr<Shard>& shard : shards_) {
-      // Consumed: free the table now (clear() would keep its capacity).
-      std::vector<std::array<std::int64_t, 2>>().swap(shard->stubs[s].periods);
+      const std::vector<std::array<std::int64_t, 2>>& per =
+          shard->stubs[s].periods;
+      if (static_cast<std::size_t>(p) < per.size()) {
+        syn += per[static_cast<std::size_t>(p)][0];
+        synack += per[static_cast<std::size_t>(p)][1];
+      }
     }
+    agent.close_period(util::SimTime::nanoseconds((p + 1) * t0_ns_), syn,
+                       synack, 0);
   }
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    local_ += shard->local;
-    unroutable_ += shard->unroutable;
+    // Consumed: free the table now (clear() would keep its capacity).
+    std::vector<std::array<std::int64_t, 2>>().swap(shard->stubs[s].periods);
   }
 }
 

@@ -803,11 +803,11 @@ TEST(StubRouterTest, MatchesLinearScanOnRandomPrefixLists) {
   EXPECT_GT(queries_run, 40'000u);
 }
 
-/// 512 adjacent /24 stubs from 10.0.0.0, as perfbench's ingest-fleet
-/// workload lays them out.
-std::vector<StubSpec> fleet_stubs() {
+/// `count` adjacent /24 stubs from 10.0.0.0; 512 is perfbench's
+/// ingest-fleet layout.
+std::vector<StubSpec> fleet_stubs(std::uint32_t count = 512) {
   std::vector<StubSpec> stubs;
-  for (std::uint32_t s = 0; s < 512; ++s) {
+  for (std::uint32_t s = 0; s < count; ++s) {
     stubs.push_back({net::Ipv4Prefix(net::Ipv4Address{0x0A000000u + (s << 8)},
                                      24),
                      "stub" + std::to_string(s)});
@@ -1298,6 +1298,135 @@ TEST(IngestShardedTest, AlarmsMatchReferenceAgents) {
   expect_sharded_alarms_match(
       synack_collapse_capture(),
       {{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}});
+}
+
+/// 37 adjacent /24 stubs from 10.0.0.0 over ten 20 s periods. Every
+/// sixth stub never sees a frame; every ninth from stub 4 answers
+/// handshakes for four periods, then floods unanswered SYNs; the rest
+/// stay balanced, and every third of those goes silent after period 6.
+struct ManyStubs {
+  static constexpr std::uint8_t kCount = 37;
+  static bool never_seen(int s) { return s % 6 == 5; }
+  static bool floods(int s) { return s % 9 == 4; }
+};
+
+std::string many_stubs_capture() {
+  std::ostringstream out(std::ios::binary);
+  pcap::Writer writer(out);
+  util::Rng rng(37);
+  const std::int64_t t0_ns = SimTime::seconds(20).ns();
+  std::uint16_t port = 1000;
+  for (int period = 0; period < 10; ++period) {
+    // (stub, true for a SYN/ACK) per frame, shuffled within the period.
+    std::vector<std::pair<int, bool>> frames;
+    for (int s = 0; s < ManyStubs::kCount; ++s) {
+      if (ManyStubs::never_seen(s)) continue;
+      if (ManyStubs::floods(s) && period >= 4) {
+        frames.insert(frames.end(), 80, {s, false});
+      } else if (s % 3 != 0 || period < 6) {
+        frames.insert(frames.end(), 8, {s, false});
+        frames.insert(frames.end(), 8, {s, true});
+      }
+    }
+    for (std::size_t i = frames.size(); i > 1; --i) {
+      std::swap(frames[i - 1],
+                frames[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    const auto total = static_cast<std::int64_t>(frames.size());
+    for (std::int64_t i = 0; i < total; ++i) {
+      const auto [s, syn_ack] = frames[static_cast<std::size_t>(i)];
+      const auto host = static_cast<std::uint8_t>(rng.uniform_int(1, 250));
+      net::TcpPacketSpec spec;
+      spec.src_mac = net::MacAddress::for_host(host);
+      spec.dst_mac = net::MacAddress::for_host(0);
+      spec.src_ip =
+          net::Ipv4Address(10, 0, static_cast<std::uint8_t>(s), host);
+      spec.dst_ip = net::Ipv4Address(192, 0, 2, host);
+      spec.src_port = ++port;
+      spec.dst_port = 80;
+      if (syn_ack) {
+        std::swap(spec.src_ip, spec.dst_ip);
+        std::swap(spec.src_port, spec.dst_port);
+      }
+      const auto at =
+          SimTime::nanoseconds(period * t0_ns + 1 + i * (t0_ns - 2) / total);
+      writer.write(at, net::encode_frame(syn_ack ? net::make_syn_ack(spec)
+                                                 : net::make_syn(spec)));
+    }
+  }
+  return std::move(out).str();
+}
+
+TEST(IngestShardedTest, MatchesOracleAcrossManyStubs) {
+  // More stubs than merge threads at every thread count, and a count
+  // that no thread count from 2 to 5 divides, so the threads' stub
+  // claims end unevenly. Alarms fire inside the merge, and stubs with
+  // empty or short shard tables close every period too.
+  const std::string capture = many_stubs_capture();
+  const std::vector<StubSpec> stubs = fleet_stubs(ManyStubs::kCount);
+  const core::SynDogParams params = core::SynDogParams::paper_defaults();
+  const OracleResult oracle = run_oracle(capture, stubs, params);
+  for (int s = 0; s < ManyStubs::kCount; ++s) {
+    SCOPED_TRACE("stub=" + std::to_string(s));
+    const std::vector<core::PeriodReport>& history =
+        oracle.histories[static_cast<std::size_t>(s)];
+    ASSERT_EQ(history.size(), 10u);
+    const bool alarmed =
+        std::any_of(history.begin(), history.end(),
+                    [](const core::PeriodReport& r) { return r.alarm; });
+    EXPECT_EQ(alarmed, ManyStubs::floods(s));
+    if (ManyStubs::never_seen(s)) {
+      EXPECT_TRUE(std::all_of(history.begin(), history.end(),
+                              [](const core::PeriodReport& r) {
+                                return r.syn_count == 0 &&
+                                       r.syn_ack_count == 0;
+                              }));
+    }
+  }
+  expect_sharded_matches_oracle(capture, stubs, params);
+  expect_sharded_alarms_match(capture, stubs);
+}
+
+TEST(IngestShardedTest, ProducerFailureMidCaptureRethrows) {
+  // Valid packets, then a second section header whose byte-order magic
+  // is garbage, so PcapngReader::next throws after the consumers have
+  // started and taken digests. Every thread must still arrive at the
+  // merge latch: run() returns by rethrowing the reader's error, and no
+  // agent exists.
+  std::stringstream buf;
+  pcap::PcapngWriter writer(buf);
+  util::Rng rng(45);
+  for (int i = 0; i < 300; ++i) {
+    const auto host = static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+    writer.write(
+        SimTime::nanoseconds(1 + i * 150'000'000LL),
+        net::encode_frame(sample_packet(host, rng.uniform() < 0.5)));
+  }
+  writer.flush();
+  std::string capture = buf.str();
+  const std::uint8_t bad_section[] = {0x0A, 0x0D, 0x0D, 0x0A, 0x1C, 0x00,
+                                      0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF};
+  capture.append(reinterpret_cast<const char*>(bad_section),
+                 sizeof bad_section);
+  const std::vector<StubSpec> stubs = {
+      {*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}};
+
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::istringstream in(capture, std::ios::binary);
+    ShardedConfig cfg;
+    cfg.threads = threads;
+    ShardedReplay sharded(in, stubs, cfg);
+    try {
+      sharded.run();
+      ADD_FAILURE() << "run() must rethrow the reader's error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "pcapng: bad byte-order magic");
+    }
+    EXPECT_EQ(sharded.stats().records, 300u);
+    EXPECT_THROW((void)sharded.agent(0), std::logic_error);
+  }
 }
 
 TEST(IngestShardedTest, HugeSnaplenRecordFramesAlikeOnEveryPath) {
