@@ -8,8 +8,9 @@
 # tools/lint/syndog_lint.py for the self-containment check.
 #
 # The DEPS list is the module's *declared* layer position; the same DAG is
-# mirrored in tools/lint/syndog_lint.py (LAYER_DEPS) and DESIGN.md §3, and
-# the linter fails the build if an #include crosses it.
+# mirrored in tools/lint/syndoglint/rules_layering.py (LAYER_DEPS) and
+# DESIGN.md §3, and the linter fails the build if an #include crosses it or
+# if the syndog:: targets listed here differ from the LAYER_DEPS entry.
 
 define_property(GLOBAL PROPERTY SYNDOG_PUBLIC_HEADERS
   BRIEF_DOCS "All public syndog/ headers, for the lint self-containment check"

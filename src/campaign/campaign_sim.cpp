@@ -510,23 +510,4 @@ std::string CampaignSim::state_digest() const {
   return out;
 }
 
-void CampaignSim::export_metrics(obs::Registry& registry) const {
-  registry.counter("campaign.stubs")
-      .add(static_cast<std::uint64_t>(params_.stub_count));
-  registry.counter("campaign.events").add(events_executed());
-  registry.counter("campaign.barriers").add(cross_.barriers);
-  registry.counter("campaign.cross.to_victim").add(cross_.to_victim);
-  registry.counter("campaign.cross.to_stubs").add(cross_.to_stubs);
-  registry.counter("campaign.cross.dropped_unreachable")
-      .add(cross_.dropped_unreachable);
-  registry.counter("campaign.cross.absorbed").add(cross_.absorbed_elsewhere);
-  const sim::ResponderStats resp = responder_stats();
-  registry.counter("campaign.responder.syns").add(resp.syns_seen);
-  registry.counter("campaign.responder.syn_acks")
-      .add(resp.syn_acks_generated);
-  registry.counter("campaign.responder.unanswered").add(resp.unanswered);
-  registry.counter("campaign.stubs_alarmed")
-      .add(static_cast<std::uint64_t>(stubs_alarmed()));
-}
-
 }  // namespace syndog::campaign

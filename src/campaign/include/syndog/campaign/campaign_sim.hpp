@@ -40,7 +40,6 @@
 #include "syndog/core/agent.hpp"
 #include "syndog/core/syndog.hpp"
 #include "syndog/net/address.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/internet.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
@@ -198,10 +197,6 @@ class CampaignSim {
   /// worker count; the equivalence tests and the bench merge check
   /// compare these strings directly.
   [[nodiscard]] std::string state_digest() const;
-  /// Mirrors campaign totals into "campaign.*" counters of `registry`
-  /// (call after run_until; counters are created in a fixed order so
-  /// metric exports stay byte-stable).
-  void export_metrics(obs::Registry& registry) const;
 
  private:
   struct StubNet {

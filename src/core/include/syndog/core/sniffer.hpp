@@ -25,16 +25,11 @@ class Sniffer {
 
   [[nodiscard]] SnifferRole role() const { return role_; }
 
-  /// Simulator path: classify a logical packet. Returns the classification
-  /// so callers (e.g. the agent's telemetry) need not classify twice.
+  /// Classifies a logical packet (capture frames arrive decoded). Returns
+  /// the classification so callers (e.g. the agent's telemetry) need not
+  /// classify twice.
   classify::SegmentKind on_packet(const net::Packet& packet) {
     const classify::SegmentKind kind = classify::classify_packet(packet);
-    note(kind);
-    return kind;
-  }
-  /// Capture path: classify a raw frame without decoding it fully.
-  classify::SegmentKind on_frame(net::ByteSpan frame) {
-    const classify::SegmentKind kind = classify::classify_frame_fast(frame);
     note(kind);
     return kind;
   }

@@ -117,10 +117,6 @@ void ChaosController::install() {
 
 void ChaosController::on_window_edge(const FaultSpec& spec, bool active) {
   active_faults_ += active ? 1 : -1;
-  if (edges_counter_ != nullptr) edges_counter_->add();
-  if (active_gauge_ != nullptr) {
-    active_gauge_->set(static_cast<double>(active_faults_));
-  }
   if (spec.kind == FaultKind::kTapOutage) {
     const std::int64_t before = open_tap_outages_;
     open_tap_outages_ += active ? 1 : -1;
@@ -140,7 +136,6 @@ bool ChaosController::divert_inbound(util::SimTime now,
     if (!spec->active_at(now)) continue;
     if (asym_rng_.bernoulli(spec->magnitude)) {
       ++diverted_syn_acks_;
-      if (diverted_counter_ != nullptr) diverted_counter_->add();
       return true;
     }
     // Exactly one window's draw per packet: overlapping asym windows do
@@ -148,12 +143,6 @@ bool ChaosController::divert_inbound(util::SimTime now,
     return false;
   }
   return false;
-}
-
-void ChaosController::attach_observer(obs::Registry& registry) {
-  edges_counter_ = &registry.counter("fault.edges");
-  diverted_counter_ = &registry.counter("fault.diverted_syn_acks");
-  active_gauge_ = &registry.gauge("fault.active_faults");
 }
 
 }  // namespace syndog::fault

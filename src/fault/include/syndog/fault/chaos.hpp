@@ -8,10 +8,9 @@
 // windows never open — leaves every packet-level outcome of the
 // simulation byte-identical to an unfaulted run.
 //
-// Fault window edges are announced two ways, both optional: the "fault.*"
-// registry instruments and — for tap outages — a callback the agent
-// harness can route into core::SynDogAgent::notify_sniffer_outage (the
-// fault layer itself does not depend on core).
+// Tap-outage window edges are announced through an optional callback the
+// agent harness can route into core::SynDogAgent::notify_sniffer_outage
+// (the fault layer itself does not depend on core).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 
 #include "syndog/fault/schedule.hpp"
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/util/rng.hpp"
@@ -55,11 +53,6 @@ class ChaosController {
     outage_listener_ = std::move(listener);
   }
 
-  /// Attaches telemetry ("fault.edges" and "fault.diverted_syn_acks"
-  /// counters, "fault.active_faults" gauge); `registry` must outlive the
-  /// controller.
-  void attach_observer(obs::Registry& registry);
-
   /// SYN/ACKs diverted around the inbound tap so far.
   [[nodiscard]] std::uint64_t diverted_syn_acks() const {
     return diverted_syn_acks_;
@@ -87,11 +80,6 @@ class ChaosController {
   std::int64_t open_tap_outages_ = 0;
   std::int64_t active_faults_ = 0;
   std::uint64_t diverted_syn_acks_ = 0;
-
-  // Telemetry (optional; see attach_observer).
-  obs::Counter* edges_counter_ = nullptr;
-  obs::Counter* diverted_counter_ = nullptr;
-  obs::Gauge* active_gauge_ = nullptr;
 };
 
 }  // namespace syndog::fault

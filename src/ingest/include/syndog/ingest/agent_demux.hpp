@@ -6,7 +6,7 @@
 // Each frame goes through the StubRouter (stub_router.hpp) straight into
 // the agent entry (on_outbound / on_inbound) of the stubs whose
 // interfaces it crosses: there is no per-stub sim::LeafRouter, so
-// no "router.*" counters either. LAN-local frames count in
+// no RouterStats either. LAN-local frames count in
 // local_frames(), frames matching no stub with default_stub = -1 in
 // unroutable_frames().
 // syndog-lint: hotpath-file -- steady state must not allocate; see

@@ -20,8 +20,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -50,15 +52,20 @@ class SlotRing {
  public:
   /// Rounds `capacity` up to a power of two (minimum 2) and allocates all
   /// slots up front, uninitialized. This is the only allocation the ring
-  /// ever performs.
+  /// ever performs. Throws std::invalid_argument for 0, or when the
+  /// round-up does not fit in std::size_t.
   explicit SlotRing(std::size_t capacity) {
     if (capacity == 0) {
       throw std::invalid_argument(
           "SlotRing: capacity must be positive (a zero-capacity ring could "
           "never publish a slot)");
     }
-    std::size_t pow2 = 2;
-    while (pow2 < capacity) pow2 <<= 1;
+    if (capacity > std::bit_floor(std::numeric_limits<std::size_t>::max())) {
+      throw std::invalid_argument(
+          "SlotRing: capacity must round up to a power of two that fits in "
+          "std::size_t");
+    }
+    const std::size_t pow2 = std::bit_ceil(std::max<std::size_t>(capacity, 2));
     // std::allocator takes the bytes from ::operator new (so allocation
     // meters that hook it count the ring) and constructs no slot.
     slots_ = {std::allocator<Slot>{}.allocate(pow2), FreeStorage{pow2}};

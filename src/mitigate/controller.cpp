@@ -24,10 +24,6 @@ MitigationController::MitigationController(core::SynDogAgent& agent,
       });
 }
 
-void MitigationController::attach_observer(obs::Registry& registry) {
-  registry_ = &registry;
-}
-
 void MitigationController::add_edge_listener(EdgeListener listener) {
   if (listener) edge_listeners_.push_back(std::move(listener));
 }
@@ -45,13 +41,6 @@ Stage MitigationController::aggregate_stage() const {
   return worst;
 }
 
-void MitigationController::count(obs::Counter*& slot, const char* name) {
-  if (slot == nullptr && registry_ != nullptr) {
-    slot = &registry_->counter(std::string("mitigate.") + name);
-  }
-  if (slot != nullptr) slot->add();
-}
-
 void MitigationController::transition(util::SimTime now, net::MacAddress mac,
                                       Target& target, Stage to,
                                       EdgeReason reason) {
@@ -60,23 +49,16 @@ void MitigationController::transition(util::SimTime now, net::MacAddress mac,
   switch (reason) {
     case EdgeReason::kEngage:
       ++stats_.engagements;
-      count(engagements_counter_, "engagements");
       break;
     case EdgeReason::kEscalate:
       ++stats_.escalations;
-      count(escalations_counter_, "escalations");
       break;
     case EdgeReason::kRelease:
-      ++stats_.releases;
-      count(releases_counter_, "releases");
-      break;
     case EdgeReason::kProbePassed:
       ++stats_.releases;
-      count(releases_counter_, "releases");
       break;
     case EdgeReason::kProbeFailed:
       ++stats_.probe_failures;
-      count(probe_failures_counter_, "probe_failures");
       break;
   }
   if (to == Stage::kQuarantine) ++stats_.quarantine_entries;
@@ -106,7 +88,6 @@ void MitigationController::on_period(const core::PeriodReport& report,
     // Degraded evidence (post-outage quarantine, collapse fallback, gap
     // accounting): never engage on it, and don't let it advance streaks.
     ++stats_.vetoed_alarm_periods;
-    count(vetoed_counter_, "vetoed_alarm_periods");
     return;
   }
 
@@ -210,7 +191,6 @@ bool MitigationController::police(util::SimTime now,
   if (target.stage == Stage::kRateLimit) {
     if (target.bucket && target.bucket->try_consume(now)) {
       ++stats_.throttled_syns;
-      count(throttled_counter_, "throttled_syns");
       return false;
     }
   }
@@ -219,7 +199,6 @@ bool MitigationController::police(util::SimTime now,
   // least claims to be) a legitimate station's traffic.
   if (stub_prefix_.contains(packet.ip.src)) {
     ++stats_.dropped_legit_syns;
-    count(dropped_legit_counter_, "dropped_legit_syns");
     // Collateral correction: this SYN was already tapped but will never
     // draw a SYN/ACK because *we* dropped it. Without the deduction the
     // detector reads the throttle's own collateral as unanswered-SYN
@@ -231,7 +210,6 @@ bool MitigationController::police(util::SimTime now,
     agent_.discount_outbound_syns();
   } else {
     ++stats_.dropped_attack_syns;
-    count(dropped_attack_counter_, "dropped_attack_syns");
   }
   return true;
 }

@@ -31,14 +31,12 @@
 #include "syndog/mitigate/policy.hpp"
 #include "syndog/mitigate/token_bucket.hpp"
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/util/time.hpp"
 
 namespace syndog::mitigate {
 
-/// Collateral and decision accounting; every field also lands in lazy
-/// "mitigate.*" counters once attach_observer is called.
+/// Collateral and decision accounting.
 struct ControllerStats {
   std::uint64_t engagements = 0;       ///< observe -> first enabled stage
   std::uint64_t escalations = 0;       ///< rate-limit -> quarantine
@@ -72,12 +70,6 @@ class MitigationController {
 
   MitigationController(const MitigationController&) = delete;
   MitigationController& operator=(const MitigationController&) = delete;
-
-  /// Attaches `registry` (must outlive the controller). Stage edges count
-  /// into "mitigate.*" counters — created lazily, only once a decision
-  /// actually happens, so an engagement-free run leaves the registry
-  /// untouched.
-  void attach_observer(obs::Registry& registry);
 
   /// Appends a stage-edge subscriber (MitigationRecorder uses this).
   void add_edge_listener(EdgeListener listener);
@@ -114,7 +106,6 @@ class MitigationController {
     return policy_.rate_limit_enabled ? Stage::kRateLimit
                                       : Stage::kQuarantine;
   }
-  void count(obs::Counter*& slot, const char* name);
 
   core::SynDogAgent& agent_;
   net::Ipv4Prefix stub_prefix_;
@@ -125,17 +116,6 @@ class MitigationController {
   // deterministic order keeps stage-edge sequences reproducible.
   std::map<net::MacAddress, Target> targets_;
   std::vector<EdgeListener> edge_listeners_;
-
-  // Telemetry (optional; see attach_observer). Counters are lazy.
-  obs::Registry* registry_ = nullptr;
-  obs::Counter* engagements_counter_ = nullptr;
-  obs::Counter* escalations_counter_ = nullptr;
-  obs::Counter* releases_counter_ = nullptr;
-  obs::Counter* probe_failures_counter_ = nullptr;
-  obs::Counter* vetoed_counter_ = nullptr;
-  obs::Counter* dropped_attack_counter_ = nullptr;
-  obs::Counter* dropped_legit_counter_ = nullptr;
-  obs::Counter* throttled_counter_ = nullptr;
 };
 
 }  // namespace syndog::mitigate

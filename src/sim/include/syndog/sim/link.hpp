@@ -15,10 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/sim/scheduler.hpp"
 #include "syndog/util/rng.hpp"
@@ -94,10 +92,6 @@ class Link {
   /// Packets whose delivery time was perturbed by jitter/reorder faults.
   [[nodiscard]] std::uint64_t delayed() const { return delayed_; }
 
-  /// Mirrors the counters above into "link.<name>.*" in `registry`
-  /// (which must outlive the link), e.g. "link.downlink.duplicated".
-  void attach_observer(obs::Registry& registry, std::string_view name);
-
  private:
   void schedule_delivery(util::SimTime at, net::Packet packet);
 
@@ -117,16 +111,6 @@ class Link {
   std::uint64_t dropped_chaos_loss_ = 0;
   std::uint64_t duplicated_ = 0;
   std::uint64_t delayed_ = 0;
-
-  // Telemetry (optional; see attach_observer).
-  obs::Counter* sent_counter_ = nullptr;
-  obs::Counter* delivered_counter_ = nullptr;
-  obs::Counter* lost_counter_ = nullptr;
-  obs::Counter* dropped_queue_full_counter_ = nullptr;
-  obs::Counter* dropped_link_down_counter_ = nullptr;
-  obs::Counter* dropped_chaos_loss_counter_ = nullptr;
-  obs::Counter* duplicated_counter_ = nullptr;
-  obs::Counter* delayed_counter_ = nullptr;
 };
 
 }  // namespace syndog::sim

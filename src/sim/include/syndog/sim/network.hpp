@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/cloud.hpp"
 #include "syndog/sim/link.hpp"
 #include "syndog/sim/router.hpp"
@@ -43,15 +42,11 @@ class StubNetworkSim {
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] LeafRouter& router() { return site_->router(); }
   [[nodiscard]] InternetCloud& cloud() { return *cloud_; }
-  /// The router->Internet / Internet->router links (fault-injection and
-  /// telemetry attachment points).
+  /// The router->Internet / Internet->router links (fault-injection
+  /// attachment points).
   [[nodiscard]] Link& uplink() { return *uplink_; }
   [[nodiscard]] Link& downlink() { return *downlink_; }
   [[nodiscard]] const StubNetworkParams& params() const { return params_; }
-
-  /// Wires the router ("router.*") and both links ("link.uplink.*" /
-  /// "link.downlink.*") into `registry` (which must outlive the sim).
-  void attach_observer(obs::Registry& registry);
 
   /// Intranet host by index in [1, num_hosts]. Index i has address
   /// stub_prefix.host(i) and MAC MacAddress::for_host(i).

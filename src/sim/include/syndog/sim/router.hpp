@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/util/time.hpp"
 
@@ -90,10 +89,6 @@ class LeafRouter {
 
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
-  /// Mirrors RouterStats into "router.*" counters in `registry` (which
-  /// must outlive the router).
-  void attach_observer(obs::Registry& registry);
-
  private:
   net::Ipv4Prefix stub_prefix_;
   net::MacAddress mac_;
@@ -107,18 +102,6 @@ class LeafRouter {
   bool ingress_filtering_ = false;
   IngressViolation on_ingress_violation_;
   RouterStats stats_;
-
-  // Telemetry (optional; see attach_observer). The policer-drop counter
-  // is created lazily on the first drop: most runs never police, and an
-  // unused registry entry would perturb byte-stable metric exports.
-  obs::Registry* registry_ = nullptr;
-  obs::Counter* dropped_policer_counter_ = nullptr;
-  obs::Counter* forwarded_outbound_counter_ = nullptr;
-  obs::Counter* forwarded_inbound_counter_ = nullptr;
-  obs::Counter* dropped_no_route_counter_ = nullptr;
-  obs::Counter* dropped_ingress_counter_ = nullptr;
-  obs::Counter* tap_suppressed_counter_ = nullptr;
-  obs::Counter* tap_bypassed_counter_ = nullptr;
 };
 
 }  // namespace syndog::sim

@@ -15,7 +15,6 @@
 #include <unordered_map>
 
 #include "syndog/net/packet.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/sim/scheduler.hpp"
 #include "syndog/sim/victim_defense.hpp"
@@ -118,12 +117,6 @@ class TcpHost {
   /// True while the server answers SYNs statelessly (cookie ISNs).
   [[nodiscard]] bool cookie_mode_active() const { return cookie_active_; }
 
-  /// Mirrors drop/cookie stats into "host.<name>.*" counters in
-  /// `registry` (which must outlive the host). Counters are created
-  /// lazily on first occurrence so unaffected runs keep byte-identical
-  /// metric exports.
-  void attach_observer(obs::Registry& registry);
-
  private:
   struct PeerKey {
     std::uint64_t v;
@@ -177,7 +170,6 @@ class TcpHost {
   void retransmit_syn_ack(PeerKey key);
   void update_cookie_mode();
   void maybe_accept_cookie(const net::Packet& packet, PeerKey key);
-  void count(obs::Counter*& slot, const char* name);
 
   std::string name_;
   net::Ipv4Address ip_;
@@ -200,13 +192,6 @@ class TcpHost {
   // draw order of the stateful path.
   SynCookieCodec cookies_;
   bool cookie_active_ = false;
-
-  // Telemetry (optional; see attach_observer). All lazily created.
-  obs::Registry* registry_ = nullptr;
-  obs::Counter* backlog_dropped_counter_ = nullptr;
-  obs::Counter* cookies_sent_counter_ = nullptr;
-  obs::Counter* cookies_validated_counter_ = nullptr;
-  obs::Counter* cookies_rejected_counter_ = nullptr;
 };
 
 }  // namespace syndog::sim

@@ -1,15 +1,9 @@
 #include "syndog/sim/link.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace syndog::sim {
-
-namespace {
-inline void bump(obs::Counter* counter) {
-  if (counter != nullptr) counter->add();
-}
-}  // namespace
 
 Link::Link(Scheduler& scheduler, LinkParams params, Deliver deliver,
            std::uint64_t seed)
@@ -34,14 +28,12 @@ void Link::schedule_delivery(util::SimTime at, net::Packet packet) {
       at, [this, h = scheduler_.packets().acquire(std::move(packet))]() {
         --in_flight_;
         ++delivered_;
-        bump(delivered_counter_);
         deliver_(*h);
       });
 }
 
 void Link::send(const net::Packet& packet) {
   ++sent_;
-  bump(sent_counter_);
 
   // Fault layer first: a downed link accepts nothing, injected loss models
   // first-mile lossiness beyond the base model. The perturber draws from
@@ -51,25 +43,21 @@ void Link::send(const net::Packet& packet) {
     verdict = chaos_->inspect(scheduler_.now(), packet);
     if (verdict.drop == LinkChaos::Drop::kLinkDown) {
       ++dropped_link_down_;
-      bump(dropped_link_down_counter_);
       return;
     }
     if (verdict.drop == LinkChaos::Drop::kLoss) {
       ++dropped_chaos_loss_;
-      bump(dropped_chaos_loss_counter_);
       return;
     }
   }
 
   if (params_.queue_limit != 0 && in_flight_ >= params_.queue_limit) {
     ++dropped_queue_full_;
-    bump(dropped_queue_full_counter_);
     return;
   }
   if (params_.loss_probability > 0.0 &&
       rng_.bernoulli(params_.loss_probability)) {
     ++lost_;
-    bump(lost_counter_);
     return;
   }
 
@@ -87,32 +75,15 @@ void Link::send(const net::Packet& packet) {
   util::SimTime arrival = depart + params_.delay;
   if (verdict.extra_delay > util::SimTime::zero()) {
     ++delayed_;
-    bump(delayed_counter_);
     arrival = arrival + verdict.extra_delay;
   }
   schedule_delivery(arrival, packet);
   for (std::uint32_t copy = 1; copy <= verdict.extra_copies; ++copy) {
     ++duplicated_;
-    bump(duplicated_counter_);
     schedule_delivery(
         arrival + verdict.copy_spacing * static_cast<std::int64_t>(copy),
         packet);
   }
-}
-
-void Link::attach_observer(obs::Registry& registry, std::string_view name) {
-  const std::string prefix = "link." + std::string(name) + ".";
-  sent_counter_ = &registry.counter(prefix + "sent");
-  delivered_counter_ = &registry.counter(prefix + "delivered");
-  lost_counter_ = &registry.counter(prefix + "lost");
-  dropped_queue_full_counter_ =
-      &registry.counter(prefix + "dropped_queue_full");
-  dropped_link_down_counter_ =
-      &registry.counter(prefix + "dropped_link_down");
-  dropped_chaos_loss_counter_ =
-      &registry.counter(prefix + "dropped_chaos_loss");
-  duplicated_counter_ = &registry.counter(prefix + "duplicated");
-  delayed_counter_ = &registry.counter(prefix + "delayed");
 }
 
 }  // namespace syndog::sim

@@ -40,12 +40,6 @@ StubNetworkSim::StubNetworkSim(StubNetworkParams params)
   for (std::uint32_t i = 1; i <= params_.num_hosts; ++i) (void)host(i);
 }
 
-void StubNetworkSim::attach_observer(obs::Registry& registry) {
-  router().attach_observer(registry);
-  uplink_->attach_observer(registry, "uplink");
-  downlink_->attach_observer(registry, "downlink");
-}
-
 TcpHost& StubNetworkSim::add_internet_host(std::string name,
                                            net::Ipv4Address ip,
                                            TcpHostParams host_params) {

@@ -5,12 +5,6 @@
 
 namespace syndog::sim {
 
-namespace {
-inline void bump(obs::Counter* counter) {
-  if (counter != nullptr) counter->add();
-}
-}  // namespace
-
 LeafRouter::LeafRouter(net::Ipv4Prefix stub_prefix, net::MacAddress mac)
     : stub_prefix_(stub_prefix), mac_(mac) {}
 
@@ -47,7 +41,6 @@ void LeafRouter::forward_from_intranet(util::SimTime now,
       it->second(packet);
     } else {
       ++stats_.dropped_no_route;
-      bump(dropped_no_route_counter_);
     }
     return;
   }
@@ -56,26 +49,19 @@ void LeafRouter::forward_from_intranet(util::SimTime now,
     for (const Tap& tap : outbound_taps_) tap(now, packet);
   } else if (!outbound_taps_.empty()) {
     ++stats_.tap_suppressed;
-    bump(tap_suppressed_counter_);
   }
 
   if (egress_policer_ && egress_policer_(now, packet)) {
     ++stats_.dropped_policer;
-    if (dropped_policer_counter_ == nullptr && registry_ != nullptr) {
-      dropped_policer_counter_ = &registry_->counter("router.dropped_policer");
-    }
-    bump(dropped_policer_counter_);
     return;
   }
   if (ingress_filtering_ && !stub_prefix_.contains(packet.ip.src)) {
     ++stats_.dropped_ingress_filter;
-    bump(dropped_ingress_counter_);
     if (on_ingress_violation_) on_ingress_violation_(now, packet);
     return;
   }
   if (uplink_) {
     ++stats_.forwarded_outbound;
-    bump(forwarded_outbound_counter_);
     uplink_(packet);
   }
 }
@@ -83,38 +69,21 @@ void LeafRouter::forward_from_intranet(util::SimTime now,
 void LeafRouter::forward_from_internet(util::SimTime now,
                                        const net::Packet& packet) {
   if (!taps_enabled_) {
-    if (!inbound_taps_.empty()) {
-      ++stats_.tap_suppressed;
-      bump(tap_suppressed_counter_);
-    }
+    if (!inbound_taps_.empty()) ++stats_.tap_suppressed;
   } else if (inbound_tap_bypass_ && inbound_tap_bypass_(now, packet)) {
     // Asymmetric routing: the packet reaches its host via another path,
     // invisible to the monitored interface.
     ++stats_.inbound_tap_bypassed;
-    bump(tap_bypassed_counter_);
   } else {
     for (const Tap& tap : inbound_taps_) tap(now, packet);
   }
   const auto it = hosts_.find(packet.ip.dst.value());
   if (it == hosts_.end()) {
     ++stats_.dropped_no_route;
-    bump(dropped_no_route_counter_);
     return;
   }
   ++stats_.forwarded_inbound;
-  bump(forwarded_inbound_counter_);
   it->second(packet);
-}
-
-void LeafRouter::attach_observer(obs::Registry& registry) {
-  registry_ = &registry;
-  forwarded_outbound_counter_ = &registry.counter("router.forwarded_outbound");
-  forwarded_inbound_counter_ = &registry.counter("router.forwarded_inbound");
-  dropped_no_route_counter_ = &registry.counter("router.dropped_no_route");
-  dropped_ingress_counter_ =
-      &registry.counter("router.dropped_ingress_filter");
-  tap_suppressed_counter_ = &registry.counter("router.tap_suppressed");
-  tap_bypassed_counter_ = &registry.counter("router.inbound_tap_bypassed");
 }
 
 }  // namespace syndog::sim

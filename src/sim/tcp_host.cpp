@@ -24,18 +24,6 @@ TcpHost::TcpHost(std::string name, net::Ipv4Address ip, net::MacAddress mac,
   }
 }
 
-void TcpHost::attach_observer(obs::Registry& registry) {
-  registry_ = &registry;
-}
-
-void TcpHost::count(obs::Counter*& slot, const char* name) {
-  if (registry_ == nullptr) return;
-  if (slot == nullptr) {
-    slot = &registry_->counter("host." + name_ + "." + name);
-  }
-  slot->add();
-}
-
 TcpHost::PeerKey TcpHost::key_of(net::Ipv4Address peer_ip,
                                  std::uint16_t peer_port,
                                  std::uint16_t local_port) {
@@ -146,7 +134,6 @@ void TcpHost::on_syn(const net::Packet& packet) {
         SynCookieCodec::counter_at(scheduler_.now()));
     ++stats_.syn_acks_sent;
     ++stats_.syn_cookies_sent;
-    count(cookies_sent_counter_, "syn_cookies_sent");
     send_tcp(packet.ip.src, port, packet.tcp->src_port,
              net::TcpFlags::syn_ack(), isn, packet.tcp->seq + 1);
     return;
@@ -154,7 +141,6 @@ void TcpHost::on_syn(const net::Packet& packet) {
   if (backlog_full()) {
     // The SYN-flood failure mode: silently drop the request.
     ++stats_.backlog_drops;
-    count(backlog_dropped_counter_, "backlog_dropped");
     return;
   }
 
@@ -275,11 +261,9 @@ void TcpHost::maybe_accept_cookie(const net::Packet& packet, PeerKey key) {
       SynCookieCodec::counter_at(scheduler_.now()));
   if (!valid) {
     ++stats_.syn_cookies_rejected;
-    count(cookies_rejected_counter_, "syn_cookies_rejected");
     return;
   }
   ++stats_.syn_cookies_validated;
-  count(cookies_validated_counter_, "syn_cookies_validated");
   ++stats_.established_as_server;
   established_[key] = Established{packet.ip.src, packet.tcp->src_port,
                                   packet.tcp->dst_port, false, false};

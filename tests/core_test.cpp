@@ -202,19 +202,6 @@ TEST(SnifferTest, HarvestResetsPeriodButKeepsLifetime) {
   EXPECT_EQ(sniffer.harvest(), 0u);
 }
 
-TEST(SnifferTest, FramePathAgreesWithPacketPath) {
-  Sniffer by_packet(SnifferRole::kOutbound);
-  Sniffer by_frame(SnifferRole::kOutbound);
-  for (const net::TcpFlags flags :
-       {net::TcpFlags::syn_only(), net::TcpFlags::syn_ack(),
-        net::TcpFlags::ack_only(), net::TcpFlags::fin_ack()}) {
-    const net::Packet pkt = packet_with_flags(flags);
-    by_packet.on_packet(pkt);
-    by_frame.on_frame(net::encode_frame(pkt));
-  }
-  EXPECT_EQ(by_packet.period_count(), by_frame.period_count());
-}
-
 // --- SourceLocator ---------------------------------------------------------------
 
 TEST(LocatorTest, RanksSpoofingStations) {

@@ -58,9 +58,13 @@ TEST(GlrTest, WindowBoundsWorkAndReset) {
 // --- corrupted traffic through the agent ------------------------------------------
 
 TEST(FailureInjectionTest, CorruptFramesNeverPerturbTheDetector) {
-  // Feed the sniffers a mix of valid SYNs and mutilated garbage; only
+  // Feed the sniffer a mix of valid SYNs and mutilated garbage the way
+  // the capture path does (decode, then count the decoded packet); only
   // the valid SYNs may count.
   core::Sniffer sniffer(core::SnifferRole::kOutbound);
+  const auto capture = [&sniffer](const net::ByteBuffer& frame) {
+    if (const auto pkt = net::decode_frame(frame)) sniffer.on_packet(*pkt);
+  };
   util::Rng rng(3);
   net::TcpPacketSpec spec;
   spec.src_ip = net::Ipv4Address(10, 1, 0, 1);
@@ -70,7 +74,7 @@ TEST(FailureInjectionTest, CorruptFramesNeverPerturbTheDetector) {
   std::uint64_t injected_valid = 0;
   for (int i = 0; i < 5000; ++i) {
     if (rng.bernoulli(0.3)) {
-      sniffer.on_frame(valid);
+      capture(valid);
       ++injected_valid;
     } else {
       net::ByteBuffer garbage(
@@ -78,7 +82,7 @@ TEST(FailureInjectionTest, CorruptFramesNeverPerturbTheDetector) {
       for (auto& b : garbage) {
         b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       }
-      sniffer.on_frame(garbage);
+      capture(garbage);
     }
   }
   EXPECT_EQ(sniffer.lifetime_count(), injected_valid);

@@ -238,6 +238,16 @@ TEST(FrameRingTest, CapacityErrorMessageExplainsConstraint) {
                  "SlotRing: capacity must be positive (a zero-capacity "
                  "ring could never publish a slot)");
   }
+  // Past 2^63 slots the power-of-two round-up does not fit in a size_t;
+  // the constructor refuses before it allocates anything.
+  try {
+    SlotRing<net::FlowDigest> ring(SIZE_MAX);
+    FAIL() << "a capacity with no power-of-two round-up must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "SlotRing: capacity must round up to a power of two that "
+                 "fits in std::size_t");
+  }
 }
 
 TEST(FrameRingTest, ReleaseOverflowMessageAndPartialOverflow) {
@@ -515,9 +525,9 @@ ManualResult manual_loop(const std::string& capture,
     const bool outbound_dir =
         stub.contains(pkt->ip.src) || !stub.contains(pkt->ip.dst);
     if (outbound_dir) {
-      outbound.on_frame(rec->data);
+      outbound.on_packet(*pkt);
     } else {
-      inbound.on_frame(rec->data);
+      inbound.on_packet(*pkt);
     }
   }
   close_period();
@@ -1592,6 +1602,9 @@ TEST(IngestShardedTest, ConfigValidation) {
   expect_rejects(cfg);
   cfg = ShardedConfig{};
   cfg.ring_capacity = 0;
+  expect_rejects(cfg);
+  cfg = ShardedConfig{};
+  cfg.ring_capacity = SIZE_MAX;  // no power-of-two round-up in a size_t
   expect_rejects(cfg);
   cfg = ShardedConfig{};
   cfg.flush_threshold = 0;

@@ -171,7 +171,7 @@ TEST(IntegrationTest, CleanLiveSimulationNeverAlarms) {
 }
 
 TEST(IntegrationTest, PcapRoundTripPreservesSnifferCounts) {
-  // trace -> pcap file -> frames -> fast classifier == trace totals.
+  // trace -> pcap file -> decoded frames -> sniffers == trace totals.
   const trace::SiteSpec spec = small_site();
   const trace::ConnectionTrace background =
       trace::generate_site_trace(spec, 29);
@@ -188,8 +188,10 @@ TEST(IntegrationTest, PcapRoundTripPreservesSnifferCounts) {
   core::Sniffer out_sniffer(core::SnifferRole::kOutbound);
   core::Sniffer in_sniffer(core::SnifferRole::kInbound);
   while (const auto rec = reader.next()) {
-    out_sniffer.on_frame(rec->data);
-    in_sniffer.on_frame(rec->data);
+    const auto pkt = net::decode_frame(rec->data);
+    ASSERT_TRUE(pkt.has_value());
+    out_sniffer.on_packet(*pkt);
+    in_sniffer.on_packet(*pkt);
   }
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(out_sniffer.lifetime_count(), background.total_syns());

@@ -16,7 +16,6 @@
 #include "syndog/mitigate/policy.hpp"
 #include "syndog/mitigate/recorder.hpp"
 #include "syndog/mitigate/token_bucket.hpp"
-#include "syndog/obs/metrics.hpp"
 #include "syndog/sim/network.hpp"
 #include "syndog/sim/tcp_host.hpp"
 #include "syndog/util/rng.hpp"
@@ -196,8 +195,6 @@ TEST(MitigationStateMachineTest, QuarantineReleasesThroughPassingProbe) {
   MitigationController controller(agent, network.router(),
                                   MitigationPolicy::staged_defaults());
   MitigationRecorder recorder(controller);
-  obs::Registry registry;
-  controller.attach_observer(registry);
   network.schedule_outbound_background(background_starts(3.0, 12, 33));
   // One long burst: alarm streak walks observe -> rate-limit ->
   // quarantine; after the flood the decay releases it into a probe.
@@ -225,10 +222,9 @@ TEST(MitigationStateMachineTest, QuarantineReleasesThroughPassingProbe) {
   const SimTime end = SimTime::minutes(12);
   EXPECT_GT(recorder.seconds_in(Stage::kQuarantine, end), SimTime::zero());
   EXPECT_GT(recorder.seconds_in(Stage::kRateLimit, end), SimTime::zero());
-  // The observer counters mirror the stats (created lazily on use).
-  EXPECT_EQ(registry.counter("mitigate.engagements").value(), 1u);
-  EXPECT_EQ(registry.counter("mitigate.escalations").value(), 1u);
-  EXPECT_EQ(registry.counter("mitigate.releases").value(), 2u);
+  EXPECT_EQ(controller.stats().engagements, 1u);
+  EXPECT_EQ(controller.stats().escalations, 1u);
+  EXPECT_EQ(controller.stats().releases, 2u);
 }
 
 // --- probe failure: an alarm on probation re-quarantines --------------------
@@ -352,8 +348,6 @@ TEST(TcpHostCookieTest, CookieModeEngagesServesLegitAndReverts) {
   sim::TcpHost& victim = network.add_internet_host(
       "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
   victim.listen(80);
-  obs::Registry registry;
-  victim.attach_observer(registry);
 
   // Spoofed flood: 500 SYNs over 5 s wedge a classic backlog. With
   // cookies the high-water mark trips instead and the handshake goes
@@ -392,10 +386,9 @@ TEST(TcpHostCookieTest, CookieModeEngagesServesLegitAndReverts) {
   network.run_until(SimTime::seconds(160));
   EXPECT_FALSE(victim.cookie_mode_active());
 
-  // The backlog_dropped counter mirrors stats (lazily created, so it
-  // only exists because the wedge phase actually dropped).
-  EXPECT_EQ(registry.counter("host.victim.backlog_dropped").value(),
-            victim.stats().backlog_drops);
+  // The high-water mark trips before the backlog fills, so cookie mode
+  // never drops a SYN.
+  EXPECT_EQ(victim.stats().backlog_drops, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 """layering.* — #include edges between src/ modules follow the DAG.
 
-Keep LAYER_DEPS in sync with DESIGN.md §3 and the DEPS lists in
-src/*/CMakeLists.txt:
+LAYER_DEPS mirrors DESIGN.md §3 and the DEPS lists in
+src/*/CMakeLists.txt (`layering.deps_drift` fires when a module's
+`syndog_add_module(... DEPS syndog::x ...)` set differs from its entry):
   util -> obs/stats/net -> pcap/classify -> detect/trace -> sim/attack
        -> fault -> core/traceback
 obs is the in-process observability layer: it may depend only on util
@@ -16,7 +17,8 @@ barriers); like mitigate/ingest, nothing may depend on it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+import re
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import ERROR, Finding, Rule, register
 
@@ -30,15 +32,15 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     "detect": {"stats", "util"},
     "trace": {"net", "stats", "util"},
     "sim": {"net", "obs", "util"},
-    "fault": {"net", "obs", "sim", "util"},
+    "fault": {"net", "sim", "util"},
     "attack": {"util"},
     "traceback": {"util"},
     "telemetry": {"obs", "util"},
     "core": {"classify", "detect", "net", "obs", "sim", "stats",
              "telemetry", "util"},
     "ingest": {"classify", "core", "net", "obs", "pcap", "sim", "util"},
-    "mitigate": {"core", "net", "obs", "sim", "telemetry", "util"},
-    "campaign": {"core", "net", "obs", "sim", "util"},
+    "mitigate": {"core", "net", "sim", "telemetry", "util"},
+    "campaign": {"core", "net", "sim", "util"},
 }
 
 
@@ -82,6 +84,26 @@ def _dag_cycle(deps: Dict[str, Set[str]]) -> Optional[List[str]]:
     return None
 
 
+_ADD_MODULE = re.compile(r"syndog_add_module\s*\(([^)]*)\)")
+
+
+def _cmake_deps(text: str) -> Optional[Tuple[int, Set[str]]]:
+    """(line, syndog:: DEPS) of the module's syndog_add_module() call, or
+    None when the file declares no module. The line is the DEPS keyword's,
+    or the call's when it lists none; other targets (Threads::Threads) are
+    not layers."""
+    text = re.sub(r"#[^\n]*", "", text)
+    call = _ADD_MODULE.search(text)
+    if call is None:
+        return None
+    args = call.group(1)
+    deps_at = re.search(r"\bDEPS\b", args)
+    if deps_at is None:
+        return text.count("\n", 0, call.start()) + 1, set()
+    line = text.count("\n", 0, call.start(1) + deps_at.start()) + 1
+    return line, set(re.findall(r"syndog::(\w+)", args[deps_at.end() :]))
+
+
 def _check_layering(ctx) -> Iterable[Finding]:
     deps = ctx.layer_deps
     cycle = _dag_cycle(deps)
@@ -102,6 +124,23 @@ def _check_layering(ctx) -> Iterable[Finding]:
             "(tools/lint/syndoglint/rules_layering.py); add it with its "
             "dependencies",
         )
+
+    for module in sorted(ctx.modules_on_disk & set(deps)):
+        cmake = f"src/{module}/CMakeLists.txt"
+        declared = _cmake_deps(
+            (ctx.root / cmake).read_text(encoding="utf-8")
+        )
+        if declared is not None and declared[1] != deps[module]:
+            line, listed = declared
+            drift = [f"+{d}" for d in sorted(listed - deps[module])]
+            drift += [f"-{d}" for d in sorted(deps[module] - listed)]
+            yield Finding(
+                cmake,
+                line,
+                "layering.deps_drift",
+                f"module '{module}' CMake DEPS differ from its LAYER_DEPS "
+                f"entry ({', '.join(drift)}); change both together",
+            )
 
     for module in sorted(ctx.modules_on_disk & set(deps)):
         allowed = _transitive_deps(deps, module) | {module}
@@ -126,14 +165,17 @@ _LAYERING_RATIONALE = (
     "turns two layers into one and every later split pays for it. The DAG "
     "is mirrored from DESIGN.md §3 and each module's "
     "syndog_add_module(... DEPS ...); transitive deps are allowed. The "
-    "map itself is cycle-checked, and a module directory missing from "
-    "LAYER_DEPS is its own finding so the map cannot rot."
+    "map itself is cycle-checked, a module directory missing from "
+    "LAYER_DEPS is its own finding, and so is a module whose CMake DEPS "
+    "name other syndog:: modules than its LAYER_DEPS entry, so the map "
+    "cannot rot."
 )
 
 for _rid, _summary in (
     ("layering.violation", "#include edge not in the module DAG"),
     ("layering.cycle", "LAYER_DEPS itself declares a cycle"),
     ("layering.unregistered", "src/ module missing from LAYER_DEPS"),
+    ("layering.deps_drift", "CMake DEPS differ from the LAYER_DEPS entry"),
 ):
     register(
         Rule(
