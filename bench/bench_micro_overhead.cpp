@@ -1,6 +1,7 @@
 // Microbenchmarks for the paper's "low computation overhead" claim (§1):
 // per-packet classification and stub-routing cost and per-period CUSUM
-// and agent period-close cost, measured with google-benchmark.
+// and agent period-close cost, measured with google-benchmark, plus the
+// simulator's per-SYN cost of a flood.
 //
 // The headline numbers: one flag classification is a few nanoseconds and
 // one CUSUM update is O(10) ns — i.e. SYN-dog adds no meaningful load to
@@ -22,6 +23,7 @@
 #include "syndog/net/packet.hpp"
 #include "syndog/obs/wallclock.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/stub_site.hpp"
 #include "syndog/sim/victim_defense.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -155,6 +157,44 @@ void BM_AgentClosePeriod(benchmark::State& state) {
   benchmark::DoNotOptimize(agent->ever_alarmed());
 }
 BENCHMARK(BM_AgentClosePeriod);
+
+/// One flood's life on a bare stub site: sim::StubSite::launch_flood
+/// (the per-SYN draws into the flood's array, one pending event), then
+/// the scheduler drains it through the router to a no-op uplink, one
+/// event per SYN. per_syn (seconds per SYN) covers both; the scheduler
+/// and site are built and torn down outside the timing.
+void BM_FloodLaunchAndDrain(benchmark::State& state) {
+  const auto syns = static_cast<std::size_t>(state.range(0));
+  std::vector<util::SimTime> times(syns);
+  for (std::size_t k = 0; k < syns; ++k) {
+    times[k] = util::SimTime::microseconds(100 * static_cast<std::int64_t>(k));
+  }
+  const net::Ipv4Prefix stub(net::Ipv4Address{0x0A000000u}, 24);
+  const net::Ipv4Prefix spoof_pool(net::Ipv4Address{0xF0000000u}, 8);
+  const net::Ipv4Address victim{198, 51, 100, 10};
+  util::Rng rng(6);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sched = std::make_unique<sim::Scheduler>();
+    auto site = std::make_unique<sim::StubSite>(
+        *sched, stub, 4, util::SimTime::microseconds(50),
+        sim::StubAddressing{net::MacAddress::for_host(0xffffff), 0, 0},
+        sim::TcpHostParams{}, 1);
+    site->router().set_uplink([](const net::Packet&) {});
+    state.ResumeTiming();
+    site->launch_flood(2, times, victim, 80, spoof_pool, rng);
+    benchmark::DoNotOptimize(sched->run_all());
+    state.PauseTiming();
+    site.reset();
+    sched.reset();
+    state.ResumeTiming();
+  }
+  state.counters["per_syn"] = benchmark::Counter(
+      static_cast<double>(syns),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FloodLaunchAndDrain)->Arg(1000)->Arg(100000);
 
 /// Contrast: the per-SYN cost of the stateful victim-side alternatives.
 void BM_SynCookieMakeVerify(benchmark::State& state) {

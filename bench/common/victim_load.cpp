@@ -21,7 +21,7 @@ sim::StubNetworkParams net_params(const VictimLoadConfig& cfg) {
 VictimLoadHarness::VictimLoadHarness(const VictimLoadConfig& cfg)
     : net_(net_params(cfg)) {
   victim_ =
-      &net_.add_internet_host("victim", cfg.victim_ip, cfg.victim_params);
+      &net_.add_internet_host(cfg.victim_ip, cfg.victim_params);
   victim_->listen(80);
 
   util::Rng rng(cfg.seed);

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   sim::TcpHostParams victim_params;
   victim_params.backlog = 512;
   sim::TcpHost& victim = net.add_internet_host(
-      "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
+      net::Ipv4Address(198, 51, 100, 10), victim_params);
   victim.listen(80);
 
   core::AlarmAggregator aggregator(

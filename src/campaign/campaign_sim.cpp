@@ -81,8 +81,7 @@ CampaignSim::StubNet::StubNet(const CampaignParams& params, int stub,
                net::MacAddress::for_host(kRouterMacPlane +
                                          static_cast<std::uint32_t>(stub)),
                kHostMacPlane + (static_cast<std::uint32_t>(stub) << 12),
-               0x70000ull + static_cast<std::uint64_t>(stub) * 0x10000ull,
-               "stub" + std::to_string(stub) + "-"},
+               0x70000ull + static_cast<std::uint64_t>(stub) * 0x10000ull},
            params.host_params, params.seed),
       workload_rng(util::Rng::child(params.seed ^ 0xBA22u,
                                     static_cast<std::uint64_t>(stub))),
@@ -122,7 +121,7 @@ CampaignSim::CampaignSim(CampaignParams params) : params_(params) {
 
   victim_cell_ = std::make_unique<Cell>();
   victim_ = sim::make_internet_host(
-      "victim", params_.victim_ip, 0, victim_cell_->sched,
+      params_.victim_ip, 0, victim_cell_->sched,
       [this](const net::Packet& pkt) { on_victim_send(pkt); },
       params_.victim_params, params_.seed);
   victim_->listen(params_.victim_port);

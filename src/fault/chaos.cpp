@@ -116,7 +116,6 @@ void ChaosController::install() {
 }
 
 void ChaosController::on_window_edge(const FaultSpec& spec, bool active) {
-  active_faults_ += active ? 1 : -1;
   if (spec.kind == FaultKind::kTapOutage) {
     const std::int64_t before = open_tap_outages_;
     open_tap_outages_ += active ? 1 : -1;

@@ -57,8 +57,6 @@ class ChaosController {
   [[nodiscard]] std::uint64_t diverted_syn_acks() const {
     return diverted_syn_acks_;
   }
-  /// Fault windows currently open.
-  [[nodiscard]] std::int64_t active_faults() const { return active_faults_; }
 
  private:
   class LinkPerturber;
@@ -78,7 +76,6 @@ class ChaosController {
   std::vector<sim::EventId> edge_events_;
   OutageListener outage_listener_;
   std::int64_t open_tap_outages_ = 0;
-  std::int64_t active_faults_ = 0;
   std::uint64_t diverted_syn_acks_ = 0;
 };
 

@@ -18,7 +18,7 @@ void InternetCloud::add_stub_route(net::Ipv4Prefix prefix,
   stub_routes_.emplace_back(prefix, std::move(downlink));
 }
 
-TcpHost& InternetCloud::add_host(std::string name, net::Ipv4Address ip,
+TcpHost& InternetCloud::add_host(net::Ipv4Address ip,
                                  TcpHostParams host_params,
                                  std::uint64_t seed) {
   for (const auto& route : stub_routes_) {
@@ -28,9 +28,8 @@ TcpHost& InternetCloud::add_host(std::string name, net::Ipv4Address ip,
     }
   }
   owned_hosts_.push_back(make_internet_host(
-      std::move(name), ip, static_cast<std::uint32_t>(owned_hosts_.size()),
-      scheduler_, [this](const net::Packet& pkt) { route(pkt); },
-      host_params, seed));
+      ip, static_cast<std::uint32_t>(owned_hosts_.size()), scheduler_,
+      [this](const net::Packet& pkt) { route(pkt); }, host_params, seed));
   TcpHost* host = owned_hosts_.back().get();
   hosts_[ip.value()] = host;
   return *host;

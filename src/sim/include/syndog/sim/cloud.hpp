@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -51,8 +50,8 @@ class InternetCloud {
   /// Creates a real Internet-side host (make_internet_host, k = hosts
   /// added so far) that takes packets to `ip`; its output re-enters
   /// route(). Throws std::invalid_argument if `ip` is inside a stub route.
-  TcpHost& add_host(std::string name, net::Ipv4Address ip,
-                    TcpHostParams host_params, std::uint64_t seed);
+  TcpHost& add_host(net::Ipv4Address ip, TcpHostParams host_params,
+                    std::uint64_t seed);
 
   /// Handles a packet arriving from a stub network's uplink.
   void receive(const net::Packet& packet);

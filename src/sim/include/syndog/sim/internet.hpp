@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "syndog/net/address.hpp"
 #include "syndog/net/packet.hpp"
@@ -36,9 +35,8 @@ namespace syndog::sim {
 /// splitmix64(seed ^ (0xE000 + k)). `send` takes its output back into
 /// the Internet's routing.
 [[nodiscard]] std::unique_ptr<TcpHost> make_internet_host(
-    std::string name, net::Ipv4Address ip, std::uint32_t k,
-    Scheduler& scheduler, PacketSink send, TcpHostParams params,
-    std::uint64_t seed);
+    net::Ipv4Address ip, std::uint32_t k, Scheduler& scheduler,
+    PacketSink send, TcpHostParams params, std::uint64_t seed);
 
 struct ResponderParams {
   /// Probability a generic remote server fails to answer a SYN (remote

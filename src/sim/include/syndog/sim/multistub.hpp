@@ -54,8 +54,7 @@ class MultiStubSim {
   [[nodiscard]] TcpHost& host(int stub, std::uint32_t index);
 
   /// Attaches a shared Internet-side host (e.g. the campaign's victim).
-  TcpHost& add_internet_host(std::string name, net::Ipv4Address ip,
-                             TcpHostParams host_params);
+  TcpHost& add_internet_host(net::Ipv4Address ip, TcpHostParams host_params);
 
   /// Background connections from random hosts of `stub` to generic
   /// remote servers (StubSite::schedule_host_background).

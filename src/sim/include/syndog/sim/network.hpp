@@ -58,8 +58,7 @@ class StubNetworkSim {
   }
 
   /// Creates a real host on the Internet side (e.g. the victim server).
-  TcpHost& add_internet_host(std::string name, net::Ipv4Address ip,
-                             TcpHostParams host_params);
+  TcpHost& add_internet_host(net::Ipv4Address ip, TcpHostParams host_params);
 
   /// Background workload: at each start time, a random stub host opens a
   /// connection to a random generic remote server (port 80).

@@ -6,6 +6,12 @@
 // number) so runs are fully deterministic — the exact order the old
 // binary-heap/lazy-cancel design produced, preserved bit-for-bit.
 //
+// A generator that would otherwise schedule n events at once (a flood)
+// reserves their n stamps up front with reserve() and keeps one pending
+// at a time through schedule_reserved(): each fires under the stamp it
+// would have had, so the run is the same as if all n had been pending
+// from the start. schedule_at() is reserve(1) plus that insert.
+//
 // EventIds encode {slot index, generation}; cancel() checks the slot's
 // current generation and, on a match, destroys the callback, bumps the
 // generation, and removes the heap entry through the slot's tracked
@@ -34,9 +40,9 @@ namespace syndog::sim {
 
 using EventId = std::uint64_t;
 
-/// Inline budget for event callbacks. The largest legitimate capture in
-/// the tree (flood-spec generators) is ~48 bytes; packets themselves
-/// must go through the PacketPool, not the capture.
+/// Inline budget for event callbacks. The largest captures in the tree
+/// are a few words (an object pointer, indices, addresses and ports);
+/// packets themselves must go through the PacketPool, not the capture.
 inline constexpr std::size_t kSchedulerCallbackCapacity = 64;
 
 class Scheduler {
@@ -55,6 +61,17 @@ class Scheduler {
   EventId schedule_after(util::SimTime delay, Callback fn) {
     return schedule_at(now_ + delay, std::move(fn));
   }
+
+  /// Hands out the next `n` schedule-order stamps and returns the first
+  /// (stamps first .. first + n - 1). Throws std::overflow_error when the
+  /// scheduler's lifetime supply of 2^40 stamps would run out.
+  [[nodiscard]] std::uint64_t reserve(std::uint64_t n);  // syndog-lint: allow(hotpath.allocation) -- hands out stamps; no container grows
+  /// schedule_at() under a stamp from an earlier reserve(): among events
+  /// at the same time, `fn` runs as if it had been scheduled when the
+  /// stamp was reserved. Each stamp is for one event. Throws
+  /// std::invalid_argument for a stamp reserve() has not handed out.
+  EventId schedule_reserved(util::SimTime at, std::uint64_t stamp,
+                            Callback fn);
 
   /// Cancels a pending event, removing its queue entry immediately
   /// (O(log n), no search, no lingering tombstone); cancelling an
@@ -95,8 +112,9 @@ class Scheduler {
   /// 16 bytes so a 4-child group spans one cache line. `key` packs the
   /// monotonic schedule-order stamp (bits 63..24, the deterministic
   /// tie-break) over the slot index (bits 23..0); comparing keys compares
-  /// seq first, and seqs are unique. schedule_at() range-checks both
-  /// fields (kMaxSlots concurrent events, kMaxSeq lifetime events).
+  /// seq first, and seqs are unique. schedule_reserved() checks the slot
+  /// count (kMaxSlots concurrent events) and reserve() the seq (kMaxSeq
+  /// lifetime stamps).
   struct HeapEntry {
     util::SimTime at;
     std::uint64_t key;
@@ -130,7 +148,7 @@ class Scheduler {
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;  ///< 4-ary min-heap ordered by before()
   util::SimTime now_;
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_seq_ = 1;  ///< next stamp reserve() hands out
   std::size_t pending_ = 0;
   std::uint64_t executed_ = 0;
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "syndog/net/address.hpp"
@@ -24,12 +23,10 @@ namespace syndog::sim {
 /// simulator's MACs and seeds, so the site takes it as given).
 struct StubAddressing {
   net::MacAddress router_mac;
-  /// Host i has MAC MacAddress::for_host(host_mac_base + i),
+  /// Host i has MAC MacAddress::for_host(host_mac_base + i)
   std::uint32_t host_mac_base = 0;
-  /// TcpHost seed splitmix64(seed ^ (host_seed_base + i)),
+  /// and TcpHost seed splitmix64(seed ^ (host_seed_base + i)).
   std::uint64_t host_seed_base = 0;
-  /// and name host_name + std::to_string(i).
-  std::string host_name;
 };
 
 class StubSite {
@@ -72,13 +69,44 @@ class StubSite {
   /// daemon (the host is not built). Each SYN's source (from
   /// `spoof_pool`), sport and seq are drawn at launch, in that order; it
   /// reaches the router at its time plus the LAN delay.
+  ///
+  /// The flood is a cursor: its SYNs wait in one array, and one pending
+  /// event fires the next and schedules its successor. Each SYN keeps the
+  /// schedule-order stamp it would have had if every SYN had been
+  /// scheduled at launch (Scheduler::reserve), so unsorted or tied
+  /// `syn_times` fire in the same order as they would then.
   void launch_flood(std::uint32_t index,
                     const std::vector<util::SimTime>& syn_times,
                     net::Ipv4Address victim, std::uint16_t victim_port,
                     net::Ipv4Prefix spoof_pool, util::Rng& rng);
 
  private:
+  /// One flood SYN's launch-time draws. `order` is its index in the
+  /// caller's syn_times, so its stamp is the flood's first stamp plus
+  /// `order`.
+  struct FloodSyn {
+    util::SimTime at;  ///< arrival at the router (time plus LAN delay)
+    net::Ipv4Address spoofed;
+    std::uint32_t seq;
+    std::uint32_t order;
+    std::uint16_t sport;
+  };
+  /// A launched flood: its SYNs in (time, stamp) order and the cursor of
+  /// the next to fire. The array is freed once the last SYN has fired.
+  struct Flood {
+    std::vector<FloodSyn> syns;
+    std::size_t next = 0;
+    std::uint64_t first_stamp = 0;
+    std::uint32_t host_index = 0;
+    net::Ipv4Address victim;
+    std::uint16_t victim_port = 0;
+  };
+
   void check_index(std::uint32_t index) const;
+  /// Schedules flood `f`'s next SYN; its event captures the flood's index,
+  /// not a pointer, because a later launch may grow floods_.
+  void schedule_flood_syn(std::size_t f);
+  void fire_flood_syn(std::size_t f);
 
   Scheduler& scheduler_;
   LeafRouter router_;
@@ -88,6 +116,7 @@ class StubSite {
   TcpHostParams host_params_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<TcpHost>> hosts_;  ///< [index - 1]
+  std::vector<Flood> floods_;                    ///< in launch order
 };
 
 }  // namespace syndog::sim

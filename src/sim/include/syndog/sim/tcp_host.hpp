@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 
 #include "syndog/net/packet.hpp"
@@ -79,7 +78,7 @@ class TcpHost {
   /// `send` hands a fully formed frame to the attached network (LAN side
   /// of the leaf router). `gateway_mac` is the router's MAC, used as the
   /// L2 destination of every frame the host emits.
-  TcpHost(std::string name, net::Ipv4Address ip, net::MacAddress mac,
+  TcpHost(net::Ipv4Address ip, net::MacAddress mac,
           net::MacAddress gateway_mac, Scheduler& scheduler,
           PacketSink send, TcpHostParams params, std::uint64_t seed);
 
@@ -106,7 +105,6 @@ class TcpHost {
   [[nodiscard]] const TcpHostStats& stats() const { return stats_; }
   [[nodiscard]] net::Ipv4Address ip() const { return ip_; }
   [[nodiscard]] net::MacAddress mac() const { return mac_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
   /// Current number of half-open (SYN_RCVD) connections.
   [[nodiscard]] std::size_t half_open_count() const {
     return half_open_.size();
@@ -171,7 +169,6 @@ class TcpHost {
   void update_cookie_mode();
   void maybe_accept_cookie(const net::Packet& packet, PeerKey key);
 
-  std::string name_;
   net::Ipv4Address ip_;
   net::MacAddress mac_;
   net::MacAddress gateway_mac_;

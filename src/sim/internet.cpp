@@ -16,12 +16,11 @@ net::Ipv4Address draw_generic_server(util::Rng& rng) {
 }
 
 std::unique_ptr<TcpHost> make_internet_host(
-    std::string name, net::Ipv4Address ip, std::uint32_t k,
-    Scheduler& scheduler, PacketSink send, TcpHostParams params,
-    std::uint64_t seed) {
+    net::Ipv4Address ip, std::uint32_t k, Scheduler& scheduler,
+    PacketSink send, TcpHostParams params, std::uint64_t seed) {
   return std::make_unique<TcpHost>(
-      std::move(name), ip, net::MacAddress::for_host(0xE00000u + k),
-      internet_gateway_mac(), scheduler, std::move(send), params,
+      ip, net::MacAddress::for_host(0xE00000u + k), internet_gateway_mac(),
+      scheduler, std::move(send), params,
       util::splitmix64(seed ^ (0xE000u + std::uint64_t{k})));
 }
 

@@ -32,8 +32,7 @@ MultiStubSim::MultiStubSim(MultiStubParams params)
     stub.site = std::make_unique<StubSite>(
         scheduler_, prefix_for(s), params_.hosts_per_stub, params_.lan_delay,
         StubAddressing{net::MacAddress::for_host(0xf00000 + plane),
-                       plane * 0x10000, 0x70000 + std::uint64_t{plane} * 1000,
-                       "stub" + std::to_string(s) + "-"},
+                       plane * 0x10000, 0x70000 + std::uint64_t{plane} * 1000},
         params_.host_params, params_.seed);
 
     LeafRouter* router = &stub.site->router();
@@ -85,10 +84,9 @@ TcpHost& MultiStubSim::host(int stub, std::uint32_t index) {
   return site(stub).host(index);
 }
 
-TcpHost& MultiStubSim::add_internet_host(std::string name,
-                                         net::Ipv4Address ip,
+TcpHost& MultiStubSim::add_internet_host(net::Ipv4Address ip,
                                          TcpHostParams host_params) {
-  return cloud_->add_host(std::move(name), ip, host_params, params_.seed);
+  return cloud_->add_host(ip, host_params, params_.seed);
 }
 
 void MultiStubSim::schedule_outbound_background(

@@ -16,7 +16,7 @@ StubNetworkSim::StubNetworkSim(StubNetworkParams params)
   }
   site_ = std::make_unique<StubSite>(
       scheduler_, params_.stub_prefix, params_.num_hosts, params_.lan_delay,
-      StubAddressing{net::MacAddress::for_host(0xffffff), 0, 0x700, "stub-"},
+      StubAddressing{net::MacAddress::for_host(0xffffff), 0, 0x700},
       params_.host_params, params_.seed);
 
   // Internet side: router --uplink--> cloud, cloud --downlink--> router.
@@ -40,10 +40,9 @@ StubNetworkSim::StubNetworkSim(StubNetworkParams params)
   for (std::uint32_t i = 1; i <= params_.num_hosts; ++i) (void)host(i);
 }
 
-TcpHost& StubNetworkSim::add_internet_host(std::string name,
-                                           net::Ipv4Address ip,
+TcpHost& StubNetworkSim::add_internet_host(net::Ipv4Address ip,
                                            TcpHostParams host_params) {
-  return cloud_->add_host(std::move(name), ip, host_params, params_.seed);
+  return cloud_->add_host(ip, host_params, params_.seed);
 }
 
 void StubNetworkSim::make_servers(std::uint16_t port) {

@@ -68,7 +68,25 @@ void Scheduler::heap_remove(std::size_t pos) {
 
 void Scheduler::retire(std::uint32_t slot) { free_slots_.push_back(slot); }
 
+std::uint64_t Scheduler::reserve(std::uint64_t n) {
+  if (n > kMaxSeq - next_seq_) {
+    throw std::overflow_error(
+        "Scheduler: schedule-order stamp exhausted (2^40 events)");
+  }
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
 EventId Scheduler::schedule_at(util::SimTime at, Callback fn) {
+  return schedule_reserved(at, reserve(1), std::move(fn));
+}
+
+EventId Scheduler::schedule_reserved(util::SimTime at, std::uint64_t stamp,
+                                     Callback fn) {
+  if (stamp == 0 || stamp >= next_seq_) {
+    throw std::invalid_argument("Scheduler: stamp not reserved");
+  }
   if (at < now_) {
     throw std::invalid_argument("Scheduler: cannot schedule in the past");
   }
@@ -87,14 +105,10 @@ EventId Scheduler::schedule_at(util::SimTime at, Callback fn) {
     index = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  if (next_seq_ >= kMaxSeq) {
-    throw std::overflow_error(
-        "Scheduler: schedule-order stamp exhausted (2^40 events)");
-  }
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.armed = true;
-  heap_push(HeapEntry{at, (next_seq_++ << 24) | index});
+  heap_push(HeapEntry{at, (stamp << 24) | index});
   ++pending_;
   if (scheduled_counter_ != nullptr) {
     scheduled_counter_->add();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "syndog/sim/internet.hpp"
@@ -16,7 +17,7 @@ StubSite::StubSite(Scheduler& scheduler, net::Ipv4Prefix prefix,
       router_(prefix, addressing.router_mac),
       host_count_(host_count),
       lan_delay_(lan_delay),
-      addressing_(std::move(addressing)),
+      addressing_(addressing),
       host_params_(host_params),
       seed_(seed) {}
 
@@ -36,8 +37,7 @@ TcpHost& StubSite::host(std::uint32_t index) {
   if (slot) return *slot;
   const net::Ipv4Address ip = prefix().host(index);
   slot = std::make_unique<TcpHost>(
-      addressing_.host_name + std::to_string(index), ip, host_mac(index),
-      router_.mac(), scheduler_,
+      ip, host_mac(index), router_.mac(), scheduler_,
       [this](const net::Packet& pkt) {
         scheduler_.schedule_after(
             lan_delay_, [this, h = scheduler_.packets().acquire(pkt)] {
@@ -79,11 +79,20 @@ void StubSite::launch_flood(std::uint32_t index,
                             std::uint16_t victim_port,
                             net::Ipv4Prefix spoof_pool, util::Rng& rng) {
   check_index(index);
+  if (syn_times.empty()) return;
+  if (syn_times.size() > UINT32_MAX) {
+    throw std::length_error("StubSite: more than 2^32 SYNs in one flood");
+  }
   // A /31 or /32 pool means a fixed spoofed source (e.g. the reflection
   // scenario that frames one specific reachable host).
   const std::int64_t pool_hosts = std::max<std::int64_t>(
       static_cast<std::int64_t>(spoof_pool.size()) - 2, 1);
-  for (const util::SimTime at : syn_times) {
+  Flood flood;
+  flood.host_index = index;
+  flood.victim = victim;
+  flood.victim_port = victim_port;
+  flood.syns.reserve(syn_times.size());
+  for (std::size_t k = 0; k < syn_times.size(); ++k) {
     const net::Ipv4Address spoofed =
         spoof_pool.size() <= 2
             ? spoof_pool.base()
@@ -92,21 +101,44 @@ void StubSite::launch_flood(std::uint32_t index,
     const auto sport =
         static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
     const std::uint32_t seq = rng.next_u32();
-    scheduler_.schedule_at(
-        at + lan_delay_,
-        [this, index, spoofed, victim, victim_port, sport, seq] {
-          net::TcpPacketSpec spec;
-          spec.src_mac = host_mac(index);
-          spec.dst_mac = router_.mac();
-          spec.src_ip = spoofed;
-          spec.dst_ip = victim;
-          spec.src_port = sport;
-          spec.dst_port = victim_port;
-          spec.seq = seq;
-          router_.forward_from_intranet(scheduler_.now(),
-                                        net::make_syn(spec));
-        });
+    flood.syns.push_back({syn_times[k] + lan_delay_, spoofed, seq,
+                          static_cast<std::uint32_t>(k), sport});
   }
+  // Stable, so tied SYNs stay in index order, which is stamp order.
+  if (!std::ranges::is_sorted(flood.syns, {}, &FloodSyn::at)) {
+    std::ranges::stable_sort(flood.syns, {}, &FloodSyn::at);
+  }
+  flood.first_stamp = scheduler_.reserve(syn_times.size());
+  floods_.push_back(std::move(flood));
+  // Throws if the first SYN is before now(); the flood then never fires.
+  schedule_flood_syn(floods_.size() - 1);
+}
+
+void StubSite::schedule_flood_syn(std::size_t f) {
+  const Flood& flood = floods_[f];
+  const FloodSyn& syn = flood.syns[flood.next];
+  scheduler_.schedule_reserved(syn.at, flood.first_stamp + syn.order,
+                               [this, f] { fire_flood_syn(f); });
+}
+
+void StubSite::fire_flood_syn(std::size_t f) {
+  Flood& flood = floods_[f];
+  const FloodSyn& syn = flood.syns[flood.next];
+  net::TcpPacketSpec spec;
+  spec.src_mac = host_mac(flood.host_index);
+  spec.dst_mac = router_.mac();
+  spec.src_ip = syn.spoofed;
+  spec.dst_ip = flood.victim;
+  spec.src_port = syn.sport;
+  spec.dst_port = flood.victim_port;
+  spec.seq = syn.seq;
+  if (++flood.next < flood.syns.size()) {
+    schedule_flood_syn(f);
+  } else {
+    std::vector<FloodSyn>().swap(flood.syns);
+  }
+  // Last: forwarding may launch another flood and move floods_.
+  router_.forward_from_intranet(scheduler_.now(), net::make_syn(spec));
 }
 
 }  // namespace syndog::sim

@@ -4,10 +4,10 @@
 
 namespace syndog::sim {
 
-TcpHost::TcpHost(std::string name, net::Ipv4Address ip, net::MacAddress mac,
+TcpHost::TcpHost(net::Ipv4Address ip, net::MacAddress mac,
                  net::MacAddress gateway_mac, Scheduler& scheduler,
                  PacketSink send, TcpHostParams params, std::uint64_t seed)
-    : name_(std::move(name)), ip_(ip), mac_(mac), gateway_mac_(gateway_mac),
+    : ip_(ip), mac_(mac), gateway_mac_(gateway_mac),
       scheduler_(scheduler), send_(std::move(send)), params_(params),
       rng_(seed),
       cookies_(util::splitmix64(seed ^ 0x53594e636f6f6bULL)) {

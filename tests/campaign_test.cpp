@@ -196,7 +196,7 @@ OracleRun run_oracle(const Profile& p,
   OracleRun run;
   run.net = std::make_unique<sim::MultiStubSim>(mp);
   run.victim = &run.net->add_internet_host(
-      "victim", net::Ipv4Address(198, 51, 100, 10), victim_params());
+      net::Ipv4Address(198, 51, 100, 10), victim_params());
   run.victim->listen(80);
   for (int s = 0; s < p.stubs; ++s) {
     run.agents.push_back(std::make_unique<core::SynDogAgent>(

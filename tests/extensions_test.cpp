@@ -307,12 +307,12 @@ TEST(ReflectionTest, SpoofingReachableSourcesDefeatsTheFlood) {
     sim::TcpHostParams victim_params;
     victim_params.backlog = 128;
     sim::TcpHost& victim = network.add_internet_host(
-        "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
+        net::Ipv4Address(198, 51, 100, 10), victim_params);
     victim.listen(80);
     // A real, reachable bystander host whose address the attacker might
     // spoof.
     sim::TcpHost& bystander = network.add_internet_host(
-        "bystander", net::Ipv4Address(203, 0, 113, 5), {});
+        net::Ipv4Address(203, 0, 113, 5), {});
 
     std::vector<SimTime> flood;
     for (int i = 0; i < 3000; ++i) {

@@ -346,7 +346,7 @@ TEST(TcpHostCookieTest, CookieModeEngagesServesLegitAndReverts) {
   victim_params.backlog = 64;
   victim_params.syn_cookies = true;
   sim::TcpHost& victim = network.add_internet_host(
-      "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
+      net::Ipv4Address(198, 51, 100, 10), victim_params);
   victim.listen(80);
 
   // Spoofed flood: 500 SYNs over 5 s wedge a classic backlog. With

@@ -32,7 +32,7 @@ TEST(MultiStubTest, PrefixesAndHostsAreDisjoint) {
   EXPECT_THROW((void)net.router(4), std::out_of_range);
   EXPECT_THROW((void)net.host(0, 6), std::out_of_range);
   EXPECT_THROW(
-      (void)net.add_internet_host("bad", net.stub_prefix(2).host(1), {}),
+      (void)net.add_internet_host(net.stub_prefix(2).host(1), {}),
       std::invalid_argument);
 }
 
@@ -106,7 +106,7 @@ TEST(MultiStubTest, DistributedCampaignDetectedInEveryStubAndAtVictim) {
   sim::TcpHostParams victim_params;
   victim_params.backlog = 256;
   sim::TcpHost& victim = net.add_internet_host(
-      "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
+      net::Ipv4Address(198, 51, 100, 10), victim_params);
   victim.listen(80);
 
   std::vector<std::unique_ptr<core::SynDogAgent>> agents;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,7 +13,9 @@
 #include "syndog/sim/network.hpp"
 #include "syndog/sim/router.hpp"
 #include "syndog/sim/scheduler.hpp"
+#include "syndog/sim/stub_site.hpp"
 #include "syndog/sim/tcp_host.hpp"
+#include "syndog/util/rng.hpp"
 
 namespace syndog::sim {
 namespace {
@@ -133,6 +137,46 @@ TEST(SchedulerTest, CancelReleasesCapturedPoolSlots) {
   EXPECT_EQ(sched.pending(), 0u);
 }
 
+TEST(SchedulerTest, ReservedStampFiresBeforeLaterEventsAtItsTime) {
+  Scheduler sched;
+  std::vector<int> order;
+  const std::uint64_t stamp = sched.reserve(2);
+  sched.schedule_at(SimTime::seconds(1), [&] { order.push_back(3); });
+  sched.schedule_reserved(SimTime::seconds(1), stamp + 1,
+                          [&] { order.push_back(2); });
+  sched.schedule_reserved(SimTime::seconds(1), stamp,
+                          [&] { order.push_back(1); });
+  sched.schedule_at(SimTime::milliseconds(500), [&] { order.push_back(0); });
+  sched.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SchedulerTest, RejectsStampsReserveHasNotHandedOut) {
+  Scheduler sched;
+  EXPECT_THROW(sched.schedule_reserved(SimTime::seconds(1), 0, [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sched.schedule_reserved(SimTime::seconds(1), 1, [] {}),
+               std::invalid_argument);
+  const std::uint64_t stamp = sched.reserve(3);
+  EXPECT_THROW(sched.schedule_reserved(SimTime::seconds(1), stamp + 3, [] {}),
+               std::invalid_argument);
+  sched.schedule_reserved(SimTime::seconds(1), stamp + 2, [] {});
+  EXPECT_EQ(sched.pending(), 1u);
+}
+
+TEST(SchedulerTest, StampSupplyEndsAtTwoToTheForty) {
+  constexpr std::uint64_t kStamps = std::uint64_t{1} << 40;
+  Scheduler sched;
+  // Stamps start at 1, so only 2^40 - 1 exist.
+  EXPECT_THROW((void)sched.reserve(kStamps), std::overflow_error);
+  EXPECT_EQ(sched.reserve(kStamps - 2), 1u);
+  sched.schedule_at(SimTime::seconds(1), [] {});  // takes stamp 2^40 - 1
+  EXPECT_THROW(sched.schedule_at(SimTime::seconds(1), [] {}),
+               std::overflow_error);
+  EXPECT_THROW((void)sched.reserve(1), std::overflow_error);
+  EXPECT_EQ(sched.run_all(), 1u);
+}
+
 // --- Link -------------------------------------------------------------------
 
 net::Packet small_packet() {
@@ -249,7 +293,7 @@ struct HandshakePair {
   explicit HandshakePair(TcpHostParams params = {}) {
     // Direct 5 ms wire between the two hosts.
     client = std::make_unique<TcpHost>(
-        "client", net::Ipv4Address(10, 0, 0, 1),
+        net::Ipv4Address(10, 0, 0, 1),
         net::MacAddress::for_host(1), net::MacAddress::for_host(99), sched,
         [this](const net::Packet& pkt) {
           sched.schedule_after(
@@ -260,7 +304,7 @@ struct HandshakePair {
         },
         params, 1);
     server = std::make_unique<TcpHost>(
-        "server", net::Ipv4Address(10, 0, 0, 2),
+        net::Ipv4Address(10, 0, 0, 2),
         net::MacAddress::for_host(2), net::MacAddress::for_host(99), sched,
         [this](const net::Packet& pkt) {
           sched.schedule_after(
@@ -300,7 +344,7 @@ TEST(TcpHostTest, BacklogFillsAndDropsSilently) {
   params.backlog = 4;
   Scheduler sched;
   // Server whose replies go nowhere (spoofed flood: no final ACKs).
-  TcpHost server("victim", net::Ipv4Address(10, 0, 0, 2),
+  TcpHost server(net::Ipv4Address(10, 0, 0, 2),
                  net::MacAddress::for_host(2),
                  net::MacAddress::for_host(99), sched,
                  [](const net::Packet&) {}, params, 3);
@@ -328,7 +372,7 @@ TEST(TcpHostTest, DuplicateSynDoesNotConsumeExtraBacklog) {
   TcpHostParams params;
   params.backlog = 4;
   Scheduler sched;
-  TcpHost server("server", net::Ipv4Address(10, 0, 0, 2),
+  TcpHost server(net::Ipv4Address(10, 0, 0, 2),
                  net::MacAddress::for_host(2),
                  net::MacAddress::for_host(99), sched,
                  [](const net::Packet&) {}, params, 3);
@@ -376,7 +420,7 @@ TEST(TcpHostTest, RstClearsHalfOpenState) {
 TEST(TcpHostTest, ClientGivesUpAfterRetransmissions) {
   Scheduler sched;
   // Client whose SYNs vanish.
-  TcpHost client("client", net::Ipv4Address(10, 0, 0, 1),
+  TcpHost client(net::Ipv4Address(10, 0, 0, 1),
                  net::MacAddress::for_host(1),
                  net::MacAddress::for_host(99), sched,
                  [](const net::Packet&) {}, TcpHostParams{}, 4);
@@ -684,7 +728,7 @@ TEST(StubNetworkTest, FloodAgainstRealVictimExhaustsBacklog) {
   TcpHostParams victim_params;
   victim_params.backlog = 64;
   TcpHost& victim = sim.add_internet_host(
-      "victim", net::Ipv4Address(198, 51, 100, 10), victim_params);
+      net::Ipv4Address(198, 51, 100, 10), victim_params);
   victim.listen(80);
 
   std::vector<SimTime> flood;
@@ -737,6 +781,167 @@ TEST(StubNetworkTest, ReplayRoutesByDirection) {
   sim.run_until(SimTime::seconds(5));
   EXPECT_EQ(out_seen, 2);
   EXPECT_EQ(in_seen, 1);
+}
+
+// --- StubSite flood ---------------------------------------------------------
+
+const net::Ipv4Prefix kFloodStub{net::Ipv4Address{10, 9, 0, 0}, 16};
+constexpr SimTime kFloodLan = SimTime::microseconds(50);
+constexpr std::uint32_t kFloodHost = 2;
+const net::Ipv4Address kFloodVictim{198, 51, 100, 10};
+constexpr std::uint16_t kFloodPort = 80;
+const net::Ipv4Prefix kFloodPool{net::Ipv4Address{240, 0, 0, 0}, 8};
+
+/// What the outbound tap saw of one frame.
+struct TappedSyn {
+  SimTime at;
+  net::MacAddress src_mac;
+  net::MacAddress dst_mac;
+  net::Ipv4Address src_ip;
+  net::Ipv4Address dst_ip;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  std::uint32_t seq = 0;
+  bool operator==(const TappedSyn&) const = default;
+};
+
+/// A bare stub site on its own scheduler, recording its outbound tap.
+struct FloodRig {
+  Scheduler sched;
+  StubSite site{sched,
+                kFloodStub,
+                4,
+                kFloodLan,
+                StubAddressing{net::MacAddress::for_host(0xffffff), 0, 0x700},
+                TcpHostParams{},
+                1};
+  std::vector<TappedSyn> tapped;
+
+  FloodRig() {
+    site.router().add_outbound_tap([this](SimTime at, const net::Packet& p) {
+      tapped.push_back({at, p.eth.src, p.eth.dst, p.ip.src, p.ip.dst,
+                        p.tcp->src_port, p.tcp->dst_port, p.tcp->seq});
+    });
+  }
+
+  /// A SYN host 3 sends from an event that is not the flood's.
+  void foreign_syn(std::uint16_t sport) {
+    net::TcpPacketSpec spec;
+    spec.src_mac = site.host_mac(3);
+    spec.dst_mac = site.router().mac();
+    spec.src_ip = kFloodStub.host(3);
+    spec.dst_ip = kFloodVictim;
+    spec.src_port = sport;
+    spec.dst_port = kFloodPort;
+    site.router().forward_from_intranet(sched.now(), net::make_syn(spec));
+  }
+};
+
+/// The flood as a pre-scheduled event set: each SYN drawn like
+/// StubSite::launch_flood's, then scheduled on its own at launch, in
+/// index order.
+void launch_prescheduled_flood(FloodRig& rig,
+                              const std::vector<SimTime>& syn_times,
+                              util::Rng& rng) {
+  for (const SimTime at : syn_times) {
+    const net::Ipv4Address spoofed = kFloodPool.host(static_cast<std::uint32_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(kFloodPool.size()) - 2)));
+    const auto sport =
+        static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+    const std::uint32_t seq = rng.next_u32();
+    rig.sched.schedule_at(at + kFloodLan, [&rig, spoofed, sport, seq] {
+      net::TcpPacketSpec spec;
+      spec.src_mac = rig.site.host_mac(kFloodHost);
+      spec.dst_mac = rig.site.router().mac();
+      spec.src_ip = spoofed;
+      spec.dst_ip = kFloodVictim;
+      spec.src_port = sport;
+      spec.dst_port = kFloodPort;
+      spec.seq = seq;
+      rig.site.router().forward_from_intranet(rig.sched.now(),
+                                              net::make_syn(spec));
+    });
+  }
+}
+
+TEST(StubSiteFloodTest, FiresLikeEverySynScheduledAtLaunch) {
+  // Unsorted times on a 1 ms grid, so most SYNs tie with others.
+  util::Rng time_rng(7);
+  std::vector<SimTime> first;
+  std::vector<SimTime> second;
+  for (int k = 0; k < 300; ++k) {
+    first.push_back(SimTime::milliseconds(time_rng.uniform_int(0, 49)));
+  }
+  for (int k = 0; k < 100; ++k) {
+    second.push_back(SimTime::milliseconds(time_rng.uniform_int(20, 69)));
+  }
+  const SimTime tied = first.front() + kFloodLan;
+
+  // Both rigs: a foreign SYN scheduled before launch and one after, at a
+  // flooded instant, and a second flood launched from an event at 20 ms
+  // while the first is under way.
+  const auto drive = [&](FloodRig& rig, auto launch) {
+    util::Rng rng(11);
+    rig.sched.schedule_at(tied, [&rig] { rig.foreign_syn(1); });
+    launch(first, rng);
+    rig.sched.schedule_at(tied, [&rig] { rig.foreign_syn(2); });
+    rig.sched.schedule_at(SimTime::milliseconds(20),
+                          [&second, &rng, launch] { launch(second, rng); });
+    rig.sched.run_all();
+  };
+  FloodRig cursor;
+  drive(cursor, [&cursor](const std::vector<SimTime>& times, util::Rng& r) {
+    cursor.site.launch_flood(kFloodHost, times, kFloodVictim, kFloodPort,
+                             kFloodPool, r);
+  });
+  FloodRig oracle;
+  drive(oracle, [&oracle](const std::vector<SimTime>& times, util::Rng& r) {
+    launch_prescheduled_flood(oracle, times, r);
+  });
+
+  ASSERT_EQ(oracle.tapped.size(), first.size() + second.size() + 2);
+  ASSERT_EQ(cursor.tapped.size(), oracle.tapped.size());
+  for (std::size_t k = 0; k < oracle.tapped.size(); ++k) {
+    EXPECT_TRUE(cursor.tapped[k] == oracle.tapped[k]) << "frame " << k;
+  }
+}
+
+TEST(StubSiteFloodTest, KeepsOneEventPendingPerFlood) {
+  FloodRig rig;
+  rig.site.router().set_uplink([](const net::Packet&) {});
+  std::vector<SimTime> times;
+  for (int k = 0; k < 10'000; ++k) {
+    times.push_back(SimTime::microseconds(100 * k));
+  }
+  util::Rng rng(5);
+  rig.site.launch_flood(kFloodHost, times, kFloodVictim, kFloodPort,
+                        kFloodPool, rng);
+  EXPECT_EQ(rig.sched.pending(), 1u);
+  std::size_t fired = 0;
+  std::size_t most_pending = 0;
+  while (rig.sched.step()) {
+    ++fired;
+    most_pending = std::max(most_pending, rig.sched.pending());
+  }
+  EXPECT_EQ(fired, times.size());
+  EXPECT_LE(most_pending, 1u);
+  EXPECT_EQ(rig.site.router().stats().forwarded_outbound, times.size());
+}
+
+TEST(StubSiteFloodTest, SynBeforeTheClockSchedulesNothing) {
+  FloodRig rig;
+  rig.sched.run_until(SimTime::seconds(1));
+  util::Rng rng(5);
+  EXPECT_THROW(rig.site.launch_flood(
+                   kFloodHost, {SimTime::seconds(2), SimTime::milliseconds(5)},
+                   kFloodVictim, kFloodPort, kFloodPool, rng),
+               std::invalid_argument);
+  EXPECT_EQ(rig.sched.pending(), 0u);
+  rig.site.launch_flood(kFloodHost, {SimTime::seconds(2)}, kFloodVictim,
+                        kFloodPort, kFloodPool, rng);
+  rig.sched.run_all();
+  ASSERT_EQ(rig.tapped.size(), 1u);
+  EXPECT_EQ(rig.tapped[0].at, SimTime::seconds(2) + kFloodLan);
 }
 
 }  // namespace

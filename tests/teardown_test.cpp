@@ -18,7 +18,7 @@ struct Pair {
 
   explicit Pair(TcpHostParams params = {}) {
     client = std::make_unique<TcpHost>(
-        "client", net::Ipv4Address(10, 0, 0, 1),
+        net::Ipv4Address(10, 0, 0, 1),
         net::MacAddress::for_host(1), net::MacAddress::for_host(99), sched,
         [this](const net::Packet& pkt) {
           sched.schedule_after(
@@ -29,7 +29,7 @@ struct Pair {
         },
         params, 1);
     server = std::make_unique<TcpHost>(
-        "server", net::Ipv4Address(10, 0, 0, 2),
+        net::Ipv4Address(10, 0, 0, 2),
         net::MacAddress::for_host(2), net::MacAddress::for_host(99), sched,
         [this](const net::Packet& pkt) {
           sched.schedule_after(
@@ -160,7 +160,7 @@ TEST(SynAckRetransmissionTest, ServerRetransmitsTwiceThenTimesOut) {
   // of two retransmissions, which typically lasts for 75 seconds."
   Scheduler sched;
   int syn_acks_on_wire = 0;
-  TcpHost server("server", net::Ipv4Address(10, 0, 0, 2),
+  TcpHost server(net::Ipv4Address(10, 0, 0, 2),
                  net::MacAddress::for_host(2),
                  net::MacAddress::for_host(99), sched,
                  [&](const net::Packet& pkt) {
