@@ -35,8 +35,8 @@ int main() {
   sim::MultiStubParams params;
   params.stub_count = 4;
   params.hosts_per_stub = 15;
-  params.uplink.delay = SimTime::milliseconds(5);
-  params.downlink.delay = SimTime::milliseconds(5);
+  params.uplink_delay = SimTime::milliseconds(5);
+  params.downlink_delay = SimTime::milliseconds(5);
   sim::MultiStubSim net(params);
 
   sim::TcpHostParams victim_params;

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
 
   // Sharded parallel ingest over the same capture bytes.  The 4-thread
   // run attaches the sidecar registry, so the exported metrics block
-  // carries ingest.shard.<i>.{delivered,dropped} per ring.
+  // carries ingest.shard.<i>.delivered per ring.
   const std::vector<core::PeriodReport> reference = agent.history();
   const std::size_t kThreadCounts[] = {1, 2, 4};
   std::vector<double> pps_vs_threads;

@@ -89,10 +89,8 @@ double run_ping_phase(const obs::WallClock& clock) {
 
   sim::Scheduler sched;
   Pinger pinger;
-  sim::LinkParams params;
-  params.delay = SimTime::milliseconds(1);
-  sim::Link link(
-      sched, params, [&pinger](const net::Packet& pkt) { pinger(pkt); }, 1);
+  sim::Link link(sched, SimTime::milliseconds(1),
+                 [&pinger](const net::Packet& pkt) { pinger(pkt); });
   pinger.link = &link;
 
   net::TcpPacketSpec spec;

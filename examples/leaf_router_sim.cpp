@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
 
   sim::StubNetworkParams params;
   params.num_hosts = hosts;
-  params.uplink.delay = SimTime::milliseconds(5);
-  params.downlink.delay = SimTime::milliseconds(5);
+  params.uplink_delay = SimTime::milliseconds(5);
+  params.downlink_delay = SimTime::milliseconds(5);
   params.cloud.no_answer_probability = 0.04;
   sim::StubNetworkSim network(params);
 

@@ -4,15 +4,15 @@
 // synthetic leaf-router trace with a spoofed SYN flood mixed in, written
 // as a standard .pcap (open it in tcpdump/wireshark if you like). Then —
 // or directly on a pcap you pass as argv[1] — it replays the capture
-// through the frame-level classifier, reconstructs the per-period
-// SYN / SYN-ACK counters, and runs the SYN-dog CUSUM over them.
+// into a first-mile SYN-dog agent for the stub 10.1.0.0/16, which counts
+// the per-period SYN / SYN-ACK pairs and runs the CUSUM over them.
 //
 //   $ pcap_sniffer                # self-generate syndog_demo.pcap, analyze
 //   $ pcap_sniffer capture.pcap   # analyze an existing Ethernet capture
 //
-// Analysis streams through ingest::ReplayEngine, so captures of any size
-// run in O(ring) memory and pcapng works transparently; the per-period
-// accounting below is byte-identical to the original whole-file loop.
+// Analysis streams through ingest::ReplayEngine into an ingest::AgentDemux
+// (as `syndog_tool analyze` does), so captures of any size run in
+// constant memory and pcapng works transparently.
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -20,8 +20,9 @@
 
 #include "syndog/attack/flood.hpp"
 #include "syndog/classify/segment.hpp"
-#include "syndog/core/sniffer.hpp"
+#include "syndog/core/agent.hpp"
 #include "syndog/core/syndog.hpp"
+#include "syndog/ingest/agent_demux.hpp"
 #include "syndog/ingest/replay.hpp"
 #include "syndog/pcap/pcap.hpp"
 #include "syndog/trace/render.hpp"
@@ -72,56 +73,17 @@ std::string generate_demo_capture() {
 
 }  // namespace
 
-/// Per-period SYN / SYN-ACK accounting over the replay stream: the same
-/// sniffers, detector, and period boundaries as the original whole-file
-/// loop, but fed frame-by-frame from the bounded ingest ring.
-class AnalysisSink final : public ingest::ReplaySink {
+/// The traffic mix: every replayed frame by segment kind.
+class MixSink final : public ingest::ReplaySink {
  public:
-  void on_frame(util::SimTime at, const ingest::Frame& frame) override {
-    while (at >= period_end_) {
-      close_period();
-      period_end_ += t0_;
-    }
-    // Direction from addressing: frames sourced inside the stub (or
-    // leaving it with a spoofed source) are outbound.
-    const net::Packet& pkt = frame.packet;
-    const bool outbound_dir =
-        stub_.contains(pkt.ip.src) || !stub_.contains(pkt.ip.dst);
-    mix_.add(outbound_dir ? outbound_.on_packet(pkt)
-                          : inbound_.on_packet(pkt));
+  void on_frame(util::SimTime, const ingest::Frame& frame) override {
+    mix_.add(classify::classify_packet(frame.packet));
   }
 
-  /// Closes the trailing partial period.
-  void finish() { close_period(); }
-
-  [[nodiscard]] bool alarmed() const { return alarmed_printed_; }
   [[nodiscard]] const classify::SegmentCounters& mix() const { return mix_; }
 
  private:
-  void close_period() {
-    const core::PeriodReport r = dog_.observe_period(
-        static_cast<std::int64_t>(outbound_.harvest()),
-        static_cast<std::int64_t>(inbound_.harvest()));
-    std::printf("%3lld  %5lld  %5lld  %+.3f  %6.3f %s\n",
-                static_cast<long long>(r.period_index),
-                static_cast<long long>(r.syn_count),
-                static_cast<long long>(r.syn_ack_count), r.x, r.y,
-                r.alarm ? "ALARM" : "");
-    if (r.alarm && !alarmed_printed_) {
-      alarmed_printed_ = true;
-      std::printf("      ^^^ SYN flooding sources inside this stub "
-                  "network\n");
-    }
-  }
-
-  net::Ipv4Prefix stub_ = *net::Ipv4Prefix::parse("10.1.0.0/16");
-  core::Sniffer outbound_{core::SnifferRole::kOutbound};
-  core::Sniffer inbound_{core::SnifferRole::kInbound};
-  core::SynDog dog_{core::SynDogParams::paper_defaults()};
   classify::SegmentCounters mix_;
-  util::SimTime t0_ = dog_.params().observation_period;
-  util::SimTime period_end_ = t0_;
-  bool alarmed_printed_ = false;
 };
 
 int analyze(const std::string& path) {
@@ -131,8 +93,31 @@ int analyze(const std::string& path) {
     return 1;
   }
   ingest::ReplayEngine engine(file, {});
-  AnalysisSink sink;
-  engine.add_sink(sink);
+  // One first-mile agent for the stub 10.1.0.0/16, fed by the StubRouter
+  // (frames with both endpoints in the stub are LAN-local and cross
+  // neither sniffer); each closed period prints one row.
+  ingest::AgentDemux demux(
+      engine.scheduler(),
+      {ingest::StubSpec{*net::Ipv4Prefix::parse("10.1.0.0/16"), "stub"}},
+      core::SynDogParams::paper_defaults());
+  bool alarmed = false;
+  demux.agent(0).add_period_callback(
+      [&alarmed](const core::PeriodReport& r, core::AgentHealth,
+                 util::SimTime) {
+        std::printf("%3lld  %5lld  %5lld  %+.3f  %6.3f %s\n",
+                    static_cast<long long>(r.period_index),
+                    static_cast<long long>(r.syn_count),
+                    static_cast<long long>(r.syn_ack_count), r.x, r.y,
+                    r.alarm ? "ALARM" : "");
+        if (r.alarm && !alarmed) {
+          alarmed = true;
+          std::printf("      ^^^ SYN flooding sources inside this stub "
+                      "network\n");
+        }
+      });
+  MixSink mix;
+  engine.add_sink(demux);
+  engine.add_sink(mix);
   std::printf("%s: %s stream\n", path.c_str(),
               engine.format() == ingest::CaptureFormat::kPcapng
                   ? "pcapng"
@@ -140,7 +125,7 @@ int analyze(const std::string& path) {
 
   std::printf("\n  n   SYN  SYN/ACK     Xn      yn\n");
   const ingest::PipelineStats& stats = engine.run();
-  sink.finish();
+  demux.close_final_period();
   if (stats.truncated) {
     std::fprintf(stderr, "warning: capture ends mid-record\n");
   }
@@ -150,11 +135,11 @@ int analyze(const std::string& path) {
     std::printf("%s=%llu ",
                 std::string(classify::to_string(
                     static_cast<classify::SegmentKind>(k))).c_str(),
-                static_cast<unsigned long long>(sink.mix().counts[k]));
+                static_cast<unsigned long long>(mix.mix().counts[k]));
   }
   std::printf("\n%llu records; detector %s\n",
               static_cast<unsigned long long>(stats.records),
-              sink.alarmed() ? "ALARMED" : "saw nothing suspicious");
+              alarmed ? "ALARMED" : "saw nothing suspicious");
   return 0;
 }
 

@@ -62,10 +62,10 @@ struct CampaignParams {
   /// Results never depend on this — it only sets parallelism grain.
   int cells = 0;
   util::SimTime lan_delay = util::SimTime::microseconds(100);
-  /// Cross-shard links are pure fixed latencies (the lossless, un-queued
-  /// analogue of the oracle's LinkParams with loss=0, bandwidth=0): the
-  /// mailbox protocol computes arrival times analytically, so any
-  /// state-dependent link behaviour would break shard independence.
+  /// Cross-shard links are pure fixed latencies, like the oracle's
+  /// sim::Link delay lines: the mailbox protocol computes arrival times
+  /// analytically, so any state-dependent link behaviour would break
+  /// shard independence.
   util::SimTime uplink_delay = util::SimTime::milliseconds(5);
   util::SimTime downlink_delay = util::SimTime::milliseconds(5);
   /// Conservative window width; 0 = auto (the lookahead, min(uplink,

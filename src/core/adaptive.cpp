@@ -1,7 +1,9 @@
 #include "syndog/core/adaptive.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "syndog/detect/cusum.hpp"
 
 namespace syndog::core {
 
@@ -10,38 +12,23 @@ void AdaptiveParams::validate() const {
     throw std::invalid_argument(
         "AdaptiveParams: need at least 2 training periods");
   }
-  if (sigma_margin <= 0.0) {
-    throw std::invalid_argument("AdaptiveParams: sigma_margin must be > 0");
-  }
-  if (!(a_min > 0.0) || a_max < a_min) {
-    throw std::invalid_argument("AdaptiveParams: need 0 < a_min <= a_max");
-  }
-  if (target_delay_periods <= 0.0) {
-    throw std::invalid_argument(
-        "AdaptiveParams: target_delay_periods must be > 0");
-  }
-  universal.validate();
 }
 
 AdaptiveSynDog::AdaptiveSynDog(AdaptiveParams params)
-    : params_(params), detector_(params.universal) {
+    : params_(params), detector_(SynDogParams::paper_defaults()) {
   params_.validate();
-}
-
-const SynDogParams& AdaptiveSynDog::active_params() const {
-  return tuned_ ? *tuned_ : params_.universal;
 }
 
 PeriodReport AdaptiveSynDog::observe_period(std::int64_t syn_count,
                                             std::int64_t syn_ack_count) {
   const PeriodReport report =
       detector_.observe_period(syn_count, syn_ack_count);
-  if (!tuned_) {
+  if (!trained_) {
     // Only quiet samples teach the baseline: a flood period has Xn at or
     // above the universal offset, and feeding it would raise the learned
     // a toward blindness. Gating on the sample (not on y) matters because
     // y can stay elevated long after a flood ends.
-    if (report.x < params_.universal.a) {
+    if (report.x < detector_.params().a) {
       x_stats_.add(report.x);
     }
     if (x_stats_.count() >= params_.training_periods) {
@@ -52,15 +39,12 @@ PeriodReport AdaptiveSynDog::observe_period(std::int64_t syn_count,
 }
 
 void AdaptiveSynDog::maybe_finish_training() {
-  const double c = x_stats_.mean();
-  const double sigma = x_stats_.stddev();
-  SynDogParams tuned = params_.universal;
-  tuned.a = std::clamp(c + params_.sigma_margin * sigma, params_.a_min,
-                       params_.a_max);
-  tuned.h = 2.0 * tuned.a;
-  // Eq. (7) inverted at the design point h = 2a, c ~= 0:
-  // N = target * (h - a) = target * a.
-  tuned.threshold = params_.target_delay_periods * (tuned.h - tuned.a);
+  const detect::SiteDesign design =
+      detect::site_design(x_stats_.mean(), x_stats_.stddev());
+  SynDogParams tuned = detector_.params();
+  tuned.a = design.a;
+  tuned.h = design.h;
+  tuned.threshold = design.threshold;
 
   // Carry the detector's K estimate across the switch by replaying the
   // level into a fresh instance.
@@ -73,7 +57,7 @@ void AdaptiveSynDog::maybe_finish_training() {
                                      static_cast<std::int64_t>(k));
   }
   detector_ = std::move(replacement);
-  tuned_ = tuned;
+  trained_ = true;
 }
 
 double AdaptiveSynDog::min_detectable_rate() const {

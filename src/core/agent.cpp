@@ -81,11 +81,6 @@ void SynDogAgent::attach_observer(obs::Registry& registry) {
   inbound_metrics_.emplace(registry, "sniffer.in");
 }
 
-void SynDogAgent::set_period_callback(PeriodCallback cb) {
-  on_period_.clear();
-  add_period_callback(std::move(cb));
-}
-
 void SynDogAgent::add_period_callback(PeriodCallback cb) {
   if (cb) on_period_.push_back(std::move(cb));
 }

@@ -4,19 +4,14 @@
 //
 // The paper tunes UNC by hand (a: 0.35 -> 0.2, N: 1.05 -> 0.6). This
 // class automates that: during a training window it estimates the site's
-// normal-mode mean c and standard deviation sigma of Xn, then sets
-//
-//   a = clamp(c + sigma_margin * sigma, a_min, a_max)
-//   h = 2a                                (the paper's design rule)
-//   N = target_delay_periods * (h - a)    (inverting Eq. 7 with c ~= 0)
-//
-// and runs the standard detector with those parameters from then on.
-// During training the universal parameters stay active, so the agent is
-// never blind.
+// normal-mode mean c and standard deviation sigma of Xn, then runs the
+// standard detector with detect::site_design(c, sigma) from then on
+// (a = clamp(c + 6 sigma, 0.05, 0.35), h = 2a, N = 3 (h - a)). During
+// training the paper's universal parameters stay active, so the agent
+// is never blind.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "syndog/core/syndog.hpp"
 #include "syndog/stats/online.hpp"
@@ -26,15 +21,6 @@ namespace syndog::core {
 struct AdaptiveParams {
   /// Periods of normal traffic to learn from before switching.
   std::int64_t training_periods = 60;
-  /// Safety margin above the observed mean, in observed-sigma units.
-  double sigma_margin = 6.0;
-  /// Clamp range for the learned offset a.
-  double a_min = 0.05;
-  double a_max = 0.35;
-  /// Design detection delay in periods (paper: 3).
-  double target_delay_periods = 3.0;
-  /// Universal parameters used while training (and as the clamp source).
-  SynDogParams universal = SynDogParams::paper_defaults();
 
   void validate() const;
 };
@@ -49,9 +35,11 @@ class AdaptiveSynDog {
   PeriodReport observe_period(std::int64_t syn_count,
                               std::int64_t syn_ack_count);
 
-  [[nodiscard]] bool trained() const { return tuned_.has_value(); }
+  [[nodiscard]] bool trained() const { return trained_; }
   /// The learned parameters (universal parameters until trained).
-  [[nodiscard]] const SynDogParams& active_params() const;
+  [[nodiscard]] const SynDogParams& active_params() const {
+    return detector_.params();
+  }
   [[nodiscard]] double learned_c() const { return x_stats_.mean(); }
   [[nodiscard]] double learned_sigma() const { return x_stats_.stddev(); }
   /// Detection floor under the active parameters at the current K.
@@ -63,7 +51,7 @@ class AdaptiveSynDog {
   AdaptiveParams params_;
   SynDog detector_;
   stats::OnlineStats x_stats_;
-  std::optional<SynDogParams> tuned_;
+  bool trained_ = false;
 };
 
 }  // namespace syndog::core

@@ -161,8 +161,6 @@ class SynDogAgent {
   /// (mitigate::MitigationController) hook.
   using PeriodCallback =
       std::function<void(const PeriodReport&, AgentHealth, util::SimTime)>;
-  /// Replaces every registered period callback; an empty one detaches all.
-  void set_period_callback(PeriodCallback cb);
   /// Appends a period callback; callbacks fire in registration order, so
   /// several consumers (telemetry + mitigation) can share one agent.
   void add_period_callback(PeriodCallback cb);

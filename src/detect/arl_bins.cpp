@@ -11,14 +11,14 @@ void BinnedArlSpec::validate() const {
   if (!(c > 0.0)) {
     throw std::invalid_argument("BinnedArlSpec: c must be > 0");
   }
-  if (bins < 1) {
-    throw std::invalid_argument("BinnedArlSpec: bins must be >= 1");
-  }
   // offset/threshold/states range checks are delegated to
   // PoissonArlSpec::validate() at evaluation time.
 }
 
 namespace {
+
+/// Equal-occupancy quantile bins: quartiles.
+constexpr int kBins = 4;
 
 double arl_at(double lambda, const BinnedArlSpec& spec) {
   PoissonArlSpec arl_spec;
@@ -41,15 +41,15 @@ BinnedArlResult binned_poisson_arl(std::vector<double> counts,
                               [](double v) { return !(v > 0.0); }),
                counts.end());
   std::sort(counts.begin(), counts.end());
-  if (counts.size() >= static_cast<std::size_t>(spec.bins)) {
+  if (counts.size() >= static_cast<std::size_t>(kBins)) {
     double fa_rate_sum = 0.0;  // per-period false-alarm rate, averaged
-    for (int b = 0; b < spec.bins; ++b) {
+    for (int b = 0; b < kBins; ++b) {
       const std::size_t lo =
           counts.size() * static_cast<std::size_t>(b) /
-          static_cast<std::size_t>(spec.bins);
+          static_cast<std::size_t>(kBins);
       const std::size_t hi =
           counts.size() * static_cast<std::size_t>(b + 1) /
-          static_cast<std::size_t>(spec.bins);
+          static_cast<std::size_t>(kBins);
       double lambda = 0.0;
       for (std::size_t i = lo; i < hi; ++i) lambda += counts[i];
       lambda /= static_cast<double>(hi - lo);
@@ -57,7 +57,7 @@ BinnedArlResult binned_poisson_arl(std::vector<double> counts,
       fa_rate_sum += 1.0 / arl;
       result.bins.push_back({lambda, arl});
     }
-    result.combined_arl0 = static_cast<double>(spec.bins) / fa_rate_sum;
+    result.combined_arl0 = static_cast<double>(kBins) / fa_rate_sum;
   }
   if (mean_lambda > 0.0) {
     result.mean_rate_arl0 = arl_at(mean_lambda, spec);

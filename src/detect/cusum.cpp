@@ -32,6 +32,14 @@ double NonParametricCusum::expected_delay_periods(double threshold, double h,
   return threshold / drift;
 }
 
+SiteDesign site_design(double c, double sigma) {
+  SiteDesign design;
+  design.a = std::clamp(c + 6.0 * sigma, 0.05, kUniversalDriftOffset);
+  design.h = 2.0 * design.a;
+  design.threshold = 3.0 * (design.h - design.a);
+  return design;
+}
+
 ParametricCusum::ParametricCusum(ParametricCusumParams params)
     : params_(params) {
   params_.validate();

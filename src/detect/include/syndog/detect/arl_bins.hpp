@@ -25,15 +25,14 @@ struct BinnedArlSpec {
   double c = 0.0;           ///< normal mean of Xn = delta / K-bar (> 0)
   double offset = 0.35;     ///< the CUSUM's drift offset a
   double threshold = 1.05;  ///< alarm threshold N
-  int bins = 4;             ///< quantile bins (>= 1)
   int states = 400;         ///< ARL discretization resolution
 
   void validate() const;
 };
 
 struct BinnedArlResult {
-  /// One entry per quantile bin, quietest first. Empty when fewer
-  /// positive counts than bins were supplied.
+  /// One entry per quartile bin, quietest first. Empty when fewer
+  /// than four positive counts were supplied.
   std::vector<LambdaBinArl> bins;
   /// Harmonic mean of the per-bin ARL0s — the realized site-wide mean
   /// time between false alarms under equal bin occupancy.
@@ -45,7 +44,7 @@ struct BinnedArlResult {
 
 /// Bins the positive entries of `counts` (per-period SYN/ACK counts;
 /// non-positive entries are dropped — "no traffic" is not a rate) into
-/// `spec.bins` quantile bins and evaluates the scaled-Poisson CUSUM
+/// quartile bins and evaluates the scaled-Poisson CUSUM
 /// ARL0 for each, plus the combined and mean-rate figures.
 /// `mean_lambda` is the caller's overall K-bar estimate (it may include
 /// zero periods, so it is not derived from `counts`).

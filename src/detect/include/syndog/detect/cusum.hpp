@@ -72,6 +72,27 @@ class NonParametricCusum final : public ChangeDetector {
   double y_ = 0.0;
 };
 
+/// The paper's universal drift offset a (§4.1): what every site runs
+/// before it is tuned, and the upper end of site_design's clamp.
+inline constexpr double kUniversalDriftOffset = 0.35;
+
+/// Non-parametric CUSUM parameters for one site (paper §4.2.3's
+/// site-specific tuning, by the design rule of §3.2).
+struct SiteDesign {
+  double a = 0.0;          ///< drift offset
+  double h = 0.0;          ///< designed attack drift
+  double threshold = 0.0;  ///< flooding threshold N
+};
+
+/// Designs the CUSUM for a site whose pre-change Xn has mean `c` and
+/// standard deviation `sigma`:
+///   a = clamp(c + 6 sigma, 0.05, kUniversalDriftOffset)
+///   h = 2a
+///   N = 3 (h - a)   (Eq. 7 at c ~= 0: a 3-period detection delay)
+/// core::AdaptiveSynDog learns c and sigma online, and
+/// trace::profile_counts measures them from a capture's counts.
+[[nodiscard]] SiteDesign site_design(double c, double sigma);
+
 struct ParametricCusumParams {
   double mean_normal = 0.0;   ///< mu0
   double mean_attack = 1.0;   ///< mu1 > mu0

@@ -21,7 +21,7 @@ enum class FaultKind : std::uint8_t {
   /// The link is administratively dead for the window: every packet is
   /// dropped (counted as dropped_link_down, not as loss).
   kLinkFlap = 0,
-  /// Extra Bernoulli loss at `magnitude` on top of the base loss model.
+  /// Bernoulli loss at `magnitude` (the link is otherwise lossless).
   kBurstLoss = 1,
   /// Each packet is duplicated with probability `magnitude` (one extra
   /// copy, delivered shortly after the original).

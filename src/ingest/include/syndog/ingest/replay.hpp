@@ -7,9 +7,8 @@
 // to every ReplaySink in registration order. Components on scheduler
 // time, notably core::SynDogAgent's period timer, therefore behave as in
 // simulation: a period boundary at or before a frame's timestamp closes
-// before that frame is seen, the semantics of the whole-file analysis
-// loop in examples/pcap_sniffer. The pump allocates nothing in steady
-// state, whatever the capture size.
+// before that frame is seen. The pump allocates nothing in steady state,
+// whatever the capture size.
 //
 // Two replay clocks:
 //   * kAsFastAsPossible (default): wall time never consulted; the replay

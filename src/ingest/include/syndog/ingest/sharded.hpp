@@ -84,13 +84,10 @@ struct ShardedConfig {
   void validate() const;
 };
 
-/// Per-shard delivery counters, surfaced as ingest.shard.<i>.{delivered,
-/// dropped}. `dropped` is always 0 today — the producer blocks on a full
-/// ring rather than dropping — but is reported so dashboards keyed on the
-/// pair keep working if a lossy mode ever appears.
+/// Per-shard delivery counter, surfaced as ingest.shard.<i>.delivered.
+/// The producer blocks on a full ring, so a shard never drops a digest.
 struct ShardCounters {
   std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
 };
 
 class ShardedReplay {
@@ -116,7 +113,7 @@ class ShardedReplay {
   /// Counters land in `registry` when run() finishes:
   /// ingest.sharded.{records,frames,bytes,decode_failures,
   /// truncated_captures,local_frames,unroutable_frames} and
-  /// ingest.shard.<i>.{delivered,dropped}. Distinct from the reference
+  /// ingest.shard.<i>.delivered. Distinct from the reference
   /// engine's ingest.* names so both datapaths can share a registry.
   void attach_observer(obs::Registry& registry) { registry_ = &registry; }
 

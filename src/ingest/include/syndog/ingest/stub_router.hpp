@@ -14,9 +14,6 @@
 //   * neither matches any stub       -> outbound through default_stub (a
 //     spoofed-source flood leaving the capture's own stub), or
 //     unroutable when default_stub is -1.
-// With a single stub and default_stub = 0 this is the direction
-// heuristic of examples/pcap_sniffer: outbound iff contains(src) or not
-// contains(dst).
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once

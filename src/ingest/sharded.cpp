@@ -217,7 +217,7 @@ const std::vector<core::AlarmEvent>& ShardedReplay::alarms(
 }
 
 ShardCounters ShardedReplay::shard(std::size_t i) const {
-  return ShardCounters{shards_.at(i)->delivered, 0};
+  return ShardCounters{shards_.at(i)->delivered};
 }
 
 void ShardedReplay::run() {
@@ -579,7 +579,6 @@ void ShardedReplay::publish_observations() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "ingest.shard." + std::to_string(i);
     registry_->counter(prefix + ".delivered").add(shards_[i]->delivered);
-    registry_->counter(prefix + ".dropped").add(0);
   }
 }
 

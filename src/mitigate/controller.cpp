@@ -13,7 +13,7 @@ MitigationController::MitigationController(core::SynDogAgent& agent,
       policy_(policy) {
   policy_.validate();
   release_threshold_ =
-      policy_.release_fraction * agent_.detector().params().threshold;
+      kReleaseFraction * agent_.detector().params().threshold;
   if (!policy_.enabled()) return;  // empty policy: install nothing
   agent_.add_period_callback(
       [this](const core::PeriodReport& report, core::AgentHealth health,
@@ -69,8 +69,8 @@ void MitigationController::transition(util::SimTime now, net::MacAddress mac,
 
 void MitigationController::refresh_targets() {
   for (const core::Suspect& suspect : agent_.locator().suspects()) {
-    if (suspect.spoofed_syns < policy_.min_spoofed_evidence) continue;
-    if (targets_.size() >= policy_.max_targets &&
+    if (suspect.spoofed_syns < kMinSpoofedEvidence) continue;
+    if (targets_.size() >= kMaxTargets &&
         !targets_.contains(suspect.mac)) {
       continue;  // suspects() is ranked, so the cap keeps the worst
     }
@@ -81,10 +81,7 @@ void MitigationController::refresh_targets() {
 void MitigationController::on_period(const core::PeriodReport& report,
                                      core::AgentHealth health,
                                      util::SimTime now) {
-  const bool trusted =
-      !policy_.require_healthy || health == core::AgentHealth::kHealthy;
-
-  if (report.alarm && !trusted) {
+  if (report.alarm && health != core::AgentHealth::kHealthy) {
     // Degraded evidence (post-outage quarantine, collapse fallback, gap
     // accounting): never engage on it, and don't let it advance streaks.
     ++stats_.vetoed_alarm_periods;
@@ -98,15 +95,13 @@ void MitigationController::on_period(const core::PeriodReport& report,
       target.quiet_streak = 0;
       target.clean_periods = 0;
       if (target.stage == Stage::kObserve) {
-        if (target.alarm_streak >= policy_.engage_after) {
+        if (target.alarm_streak >= kEngageAfter) {
           if (target.engage_count > 0) {
-            target.backoff =
-                std::min(target.backoff * 2, policy_.backoff_max);
+            target.backoff = std::min(target.backoff * 2, kBackoffMax);
           }
           ++target.engage_count;
           if (first_stage() == Stage::kRateLimit) {
-            target.bucket.emplace(policy_.rate_limit_syn_per_s,
-                                  policy_.rate_limit_burst, now);
+            target.bucket.emplace(kRateLimitSynPerS, kRateLimitBurst, now);
           }
           transition(now, mac, target, first_stage(), EdgeReason::kEngage);
         }
@@ -114,13 +109,13 @@ void MitigationController::on_period(const core::PeriodReport& report,
         if (target.probe_remaining > 0) {
           // Alarm during probation: the source was released too early.
           target.probe_remaining = 0;
-          target.backoff = std::min(target.backoff * 2, policy_.backoff_max);
+          target.backoff = std::min(target.backoff * 2, kBackoffMax);
           target.bucket.reset();
           transition(now, mac, target, Stage::kQuarantine,
                      EdgeReason::kProbeFailed);
         } else if (policy_.quarantine_enabled &&
                    target.alarm_streak >=
-                       policy_.engage_after + policy_.escalate_after) {
+                       kEngageAfter + policy_.escalate_after) {
           target.bucket.reset();
           transition(now, mac, target, Stage::kQuarantine,
                      EdgeReason::kEscalate);
@@ -142,12 +137,11 @@ void MitigationController::on_period(const core::PeriodReport& report,
     }
     ++target.quiet_streak;
     if (target.stage == Stage::kQuarantine) {
-      if (target.quiet_streak >= policy_.release_after * target.backoff) {
+      if (target.quiet_streak >= kReleaseAfter * target.backoff) {
         target.quiet_streak = 0;
         if (policy_.rate_limit_enabled) {
           target.probe_remaining = policy_.probe_periods;
-          target.bucket.emplace(policy_.rate_limit_syn_per_s,
-                                policy_.rate_limit_burst, now);
+          target.bucket.emplace(kRateLimitSynPerS, kRateLimitBurst, now);
           transition(now, mac, target, Stage::kRateLimit,
                      EdgeReason::kRelease);
           if (target.probe_remaining == 0) continue;  // plain rate-limit
@@ -164,8 +158,7 @@ void MitigationController::on_period(const core::PeriodReport& report,
           transition(now, mac, target, Stage::kObserve,
                      EdgeReason::kProbePassed);
         }
-      } else if (target.quiet_streak >=
-                 policy_.release_after * target.backoff) {
+      } else if (target.quiet_streak >= kReleaseAfter * target.backoff) {
         target.quiet_streak = 0;
         target.bucket.reset();
         transition(now, mac, target, Stage::kObserve, EdgeReason::kRelease);
@@ -173,7 +166,7 @@ void MitigationController::on_period(const core::PeriodReport& report,
     } else {
       ++target.clean_periods;
       if (target.backoff > 1 &&
-          target.clean_periods % policy_.backoff_decay_after == 0) {
+          target.clean_periods % kBackoffDecayAfter == 0) {
         target.backoff = std::max<std::int64_t>(1, target.backoff / 2);
       }
     }

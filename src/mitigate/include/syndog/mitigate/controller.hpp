@@ -7,14 +7,13 @@
 // bucket, quarantined sources have their SYNs dropped. Non-SYN segments
 // are never touched, so established connections survive mitigation.
 //
-// Trust model: only *healthy* alarm periods drive engagement (when
-// policy.require_healthy, the default). The agent's degradation layer
-// already withholds alarm callbacks during post-blind quarantine, but the
-// period stream still reports alarm=true with health=degraded — the
-// controller vetoes those, so a chaos window (tap outage, asymmetric
-// route) can never quarantine a station. Discarded periods (blind,
-// collapse-absorbed) produce no period callback at all and therefore
-// neither engage nor release anything.
+// Trust model: only *healthy* alarm periods drive engagement. The
+// agent's degradation layer already withholds alarm callbacks during
+// post-blind quarantine, but the period stream still reports alarm=true
+// with health=degraded — the controller vetoes those, so a chaos window
+// (tap outage, asymmetric route) can never quarantine a station.
+// Discarded periods (blind, collapse-absorbed) produce no period
+// callback at all and therefore neither engage nor release anything.
 //
 // An empty policy installs no hooks: construction with
 // MitigationPolicy{} leaves the agent and router byte-identical to a run
@@ -110,7 +109,7 @@ class MitigationController {
   core::SynDogAgent& agent_;
   net::Ipv4Prefix stub_prefix_;
   MitigationPolicy policy_;
-  double release_threshold_ = 0.0;  ///< release_fraction * N
+  double release_threshold_ = 0.0;  ///< kReleaseFraction * N
   ControllerStats stats_;
   // std::map: iterated every period; MacAddress orders via <=> and the
   // deterministic order keeps stage-edge sequences reproducible.

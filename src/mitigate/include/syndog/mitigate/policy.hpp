@@ -14,12 +14,15 @@
 // the agent health machine's tap-outage quarantine pattern — a flapping or
 // degraded detector cannot oscillate the throttle.
 //
-// MitigationPolicy holds every knob. A default-constructed policy is
-// *empty*: no stage is enabled, and a MitigationController built from it
-// installs no hooks at all — the run is byte-identical to one without a
-// controller (the fault-subsystem invariant).
+// MitigationPolicy holds the stage switches and the escalation and
+// probation lengths; the rest of the tuning is the constants below. A
+// default-constructed policy is *empty*: no stage is enabled, and a
+// MitigationController built from it installs no hooks at all — the run
+// is byte-identical to one without a controller (the fault-subsystem
+// invariant).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -62,6 +65,40 @@ enum class EdgeReason : std::uint8_t {
   return "?";
 }
 
+/// The ladder's tuning, one value each (periods are observation periods).
+///
+/// Consecutive trusted alarm periods before a suspect leaves observe
+/// (trusted = the agent reported the period healthy).
+inline constexpr std::int64_t kEngageAfter = 1;
+/// Token bucket for the rate-limit stage, applied per source MAC to its
+/// outbound SYNs only (non-SYN segments always pass, so established
+/// connections survive the throttle). It sits below a classic victim's
+/// half-open budget (128 slots / 75 s ~ 1.7 slots/s), so a throttled
+/// flood can no longer keep a backlog full.
+inline constexpr double kRateLimitSynPerS = 1.0;
+inline constexpr double kRateLimitBurst = 4.0;
+/// A no-alarm period counts toward release only when the CUSUM has
+/// genuinely decayed: y < kReleaseFraction * N. (Right below N the
+/// statistic is one bad period away from re-alarming.)
+inline constexpr double kReleaseFraction = 0.5;
+/// Quiet periods (scaled by the per-target backoff multiplier) per
+/// downward stage step.
+inline constexpr std::int64_t kReleaseAfter = 3;
+/// Re-arm backoff: each re-engagement or probe failure doubles the
+/// target's release-streak multiplier, up to kBackoffMax; it halves back
+/// after kBackoffDecayAfter consecutive clean periods at observe. (The
+/// agent health machine's quarantine backoff, applied to the response
+/// side.)
+inline constexpr std::int64_t kBackoffMax = 8;
+inline constexpr std::int64_t kBackoffDecayAfter = 8;
+/// A locator suspect becomes a target only with at least this many
+/// spoofed SYNs on record — stations that never spoofed are not
+/// throttled on the strength of someone else's alarm.
+inline constexpr std::uint64_t kMinSpoofedEvidence = 1;
+/// Cap on concurrently tracked targets (the locator ranks by spoofed
+/// count, so the cap keeps the worst).
+inline constexpr std::size_t kMaxTargets = 64;
+
 struct MitigationPolicy {
   /// Stage enablement. Both false (the default) = empty policy: the
   /// controller installs nothing and the run is a byte-exact no-op.
@@ -70,55 +107,14 @@ struct MitigationPolicy {
   bool rate_limit_enabled = false;
   bool quarantine_enabled = false;
 
-  /// Consecutive *trusted* alarm periods before a suspect leaves observe
-  /// (trusted = the agent reported the period healthy when
-  /// require_healthy is set).
-  std::int64_t engage_after = 1;
   /// Further consecutive alarm periods at rate-limit before escalating
   /// to quarantine.
   std::int64_t escalate_after = 3;
-
-  /// Token bucket for the rate-limit stage, applied per source MAC to
-  /// its outbound SYNs only (non-SYN segments always pass, so
-  /// established connections survive the throttle). The default sits
-  /// below a classic victim's half-open budget (128 slots / 75 s ~ 1.7
-  /// slots/s), so a throttled flood can no longer keep a backlog full.
-  double rate_limit_syn_per_s = 1.0;
-  double rate_limit_burst = 4.0;
-
-  /// A no-alarm period counts toward release only when the CUSUM has
-  /// genuinely decayed: y < release_fraction * N. (Right below N the
-  /// statistic is one bad period away from re-alarming.)
-  double release_fraction = 0.5;
-  /// Quiet periods (scaled by the per-target backoff multiplier) per
-  /// downward stage step.
-  std::int64_t release_after = 3;
   /// Probation length at rate-limit after leaving quarantine: this many
   /// further quiet periods before the source returns to observe. An
   /// alarm during probation is a probe failure -> immediate
   /// re-quarantine and backoff doubling.
   std::int64_t probe_periods = 2;
-
-  /// Re-arm backoff: each re-engagement or probe failure doubles the
-  /// target's release-streak multiplier, up to backoff_max; it halves
-  /// back after backoff_decay_after consecutive clean periods at
-  /// observe. (The agent health machine's quarantine backoff, applied to
-  /// the response side.)
-  std::int64_t backoff_max = 8;
-  std::int64_t backoff_decay_after = 8;
-
-  /// A locator suspect becomes a target only with at least this many
-  /// spoofed SYNs on record — stations that never spoofed are not
-  /// throttled on the strength of someone else's alarm.
-  std::uint64_t min_spoofed_evidence = 1;
-  /// Cap on concurrently tracked targets (oldest evidence wins: the
-  /// locator ranks by spoofed count, so the cap keeps the worst).
-  std::size_t max_targets = 64;
-  /// Only act on periods the agent reports healthy. Degraded evidence
-  /// (post-outage quarantine, SYN/ACK collapse, gap accounting) can
-  /// alarm spuriously; a policy that trusts it will throttle innocents
-  /// on a faulted tap.
-  bool require_healthy = true;
 
   /// True when any stage is enabled; false = the empty no-op policy.
   [[nodiscard]] bool enabled() const {
@@ -126,29 +122,13 @@ struct MitigationPolicy {
   }
 
   void validate() const {
-    if (engage_after < 1 || escalate_after < 1) {
+    if (escalate_after < 1) {
       throw std::invalid_argument(
-          "MitigationPolicy: engage/escalate streaks must be >= 1");
+          "MitigationPolicy: escalate_after must be >= 1");
     }
-    if (rate_limit_enabled &&
-        !(rate_limit_syn_per_s > 0.0 && rate_limit_burst >= 1.0)) {
+    if (probe_periods < 0) {
       throw std::invalid_argument(
-          "MitigationPolicy: token bucket needs rate > 0 and burst >= 1");
-    }
-    if (!(release_fraction > 0.0 && release_fraction <= 1.0)) {
-      throw std::invalid_argument(
-          "MitigationPolicy: release_fraction in (0, 1]");
-    }
-    if (release_after < 1 || probe_periods < 0) {
-      throw std::invalid_argument(
-          "MitigationPolicy: release_after >= 1, probe_periods >= 0");
-    }
-    if (backoff_max < 1 || backoff_decay_after < 1) {
-      throw std::invalid_argument(
-          "MitigationPolicy: backoff knobs must be >= 1");
-    }
-    if (max_targets < 1) {
-      throw std::invalid_argument("MitigationPolicy: max_targets >= 1");
+          "MitigationPolicy: probe_periods must be >= 0");
     }
   }
 

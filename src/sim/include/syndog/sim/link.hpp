@@ -1,15 +1,17 @@
-// Point-to-point link model.
+// Point-to-point link model: a unidirectional delay line.
 //
-// Unidirectional channel with propagation delay, optional serialization
-// (bandwidth) delay, random loss, and a bounded transmit queue. Losses on
-// the SYN forwarding path are one of the paper's two sources of
-// SYN–SYN/ACK discrepancy; the loss knob reproduces it in the DES.
+// Every packet sent arrives `delay` later. The paper's two sources of
+// SYN–SYN/ACK discrepancy (servers dropping SYNs, SYNs lost on the
+// forwarding path) both look like "this transmission drew no SYN/ACK"
+// from the leaf router, so path loss reaches the DES through the
+// responder's `no_answer_probability` (sim::ResponderParams), not
+// through the link.
 //
-// A LinkChaos perturber (src/fault) can additionally be attached to model
-// degraded-network conditions: link flaps, burst loss, duplication, and
-// bounded delay jitter/reordering. The perturber owns its own Rng, so the
-// link's base loss stream — and therefore every unfaulted run — is
-// byte-identical whether or not the fault layer is linked in.
+// A LinkChaos perturber (src/fault) can be attached to model degraded
+// network conditions: link flaps, burst loss, duplication, and bounded
+// delay jitter/reordering. The perturber owns its own Rng, so every
+// unfaulted run is byte-identical whether or not the fault layer is
+// linked in.
 // syndog-lint: hotpath-file -- steady state must not allocate; see
 // `syndog_lint --explain hotpath.allocation`.
 #pragma once
@@ -19,29 +21,19 @@
 #include "syndog/net/packet.hpp"
 #include "syndog/sim/callbacks.hpp"
 #include "syndog/sim/scheduler.hpp"
-#include "syndog/util/rng.hpp"
 
 namespace syndog::sim {
 
-struct LinkParams {
-  util::SimTime delay = util::SimTime::milliseconds(10);
-  /// Bits per second; 0 disables serialization delay.
-  double bandwidth_bps = 0.0;
-  double loss_probability = 0.0;
-  /// Max packets in flight/queued before tail drop; 0 = unbounded.
-  std::size_t queue_limit = 0;
-};
-
 /// Fault-injection seam. When attached via Link::set_chaos, every send()
-/// is inspected before the base loss/queue model runs; the verdict can
-/// drop the packet (link down / burst loss), duplicate it, or perturb its
-/// delivery time (jitter, which with a large enough bound reorders).
+/// is inspected first; the verdict can drop the packet (link down /
+/// burst loss), duplicate it, or perturb its delivery time (jitter,
+/// which with a large enough bound reorders).
 class LinkChaos {
  public:
   enum class Drop : std::uint8_t {
     kNone,      ///< deliver normally
     kLinkDown,  ///< the link is flapped down; counted separately
-    kLoss,      ///< injected (burst) loss on top of the base model
+    kLoss,      ///< injected (burst) loss
   };
 
   struct Verdict {
@@ -63,10 +55,10 @@ class Link {
  public:
   using Deliver = PacketSink;
 
-  Link(Scheduler& scheduler, LinkParams params, Deliver deliver,
-       std::uint64_t seed);
+  Link(Scheduler& scheduler, util::SimTime delay, Deliver deliver);
 
-  /// Queues a packet for transmission; may drop (loss or full queue).
+  /// Delivers `packet` `delay` from now, unless an attached perturber
+  /// drops it.
   void send(const net::Packet& packet);
 
   /// Attaches (nullptr: detaches) the fault-injection perturber, which
@@ -75,15 +67,11 @@ class Link {
 
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
-  [[nodiscard]] std::uint64_t lost() const { return lost_; }
-  [[nodiscard]] std::uint64_t dropped_queue_full() const {
-    return dropped_queue_full_;
-  }
   /// Drops while a fault held the link down (flap).
   [[nodiscard]] std::uint64_t dropped_link_down() const {
     return dropped_link_down_;
   }
-  /// Drops from injected burst loss (on top of the base loss model).
+  /// Drops from injected burst loss.
   [[nodiscard]] std::uint64_t dropped_chaos_loss() const {
     return dropped_chaos_loss_;
   }
@@ -96,17 +84,11 @@ class Link {
   void schedule_delivery(util::SimTime at, net::Packet packet);
 
   Scheduler& scheduler_;
-  LinkParams params_;
+  util::SimTime delay_;
   Deliver deliver_;
-  util::Rng rng_;
   LinkChaos* chaos_ = nullptr;
-  /// Time the transmitter becomes free (serialization model).
-  util::SimTime tx_free_at_;
-  std::size_t in_flight_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t lost_ = 0;
-  std::uint64_t dropped_queue_full_ = 0;
   std::uint64_t dropped_link_down_ = 0;
   std::uint64_t dropped_chaos_loss_ = 0;
   std::uint64_t duplicated_ = 0;

@@ -1,7 +1,7 @@
 // Multi-stub Internet simulation.
 //
-// Several stub networks — each with its own leaf router, LAN, and lossy
-// up/down links — share one Internet cloud and (typically) one victim.
+// Several stub networks — each with its own leaf router, LAN, and up/down
+// delay links — share one Internet cloud and (typically) one victim.
 // This is the paper's full distributed-DDoS setting in one event loop:
 // a campaign places a slave in every stub, and every stub's first-mile
 // SYN-dog independently sees its share f_i = V / A_s of the aggregate.
@@ -25,8 +25,8 @@ struct MultiStubParams {
   int stub_count = 3;
   std::uint32_t hosts_per_stub = 25;
   util::SimTime lan_delay = util::SimTime::microseconds(100);
-  LinkParams uplink;
-  LinkParams downlink;
+  util::SimTime uplink_delay = util::SimTime::milliseconds(10);
+  util::SimTime downlink_delay = util::SimTime::milliseconds(10);
   CloudParams cloud;
   TcpHostParams host_params;
   std::uint64_t seed = 1;

@@ -1,7 +1,7 @@
 // Assembled stub-network simulation (the testbed of paper Fig. 6).
 //
 // Wires together: N intranet hosts on a LAN, the leaf router with its
-// interface taps, lossy up/down links, and the Internet cloud (with
+// interface taps, up/down delay links, and the Internet cloud (with
 // optional real remote hosts such as a victim server). Provides workload
 // drivers for background connections in both directions, flood agents on
 // compromised stub hosts, and replay of pre-rendered packet traces.
@@ -25,8 +25,9 @@ struct StubNetworkParams {
   net::Ipv4Prefix stub_prefix = *net::Ipv4Prefix::parse("10.1.0.0/16");
   std::uint32_t num_hosts = 50;
   util::SimTime lan_delay = util::SimTime::microseconds(100);
-  LinkParams uplink;    ///< router -> Internet
-  LinkParams downlink;  ///< Internet -> router
+  /// Link delays router -> Internet (up) and Internet -> router (down).
+  util::SimTime uplink_delay = util::SimTime::milliseconds(10);
+  util::SimTime downlink_delay = util::SimTime::milliseconds(10);
   CloudParams cloud;
   TcpHostParams host_params;
   std::uint64_t seed = 1;

@@ -21,34 +21,33 @@
 
 namespace syndog::sim {
 
+/// SYN-cookie hysteresis, as fractions of the backlog: a server with
+/// TcpHostParams::syn_cookies answers statelessly once its half-open
+/// queue fills to kCookieHighWater and reverts to stateful handshakes at
+/// kCookieLowWater. The band keeps a bursty-but-benign queue from
+/// flapping the mode every packet.
+inline constexpr double kCookieHighWater = 0.75;
+inline constexpr double kCookieLowWater = 0.25;
+
+/// Client SYNs and server SYN/ACKs are retransmitted on the one schedule
+/// in net/handshake.hpp (two retransmissions, 3 s then 6 s).
 struct TcpHostParams {
   /// Listen-queue capacity for half-open connections (per host, shared
   /// across ports — the resource SYN floods exhaust).
   std::size_t backlog = 128;
-  /// Client SYN retransmissions (paper: two, then give up).
-  int max_syn_retransmissions = 2;
-  util::SimTime initial_rto = util::SimTime::seconds(3);
   /// Half-open lifetime at the server before the slot is reclaimed
   /// (paper: "not closed until the failure of two retransmissions, which
   /// typically lasts for 75 seconds").
   util::SimTime half_open_timeout = util::SimTime::seconds(75);
-  /// SYN/ACK retransmissions the server sends while a connection sits
-  /// half-open (the two retransmissions above). 0 disables.
-  int syn_ack_retransmissions = 2;
   /// When nonzero, the client side closes each connection this long
   /// after it establishes (generates the Fig. 1 teardown traffic in live
   /// simulations). Zero = connections persist.
   util::SimTime auto_close_after = util::SimTime::zero();
   /// Stateless SYN-cookie fallback (the victim-side countermeasure the
   /// paper's §4.2.3 response would trigger). When enabled, the server
-  /// answers SYNs with a keyed cookie ISN — no backlog slot — once the
-  /// half-open queue crosses `cookie_high_water` (fraction of backlog),
-  /// and reverts to stateful handshakes below `cookie_low_water`. The
-  /// hysteresis band keeps a bursty-but-benign queue from flapping the
-  /// mode every packet.
+  /// answers SYNs with a keyed cookie ISN — no backlog slot — between the
+  /// kCookieHighWater and kCookieLowWater edges above.
   bool syn_cookies = false;
-  double cookie_high_water = 0.75;
-  double cookie_low_water = 0.25;
 };
 
 struct TcpHostStats {
@@ -143,7 +142,6 @@ class TcpHost {
     std::uint16_t dst_port = 0;
     std::uint16_t src_port = 0;
     int retransmissions = 0;
-    util::SimTime rto;
     EventId retx_event = 0;
   };
 

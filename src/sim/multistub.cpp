@@ -37,19 +37,17 @@ MultiStubSim::MultiStubSim(MultiStubParams params)
 
     LeafRouter* router = &stub.site->router();
     stub.downlink = std::make_unique<Link>(
-        scheduler_, params_.downlink,
+        scheduler_, params_.downlink_delay,
         [this, router](const net::Packet& pkt) {
           router->forward_from_internet(scheduler_.now(), pkt);
-        },
-        util::splitmix64(params_.seed ^ (0xd000 + s)));
+        });
     cloud_->add_stub_route(
         prefix_for(s), [link = stub.downlink.get()](const net::Packet& pkt) {
           link->send(pkt);
         });
     stub.uplink = std::make_unique<Link>(
-        scheduler_, params_.uplink,
-        [this](const net::Packet& pkt) { cloud_->receive(pkt); },
-        util::splitmix64(params_.seed ^ (0xa000 + s)));
+        scheduler_, params_.uplink_delay,
+        [this](const net::Packet& pkt) { cloud_->receive(pkt); });
     router->set_uplink([link = stub.uplink.get()](const net::Packet& pkt) {
       link->send(pkt);
     });

@@ -21,20 +21,17 @@ StubNetworkSim::StubNetworkSim(StubNetworkParams params)
 
   // Internet side: router --uplink--> cloud, cloud --downlink--> router.
   downlink_ = std::make_unique<Link>(
-      scheduler_, params_.downlink,
-      [this](const net::Packet& pkt) {
+      scheduler_, params_.downlink_delay, [this](const net::Packet& pkt) {
         router().forward_from_internet(scheduler_.now(), pkt);
-      },
-      util::splitmix64(params_.seed ^ 0xd0));
+      });
   cloud_ = std::make_unique<InternetCloud>(
       scheduler_, params_.cloud, util::splitmix64(params_.seed ^ 0xc1));
   cloud_->add_stub_route(params_.stub_prefix, [this](const net::Packet& pkt) {
     downlink_->send(pkt);
   });
   uplink_ = std::make_unique<Link>(
-      scheduler_, params_.uplink,
-      [this](const net::Packet& pkt) { cloud_->receive(pkt); },
-      util::splitmix64(params_.seed ^ 0xa2));
+      scheduler_, params_.uplink_delay,
+      [this](const net::Packet& pkt) { cloud_->receive(pkt); });
   router().set_uplink([this](const net::Packet& pkt) { uplink_->send(pkt); });
 
   for (std::uint32_t i = 1; i <= params_.num_hosts; ++i) (void)host(i);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "syndog/net/handshake.hpp"
+
 namespace syndog::sim {
 
 TcpHost::TcpHost(net::Ipv4Address ip, net::MacAddress mac,
@@ -14,13 +16,6 @@ TcpHost::TcpHost(net::Ipv4Address ip, net::MacAddress mac,
   if (!send_) throw std::invalid_argument("TcpHost: send callback required");
   if (params_.backlog == 0) {
     throw std::invalid_argument("TcpHost: backlog must be at least 1");
-  }
-  if (params_.syn_cookies &&
-      (params_.cookie_low_water < 0.0 ||
-       params_.cookie_high_water <= params_.cookie_low_water ||
-       params_.cookie_high_water > 1.0)) {
-    throw std::invalid_argument(
-        "TcpHost: need 0 <= cookie_low_water < cookie_high_water <= 1");
   }
 }
 
@@ -60,14 +55,13 @@ void TcpHost::connect(net::Ipv4Address dst_ip, std::uint16_t dst_port) {
   conn.dst_ip = dst_ip;
   conn.dst_port = dst_port;
   conn.src_port = src_port;
-  conn.rto = params_.initial_rto;
   const PeerKey key = key_of(dst_ip, dst_port, src_port);
 
   ++stats_.syns_sent;
   send_tcp(dst_ip, src_port, dst_port, net::TcpFlags::syn_only(),
            conn.our_isn, 0);
   conn.retx_event = scheduler_.schedule_after(
-      conn.rto, [this, key] { retransmit_syn(key); });
+      net::handshake_rto(0), [this, key] { retransmit_syn(key); });
   connecting_[key] = conn;
 }
 
@@ -75,7 +69,7 @@ void TcpHost::retransmit_syn(PeerKey key) {
   const auto it = connecting_.find(key);
   if (it == connecting_.end()) return;
   Connecting& conn = it->second;
-  if (conn.retransmissions >= params_.max_syn_retransmissions) {
+  if (conn.retransmissions >= net::kHandshakeRetransmissions) {
     ++stats_.connect_failures;
     connecting_.erase(it);
     return;
@@ -84,9 +78,9 @@ void TcpHost::retransmit_syn(PeerKey key) {
   ++stats_.syns_sent;
   send_tcp(conn.dst_ip, conn.src_port, conn.dst_port,
            net::TcpFlags::syn_only(), conn.our_isn, 0);
-  conn.rto = conn.rto * std::int64_t{2};
-  conn.retx_event = scheduler_.schedule_after(
-      conn.rto, [this, key] { retransmit_syn(key); });
+  conn.retx_event =
+      scheduler_.schedule_after(net::handshake_rto(conn.retransmissions),
+                                [this, key] { retransmit_syn(key); });
 }
 
 void TcpHost::receive(const net::Packet& packet) {
@@ -158,10 +152,8 @@ void TcpHost::on_syn(const net::Packet& packet) {
           ++stats_.half_open_timeouts;
         }
       });
-  if (params_.syn_ack_retransmissions > 0) {
-    half.retx_event = scheduler_.schedule_after(
-        params_.initial_rto, [this, key] { retransmit_syn_ack(key); });
-  }
+  half.retx_event = scheduler_.schedule_after(
+      net::handshake_rto(0), [this, key] { retransmit_syn_ack(key); });
   half_open_[key] = half;
   ++stats_.syn_acks_sent;
   send_tcp(packet.ip.src, port, packet.tcp->src_port,
@@ -172,15 +164,14 @@ void TcpHost::retransmit_syn_ack(PeerKey key) {
   const auto it = half_open_.find(key);
   if (it == half_open_.end()) return;
   HalfOpen& half = it->second;
-  if (half.retransmissions >= params_.syn_ack_retransmissions) return;
+  if (half.retransmissions >= net::kHandshakeRetransmissions) return;
   ++half.retransmissions;
   ++stats_.syn_acks_sent;
   send_tcp(half.peer_ip, half.local_port, half.peer_port,
            net::TcpFlags::syn_ack(), half.our_isn, 0);
-  // Exponential backoff like the client side: 3 s, then 6 s.
-  half.retx_event = scheduler_.schedule_after(
-      params_.initial_rto * (std::int64_t{1} << half.retransmissions),
-      [this, key] { retransmit_syn_ack(key); });
+  half.retx_event =
+      scheduler_.schedule_after(net::handshake_rto(half.retransmissions),
+                                [this, key] { retransmit_syn_ack(key); });
 }
 
 void TcpHost::on_syn_ack(const net::Packet& packet) {
@@ -243,10 +234,10 @@ void TcpHost::update_cookie_mode() {
   if (!params_.syn_cookies) return;
   const double fill = static_cast<double>(half_open_.size()) /
                       static_cast<double>(params_.backlog);
-  if (!cookie_active_ && fill >= params_.cookie_high_water) {
+  if (!cookie_active_ && fill >= kCookieHighWater) {
     cookie_active_ = true;
     ++stats_.cookie_engagements;
-  } else if (cookie_active_ && fill <= params_.cookie_low_water) {
+  } else if (cookie_active_ && fill <= kCookieLowWater) {
     cookie_active_ = false;
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "syndog/detect/cusum.hpp"
 #include "syndog/stats/online.hpp"
 
 namespace syndog::trace {
@@ -17,7 +18,7 @@ double loss_for_c(double c) {
   double hi = 0.9;
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (normalized_difference_mean(mid, 2) < c) {
+    if (normalized_difference_mean(mid) < c) {
       lo = mid;
     } else {
       hi = mid;
@@ -58,13 +59,14 @@ SiteProfile profile_counts(const std::vector<std::int64_t>& syns,
   profile.k_cv = k_stats.cv();
   profile.c = x_stats.mean();
   profile.x_sigma = x_stats.stddev();
-  profile.recommended_a =
-      std::clamp(profile.c + 6.0 * profile.x_sigma, 0.05, 0.35);
-  profile.recommended_threshold = 3.0 * profile.recommended_a;
+  const detect::SiteDesign design =
+      detect::site_design(profile.c, profile.x_sigma);
+  profile.recommended_a = design.a;
+  profile.recommended_threshold = design.threshold;
   profile.floor_recommended = (profile.recommended_a - profile.c) *
                               profile.k_bar / period.to_seconds();
-  profile.floor_universal =
-      (0.35 - profile.c) * profile.k_bar / period.to_seconds();
+  profile.floor_universal = (detect::kUniversalDriftOffset - profile.c) *
+                            profile.k_bar / period.to_seconds();
   return profile;
 }
 
@@ -88,8 +90,7 @@ SiteSpec spec_from_profile(const SiteProfile& profile,
   const double p = loss_for_c(std::max(profile.c, 0.0));
   spec.handshake.no_answer_probability = p;
   spec.outbound_rate = profile.k_bar /
-                       (profile.period.to_seconds() *
-                        answer_probability(p, 2));
+                       (profile.period.to_seconds() * answer_probability(p));
 
   // ON/OFF source count approximating the observed burstiness: with duty
   // cycle 1/3 the superposition's level fluctuates with cv ~ sqrt(2/N),

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "syndog/net/handshake.hpp"
+
 namespace syndog::trace {
 
 void HandshakeParams::validate() const {
@@ -12,11 +14,7 @@ void HandshakeParams::validate() const {
     throw std::invalid_argument(
         "HandshakeParams: no_answer_probability in [0,1)");
   }
-  if (max_retransmissions < 0 || max_retransmissions > 10) {
-    throw std::invalid_argument(
-        "HandshakeParams: max_retransmissions in [0,10]");
-  }
-  if (!(initial_rto_s > 0.0) || !(rtt_median_s > 0.0) || !(rtt_sigma >= 0.0)) {
+  if (!(rtt_median_s > 0.0) || !(rtt_sigma >= 0.0)) {
     throw std::invalid_argument("HandshakeParams: bad timing parameters");
   }
 }
@@ -102,17 +100,16 @@ ConnectionTrace generate_trace(const ArrivalModel& arrivals,
   for (util::SimTime start : starts) {
     Handshake hs;
     hs.direction = direction;
-    double rto = params.initial_rto_s;
     util::SimTime at = start;
-    for (int attempt = 0; attempt <= params.max_retransmissions; ++attempt) {
+    for (int attempt = 0; attempt <= net::kHandshakeRetransmissions;
+         ++attempt) {
       hs.syn_times.push_back(at);
       if (!rng.bernoulli(loss.at(at))) {
         const double rtt = rng.lognormal(mu, params.rtt_sigma);
         hs.syn_ack_time = at + util::SimTime::from_seconds(rtt);
         break;
       }
-      at += util::SimTime::from_seconds(rto);
-      rto *= 2.0;
+      at += net::handshake_rto(attempt);
     }
     trace.handshakes.push_back(std::move(hs));
   }
@@ -137,24 +134,24 @@ ConnectionTrace merge_traces(ConnectionTrace a, ConnectionTrace b) {
   return out;
 }
 
-double expected_syns_per_attempt(double p, int retx) {
+double expected_syns_per_attempt(double p) {
   double sum = 0.0;
   double pk = 1.0;
-  for (int k = 0; k <= retx; ++k) {
+  for (int k = 0; k <= net::kHandshakeRetransmissions; ++k) {
     sum += pk;
     pk *= p;
   }
   return sum;
 }
 
-double answer_probability(double p, int retx) {
-  return 1.0 - std::pow(p, retx + 1);
+double answer_probability(double p) {
+  return 1.0 - std::pow(p, net::kHandshakeRetransmissions + 1);
 }
 
-double normalized_difference_mean(double p, int retx) {
-  const double answered = answer_probability(p, retx);
+double normalized_difference_mean(double p) {
+  const double answered = answer_probability(p);
   if (answered <= 0.0) return std::numeric_limits<double>::infinity();
-  return (expected_syns_per_attempt(p, retx) - answered) / answered;
+  return (expected_syns_per_attempt(p) - answered) / answered;
 }
 
 }  // namespace syndog::trace

@@ -2,11 +2,11 @@
 //
 // Turns per-period SYN / SYN-ACK counts — from any capture or live
 // counters — into (a) a statistical site profile, (b) detector
-// parameters recommended by the same c + k*sigma rule AdaptiveSynDog
-// learns online, and (c) a synthetic SiteSpec whose generated traces
-// match the observed level, imbalance, and burstiness. This is how a
-// deployment bootstraps SYN-dog (and this repository's experiments) from
-// its *own* traffic instead of the paper's four sites.
+// parameters recommended by detect::site_design, the rule
+// AdaptiveSynDog also applies online, and (c) a synthetic SiteSpec whose
+// generated traces match the observed level, imbalance, and burstiness.
+// This is how a deployment bootstraps SYN-dog (and this repository's
+// experiments) from its *own* traffic instead of the paper's four sites.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,7 @@ struct SiteProfile {
   double k_cv = 0.0;       ///< burstiness of the SYN/ACK level
   double c = 0.0;          ///< mean normalized difference E[(S-A)/A]
   double x_sigma = 0.0;    ///< stddev of the normalized difference
-  /// Recommended detector parameters: a = clamp(c + 6*sigma, .05, .35),
-  /// N = 3a (the design rule of paper §3.2 / AdaptiveSynDog).
+  /// Recommended detector parameters: detect::site_design(c, x_sigma).
   double recommended_a = 0.35;
   double recommended_threshold = 1.05;
   /// Eq. (8) floors under the recommended and universal parameters.

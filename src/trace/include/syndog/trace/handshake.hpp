@@ -25,15 +25,12 @@ enum class Direction : std::uint8_t {
   kInbound = 1,   ///< client on the Internet, server inside the stub
 };
 
+/// An unanswered SYN is retransmitted on net/handshake.hpp's schedule
+/// (the paper's "failure of two retransmissions": 3 s, then 6 s).
 struct HandshakeParams {
   /// Probability that one SYN transmission goes unanswered (path loss or
   /// server-overload drop).
   double no_answer_probability = 0.05;
-  /// Retransmissions after the initial SYN (2 => the paper's "failure of
-  /// two retransmissions", ~75 s half-open lifetime).
-  int max_retransmissions = 2;
-  /// First retransmission timeout; doubles each retry (3 s, 6 s, ...).
-  double initial_rto_s = 3.0;
   /// Lognormal RTT of the SYN -> SYN/ACK pair, parameterized by median and
   /// dispersion (sigma of the underlying normal).
   double rtt_median_s = 0.120;
@@ -129,12 +126,12 @@ class LossProcess {
                                            ConnectionTrace b);
 
 /// Closed-form calibration helpers for the no-answer model with
-/// per-transmission loss p and R retransmissions:
+/// per-transmission loss p and R = net::kHandshakeRetransmissions:
 ///   expected SYNs per attempt      = 1 + p + ... + p^R
 ///   P(attempt ever answered)       = 1 - p^(R+1)
 ///   c = E[Delta]/E[SYNACK]         = (sum_{k=1..R+1} p^k) / (1 - p^(R+1))
-[[nodiscard]] double expected_syns_per_attempt(double p, int retx);
-[[nodiscard]] double answer_probability(double p, int retx);
-[[nodiscard]] double normalized_difference_mean(double p, int retx);
+[[nodiscard]] double expected_syns_per_attempt(double p);
+[[nodiscard]] double answer_probability(double p);
+[[nodiscard]] double normalized_difference_mean(double p);
 
 }  // namespace syndog::trace

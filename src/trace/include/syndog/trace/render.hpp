@@ -23,14 +23,12 @@ struct TimedPacket {
 };
 
 struct RenderConfig {
-  /// Addresses of hosts inside the stub network.
+  /// Addresses of hosts inside the stub network (hosts 1-250).
   net::Ipv4Prefix stub_prefix =
       *net::Ipv4Prefix::parse("10.1.0.0/16");
-  /// Addresses representing the rest of the Internet.
+  /// Addresses representing the rest of the Internet (hosts 1-4096).
   net::Ipv4Prefix internet_prefix =
       *net::Ipv4Prefix::parse("128.0.0.0/8");
-  std::uint32_t stub_hosts = 250;
-  std::uint32_t internet_hosts = 4096;
   /// MAC of the leaf router's intranet-facing interface. Frames leaving
   /// the stub carry (host MAC -> router MAC); frames entering carry
   /// (router MAC -> host MAC) — what a tap at the leaf router captures.

@@ -8,6 +8,10 @@ namespace syndog::trace {
 namespace {
 
 constexpr std::uint16_t kServerPorts[] = {80, 443, 25, 110, 21, 22, 53, 8080};
+/// Hosts each handshake's endpoints are drawn from, uniformly: offsets
+/// 1..kStubHosts of the stub prefix, 1..kInternetHosts of the Internet's.
+constexpr std::int64_t kStubHosts = 250;
+constexpr std::int64_t kInternetHosts = 4096;
 
 struct Endpoints {
   net::Ipv4Address client_ip;
@@ -22,10 +26,10 @@ struct Endpoints {
 /// outbound connections and the server for inbound ones.
 Endpoints pick_endpoints(const Handshake& hs, const RenderConfig& cfg,
                          util::Rng& rng) {
-  const std::uint32_t stub_host = static_cast<std::uint32_t>(
-      rng.uniform_int(1, cfg.stub_hosts));
-  const std::uint32_t inet_host = static_cast<std::uint32_t>(
-      rng.uniform_int(1, cfg.internet_hosts));
+  const std::uint32_t stub_host =
+      static_cast<std::uint32_t>(rng.uniform_int(1, kStubHosts));
+  const std::uint32_t inet_host =
+      static_cast<std::uint32_t>(rng.uniform_int(1, kInternetHosts));
   const net::Ipv4Address stub_ip = cfg.stub_prefix.host(stub_host);
   const net::Ipv4Address inet_ip = cfg.internet_prefix.host(inet_host);
 
@@ -51,9 +55,6 @@ Endpoints pick_endpoints(const Handshake& hs, const RenderConfig& cfg,
 
 std::vector<TimedPacket> render_trace(const ConnectionTrace& trace,
                                       const RenderConfig& config) {
-  if (config.stub_hosts == 0 || config.internet_hosts == 0) {
-    throw std::invalid_argument("render_trace: need at least one host");
-  }
   util::Rng rng{config.seed};
   std::vector<TimedPacket> out;
   out.reserve(trace.total_syns() + 2 * trace.total_syn_acks());

@@ -188,8 +188,8 @@ OracleRun run_oracle(const Profile& p,
   mp.stub_count = p.stubs;
   mp.hosts_per_stub = p.hosts;
   mp.lan_delay = p.lan;
-  mp.uplink.delay = p.up;
-  mp.downlink.delay = p.down;
+  mp.uplink_delay = p.up;
+  mp.downlink_delay = p.down;
   mp.cloud.no_answer_probability = 0.0;
   mp.cloud.rtt_sigma = 0.0;
   mp.seed = p.seed;

@@ -69,6 +69,21 @@ TEST(NpCusumTest, ExpectedDelayFormula) {
       NonParametricCusum::expected_delay_periods(1.05, 0.3, 0.0, 0.35)));
 }
 
+TEST(NpCusumTest, SiteDesignClampsTheOffsetAndKeepsAThreePeriodDelay) {
+  // A noisy site caps at the universal parameters (a = 0.35, N = 1.05),
+  // a silent one floors at a = 0.05; in between a = c + 6 sigma.
+  EXPECT_EQ(site_design(0.2, 0.1).a, kUniversalDriftOffset);
+  EXPECT_DOUBLE_EQ(site_design(0.2, 0.1).threshold, 1.05);
+  EXPECT_EQ(site_design(0.0, 0.0).a, 0.05);
+  const SiteDesign unc = site_design(0.05, 0.025);
+  EXPECT_DOUBLE_EQ(unc.a, 0.2);
+  EXPECT_EQ(unc.h, 2.0 * unc.a);
+  EXPECT_EQ(unc.threshold, 3.0 * unc.a);
+  EXPECT_DOUBLE_EQ(NonParametricCusum::expected_delay_periods(
+                       unc.threshold, unc.h, 0.0, unc.a),
+                   3.0);
+}
+
 TEST(NpCusumTest, BoundedVariantCapsStatisticButNotDetection) {
   NonParametricCusum unbounded({0.35, 1.05, 0.0});
   NonParametricCusum bounded({0.35, 1.05, 3.0});

@@ -142,9 +142,6 @@ TEST(AdaptiveTest, Validation) {
   core::AdaptiveParams bad;
   bad.training_periods = 1;
   EXPECT_THROW(core::AdaptiveSynDog{bad}, std::invalid_argument);
-  bad = core::AdaptiveParams{};
-  bad.a_min = 0.0;
-  EXPECT_THROW(core::AdaptiveSynDog{bad}, std::invalid_argument);
 }
 
 // --- flash crowds ------------------------------------------------------------

@@ -494,8 +494,10 @@ struct ManualResult {
   std::vector<bool> alarms;
 };
 
-/// The examples/pcap_sniffer accounting, verbatim: whole file in memory,
-/// periods closed by timestamp comparison.
+/// A whole-file oracle for the demux: the capture in memory, periods
+/// closed by timestamp comparison, a frame outbound iff its source is in
+/// the stub or its destination is not. make_capture emits no LAN-local
+/// frames, the one case where this rule and the StubRouter differ.
 ManualResult manual_loop(const std::string& capture,
                          const core::SynDogParams& params) {
   ManualResult result;
@@ -942,7 +944,6 @@ void expect_sharded_matches_oracle(
     std::uint64_t delivered = 0;
     for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
       delivered += sharded.shard(i).delivered;
-      EXPECT_EQ(sharded.shard(i).dropped, 0u);
     }
     EXPECT_EQ(delivered, sharded.stats().frames);
 

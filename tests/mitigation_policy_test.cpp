@@ -2,10 +2,15 @@
 // clock, the staged state machine end to end through the simulator
 // (hysteresis under a flapping flood, exponential re-arm backoff, probe
 // release and probe failure), the empty-policy byte-exact no-op, the
-// degraded-evidence veto, and the victim-side SYN-cookie mode.
+// degraded-evidence veto, the victim-side SYN-cookie mode, and the
+// ladder's invariants over seeded random period sequences.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "syndog/attack/flood.hpp"
@@ -17,6 +22,8 @@
 #include "syndog/mitigate/recorder.hpp"
 #include "syndog/mitigate/token_bucket.hpp"
 #include "syndog/sim/network.hpp"
+#include "syndog/sim/router.hpp"
+#include "syndog/sim/scheduler.hpp"
 #include "syndog/sim/tcp_host.hpp"
 #include "syndog/util/rng.hpp"
 
@@ -79,19 +86,11 @@ void flood_window(sim::StubNetworkSim& network, double start_s,
 
 TEST(MitigationPolicyTest, ValidateRejectsBadKnobs) {
   MitigationPolicy p = MitigationPolicy::staged_defaults();
-  p.engage_after = 0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-
-  p = MitigationPolicy::rate_limit_only();
-  p.rate_limit_burst = 0.5;
+  p.escalate_after = 0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
 
   p = MitigationPolicy::staged_defaults();
-  p.release_fraction = 0.0;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-
-  p = MitigationPolicy::staged_defaults();
-  p.backoff_max = 0;
+  p.probe_periods = -1;
   EXPECT_THROW(p.validate(), std::invalid_argument);
 
   EXPECT_FALSE(MitigationPolicy{}.enabled());
@@ -177,7 +176,7 @@ TEST(MitigationStateMachineTest, SecondReleaseWaitsThroughDoubledBackoff) {
   ASSERT_EQ(releases.size(), 2u);
   // Both bursts bank the same capped statistic, so the decay back to
   // quiet takes the same time — the only difference is the doubled
-  // quiet-streak requirement: release_after * 2 instead of release_after,
+  // quiet-streak requirement: kReleaseAfter * 2 instead of kReleaseAfter,
   // i.e. three extra observation periods (60 s), give or take the one
   // period the noisy quiet-threshold crossing can shift by.
   const double d1 = (releases[0] - SimTime::from_seconds(160.0)).to_seconds();
@@ -389,6 +388,218 @@ TEST(TcpHostCookieTest, CookieModeEngagesServesLegitAndReverts) {
   // The high-water mark trips before the backlog fills, so cookie mode
   // never drops a SYN.
   EXPECT_EQ(victim.stats().backlog_drops, 0u);
+}
+
+// --- randomized ladder sequences --------------------------------------------
+
+/// An outbound SYN from stub station `host`: spoofed from the
+/// 203.0.113.0/24 pool, or from the station's own in-prefix address.
+net::Packet station_syn(std::uint32_t host, bool spoofed, util::Rng& rng) {
+  net::TcpPacketSpec spec;
+  spec.src_mac = net::MacAddress::for_host(host);
+  spec.src_ip = spoofed
+                    ? net::Ipv4Address(203, 0, 113,
+                                       static_cast<std::uint8_t>(
+                                           rng.uniform_int(1, 254)))
+                    : net::Ipv4Address(10, 1, 0,
+                                       static_cast<std::uint8_t>(host));
+  spec.dst_ip = net::Ipv4Address(198, 51, 100, 7);
+  spec.src_port = static_cast<std::uint16_t>(rng.uniform_int(1024, 65535));
+  spec.dst_port = 80;
+  return net::make_syn(spec);
+}
+
+TEST(MitigationSequenceTest, RandomSequencesKeepTheLadderInvariants) {
+  // Like SynDogAgentTest.RandomSequencesKeepTheHealthInvariants: the
+  // agent sits on a LeafRouter whose scheduler never runs, so every
+  // period closes through close_period. Runs of one regime follow each
+  // other: quiet, flooding, degraded (a flood seen through a stalled
+  // timer or a dead return path) and blind (a sniffer outage). Before
+  // each period, stations 4 and 7 send SYNs through the router: spoofed
+  // ones while they flood (the locator's evidence), in-prefix ones always
+  // (collateral when policed). A twin agent on its own router sees the
+  // same traffic with no controller.
+  enum class Regime { kQuiet, kFlood, kDegraded, kBlind };
+  const core::SynDogParams params = capped_params();
+  const SimTime t0 = params.observation_period;
+  const double release_y = mitigate::kReleaseFraction * params.threshold;
+  const std::uint32_t stations[] = {4, 7};
+  const std::pair<const char*, MitigationPolicy> policies[] = {
+      {"empty", MitigationPolicy{}},
+      {"staged", MitigationPolicy::staged_defaults()},
+      {"rate-limit", MitigationPolicy::rate_limit_only()},
+      {"quarantine", MitigationPolicy::quarantine_only()},
+  };
+  // Quiet periods have SYN <= SYN/ACK, so y falls from the cap by at
+  // least `a` per period; then the slowest full release is two stage
+  // steps at the largest backoff (a plain rate-limit after a probe-less
+  // release).
+  const auto decay_periods = static_cast<std::int64_t>(
+      std::ceil((params.statistic_cap - release_y) / params.a));
+  const std::int64_t lock_in_bound =
+      decay_periods + 2 * mitigate::kReleaseAfter * mitigate::kBackoffMax;
+
+  std::int64_t entered[3] = {0, 0, 0};
+  std::int64_t probe_failures = 0;
+  std::int64_t vetoed = 0;
+  for (const auto& entry : policies) {
+    const MitigationPolicy& policy = entry.second;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      SCOPED_TRACE(std::string(entry.first) + " seed " +
+                   std::to_string(seed));
+      util::Rng rng(seed);
+      sim::Scheduler clock;
+      const net::Ipv4Prefix stub = *net::Ipv4Prefix::parse("10.1.0.0/16");
+      const auto router_mac = net::MacAddress::for_host(0xffffff);
+      sim::LeafRouter router(stub, router_mac);
+      sim::LeafRouter twin_router(stub, router_mac);
+      router.set_uplink([](const net::Packet&) {});
+      twin_router.set_uplink([](const net::Packet&) {});
+      core::SynDogAgent agent(router, clock, params);
+      core::SynDogAgent twin(twin_router, clock, params);
+      MitigationController controller(agent, router, policy);
+      std::vector<MitigationController::StageEdge> edges;
+      controller.add_edge_listener(
+          [&edges](const MitigationController::StageEdge& e) {
+            edges.push_back(e);
+          });
+      std::optional<core::PeriodReport> fed;
+      core::AgentHealth fed_health = core::AgentHealth::kHealthy;
+      agent.add_period_callback(
+          [&](const core::PeriodReport& r, core::AgentHealth h, SimTime) {
+            fed = r;
+            fed_health = h;
+          });
+
+      // Qualifying quiet periods since each station's last stage edge or
+      // streak break: what a release must have waited for.
+      std::map<net::MacAddress, std::int64_t> quiet_since;
+      std::int64_t quiet_run = 0;  // fed quiet-regime periods in a row
+      Regime regime = Regime::kQuiet;
+      bool outage = false;
+      SimTime at = SimTime::zero();
+
+      const auto period = [&](Regime r) {
+        if ((r == Regime::kBlind) != outage) {
+          outage = !outage;
+          agent.notify_sniffer_outage(outage);
+          twin.notify_sniffer_outage(outage);
+        }
+        const std::int64_t missed =
+            r == Regime::kDegraded && rng.bernoulli(0.5)
+                ? rng.uniform_int(1, 3)
+                : 0;
+        const SimTime start = at;
+        at = at + t0 * (missed + 1);
+        const bool flooding = r == Regime::kFlood || r == Regime::kDegraded;
+        for (const std::uint32_t host : stations) {
+          const std::int64_t spoofed = flooding ? rng.uniform_int(0, 30) : 0;
+          const std::int64_t legit = rng.uniform_int(0, 4);
+          for (std::int64_t i = 0; i < spoofed + legit; ++i) {
+            const SimTime when = start + SimTime::nanoseconds(rng.uniform_int(
+                                             0, (at - start).ns() - 1));
+            const net::Packet syn = station_syn(host, i < spoofed, rng);
+            router.forward_from_intranet(when, syn);
+            twin_router.forward_from_intranet(when, syn);
+          }
+        }
+        const std::int64_t base = rng.uniform_int(40, 80);
+        std::int64_t syns = base - rng.uniform_int(0, base / 10);
+        std::int64_t syn_acks = base;
+        if (flooding) syns = base + rng.uniform_int(30, 200);
+        if (r == Regime::kDegraded && missed == 0) {
+          syn_acks = rng.uniform_int(0, 1);  // dead return path
+        }
+
+        const std::size_t edges_before = edges.size();
+        const std::uint64_t vetoed_before =
+            controller.stats().vetoed_alarm_periods;
+        fed.reset();
+        agent.close_period(at, syns, syn_acks, missed);
+        twin.close_period(at, syns, syn_acks, missed);
+        const mitigate::ControllerStats& st = controller.stats();
+
+        // Collateral is accounted: every policer drop is a legit or an
+        // attack drop, never both, never neither.
+        ASSERT_EQ(st.dropped_legit_syns + st.dropped_attack_syns,
+                  router.stats().dropped_policer);
+        if (!policy.enabled()) {
+          // The empty policy is a no-op.
+          ASSERT_EQ(agent.history(), twin.history());
+          ASSERT_EQ(router.stats().forwarded_outbound,
+                    twin_router.stats().forwarded_outbound);
+          ASSERT_EQ(router.stats().dropped_policer, 0u);
+          ASSERT_TRUE(edges.empty());
+          ASSERT_EQ(controller.target_count(), 0u);
+          return;
+        }
+        if (!fed) {
+          ASSERT_EQ(edges.size(), edges_before);  // no report, no edge
+          return;
+        }
+        // No lock-in: a long enough quiet stretch after the flood
+        // releases every station.
+        quiet_run = r == Regime::kQuiet ? quiet_run + 1 : 0;
+        if (quiet_run >= lock_in_bound) {
+          ASSERT_EQ(controller.aggregate_stage(), Stage::kObserve);
+        }
+        const bool veto =
+            fed->alarm && fed_health != core::AgentHealth::kHealthy;
+        // Health veto: an untrusted alarm moves nothing.
+        ASSERT_EQ(st.vetoed_alarm_periods - vetoed_before, veto ? 1u : 0u);
+        if (veto) {
+          ASSERT_EQ(edges.size(), edges_before);
+          return;
+        }
+        const bool quiet = !fed->alarm && fed->y < release_y;
+        for (auto& [mac, since] : quiet_since) since = quiet ? since + 1 : 0;
+        for (std::size_t i = edges_before; i < edges.size(); ++i) {
+          const MitigationController::StageEdge& e = edges[i];
+          if (e.to == Stage::kRateLimit) ++entered[1];
+          if (e.to == Stage::kQuarantine) ++entered[2];
+          if (e.to == Stage::kObserve) ++entered[0];
+          if (e.reason == EdgeReason::kProbeFailed) ++probe_failures;
+          if (e.reason == EdgeReason::kRelease ||
+              e.reason == EdgeReason::kProbePassed) {
+            // Releases happen only on a decayed statistic...
+            ASSERT_TRUE(quiet) << "y=" << fed->y;
+          }
+          if (e.reason == EdgeReason::kRelease) {
+            // ...after a quiet streak the backoff stretched at most
+            // kBackoffMax-fold.
+            const std::int64_t streak = quiet_since[e.target];
+            ASSERT_GE(streak, mitigate::kReleaseAfter);
+            ASSERT_LE(streak,
+                      mitigate::kReleaseAfter * mitigate::kBackoffMax);
+          }
+          quiet_since[e.target] = 0;
+        }
+      };
+
+      for (int step = 0; step < 300; ++step) {
+        if (rng.bernoulli(0.15)) {
+          const double pick = rng.uniform();
+          regime = pick < 0.45   ? Regime::kQuiet
+                   : pick < 0.75 ? Regime::kFlood
+                   : pick < 0.9  ? Regime::kDegraded
+                                 : Regime::kBlind;
+        }
+        ASSERT_NO_FATAL_FAILURE(period(regime));
+      }
+      for (std::int64_t i = 0; i <= lock_in_bound; ++i) {
+        ASSERT_NO_FATAL_FAILURE(period(Regime::kQuiet));
+      }
+      ASSERT_EQ(controller.aggregate_stage(), Stage::kObserve);
+      vetoed += static_cast<std::int64_t>(
+          controller.stats().vetoed_alarm_periods);
+    }
+  }
+  // The sequences reach every stage, a failed probe and a vetoed alarm.
+  EXPECT_GT(entered[0], 0);
+  EXPECT_GT(entered[1], 0);
+  EXPECT_GT(entered[2], 0);
+  EXPECT_GT(probe_failures, 0);
+  EXPECT_GT(vetoed, 0);
 }
 
 }  // namespace

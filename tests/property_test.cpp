@@ -103,7 +103,7 @@ TEST_P(ScaleInvarianceTest, NormalizedMeanIndependentOfSiteSize) {
   stats::OnlineStats x_stats;
   for (const core::PeriodReport& r : reports) x_stats.add(r.x);
   const double expected_c = trace::normalized_difference_mean(
-      spec.handshake.no_answer_probability, 2);
+      spec.handshake.no_answer_probability);
   // Small sites are noisier; tolerance scales with 1/sqrt(rate).
   EXPECT_NEAR(x_stats.mean(), expected_c,
               0.02 + 0.3 / std::sqrt(GetParam()));

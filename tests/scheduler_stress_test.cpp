@@ -240,10 +240,8 @@ TEST(SchedulerStressTest, SteadyStateEventLoopDoesNotAllocate) {
     void operator()(const net::Packet& pkt) const { link->send(pkt); }
   };
   auto pinger = std::make_unique<Pinger>();
-  LinkParams params;
-  params.delay = SimTime::microseconds(50);
-  Link link(sched, params,
-            [p = pinger.get()](const net::Packet& pkt) { (*p)(pkt); }, 1);
+  Link link(sched, SimTime::microseconds(50),
+            [p = pinger.get()](const net::Packet& pkt) { (*p)(pkt); });
   pinger->link = &link;
   net::Packet seedpkt;
   seedpkt.ip.ttl = 7;

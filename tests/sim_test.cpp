@@ -189,11 +189,8 @@ net::Packet small_packet() {
 TEST(LinkTest, DeliversAfterDelay) {
   Scheduler sched;
   std::vector<SimTime> deliveries;
-  LinkParams params;
-  params.delay = SimTime::milliseconds(25);
-  Link link(sched, params,
-            [&](const net::Packet&) { deliveries.push_back(sched.now()); },
-            1);
+  Link link(sched, SimTime::milliseconds(25),
+            [&](const net::Packet&) { deliveries.push_back(sched.now()); });
   link.send(small_packet());
   sched.run_all();
   ASSERT_EQ(deliveries.size(), 1u);
@@ -201,53 +198,11 @@ TEST(LinkTest, DeliversAfterDelay) {
   EXPECT_EQ(link.delivered(), 1u);
 }
 
-TEST(LinkTest, SerializationDelayQueuesBackToBack) {
-  Scheduler sched;
-  std::vector<SimTime> deliveries;
-  LinkParams params;
-  params.delay = SimTime::zero() + SimTime::milliseconds(1);
-  params.bandwidth_bps = 54.0 * 8 * 1000;  // 1 ms per 54-byte frame
-  Link link(sched, params,
-            [&](const net::Packet&) { deliveries.push_back(sched.now()); },
-            1);
-  link.send(small_packet());
-  link.send(small_packet());
-  sched.run_all();
-  ASSERT_EQ(deliveries.size(), 2u);
-  // Second frame waits for the first's serialization before its own.
-  EXPECT_EQ((deliveries[1] - deliveries[0]).to_milliseconds(), 1.0);
-}
-
-TEST(LinkTest, LossDropsApproximatelyTheConfiguredFraction) {
-  Scheduler sched;
-  int delivered = 0;
-  LinkParams params;
-  params.loss_probability = 0.3;
-  Link link(sched, params, [&](const net::Packet&) { ++delivered; }, 7);
-  for (int i = 0; i < 2000; ++i) link.send(small_packet());
-  sched.run_all();
-  EXPECT_NEAR(static_cast<double>(delivered) / 2000.0, 0.7, 0.05);
-  EXPECT_EQ(link.lost() + link.delivered(), link.sent());
-}
-
-TEST(LinkTest, QueueLimitTailDrops) {
-  Scheduler sched;
-  LinkParams params;
-  params.queue_limit = 5;
-  int delivered = 0;
-  Link link(sched, params, [&](const net::Packet&) { ++delivered; }, 1);
-  for (int i = 0; i < 10; ++i) link.send(small_packet());
-  sched.run_all();
-  EXPECT_EQ(delivered, 5);
-  EXPECT_EQ(link.dropped_queue_full(), 5u);
-}
-
 TEST(LinkTest, ChaosVerdictsAreCounted) {
   Scheduler sched;
-  LinkParams params;
-  params.delay = SimTime::milliseconds(1);
   int delivered = 0;
-  Link link(sched, params, [&](const net::Packet&) { ++delivered; }, 1);
+  Link link(sched, SimTime::milliseconds(1),
+            [&](const net::Packet&) { ++delivered; });
 
   // Deterministic perturber cycling through every verdict kind.
   struct ScriptedChaos : LinkChaos {

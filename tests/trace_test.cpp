@@ -141,10 +141,10 @@ TEST(HandshakeTest, RetransmissionsFollowExponentialBackoff) {
 
 TEST(HandshakeTest, CalibrationFormulas) {
   // Closed forms used to calibrate the sites (DESIGN.md §5).
-  EXPECT_DOUBLE_EQ(expected_syns_per_attempt(0.0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(expected_syns_per_attempt(0.5, 2), 1.75);
-  EXPECT_DOUBLE_EQ(answer_probability(0.5, 2), 1.0 - 0.125);
-  EXPECT_NEAR(normalized_difference_mean(0.047, 2), 0.0494, 5e-4);
+  EXPECT_DOUBLE_EQ(expected_syns_per_attempt(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(expected_syns_per_attempt(0.5), 1.75);
+  EXPECT_DOUBLE_EQ(answer_probability(0.5), 1.0 - 0.125);
+  EXPECT_NEAR(normalized_difference_mean(0.047), 0.0494, 5e-4);
 }
 
 TEST(HandshakeTest, MeasuredStatisticsMatchClosedForms) {
@@ -160,8 +160,8 @@ TEST(HandshakeTest, MeasuredStatisticsMatchClosedForms) {
       static_cast<double>(trace.attempts());
   const double answered = static_cast<double>(trace.total_syn_acks()) /
                           static_cast<double>(trace.attempts());
-  EXPECT_NEAR(syns_per_attempt, expected_syns_per_attempt(0.1, 2), 0.01);
-  EXPECT_NEAR(answered, answer_probability(0.1, 2), 0.01);
+  EXPECT_NEAR(syns_per_attempt, expected_syns_per_attempt(0.1), 0.01);
+  EXPECT_NEAR(answered, answer_probability(0.1), 0.01);
 }
 
 TEST(HandshakeTest, MergePreservesOrderAndCounts) {

@@ -3,7 +3,7 @@
 LAYER_DEPS mirrors DESIGN.md §3 and the DEPS lists in
 src/*/CMakeLists.txt (`layering.deps_drift` fires when a module's
 `syndog_add_module(... DEPS syndog::x ...)` set differs from its entry):
-  util -> obs/stats/net -> pcap/classify -> detect/trace -> sim/attack
+  util -> obs/stats/net -> pcap/classify -> detect -> trace -> sim/attack
        -> fault -> core/traceback
 obs is the in-process observability layer: it may depend only on util
 (it must stay embeddable under every other module), while any module may
@@ -30,7 +30,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     "pcap": {"net", "util"},
     "classify": {"net", "obs", "util"},
     "detect": {"stats", "util"},
-    "trace": {"net", "stats", "util"},
+    "trace": {"detect", "net", "stats", "util"},
     "sim": {"net", "obs", "util"},
     "fault": {"net", "sim", "util"},
     "attack": {"util"},
