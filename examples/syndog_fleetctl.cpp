@@ -103,9 +103,8 @@ void generate_demo(const std::string& path) {
               util::SimTime::seconds(kT0Seconds * kPeriods), 1.0);
     sink.push(sink.series_id(7, health),
               util::SimTime::seconds(kT0Seconds * kPeriods), 2.0);
-    // Mirror what a mitigate::MitigationRecorder attached to stub 8's
-    // controller would stream during its flood: engage -> quarantine ->
-    // probe back through rate-limit -> release.
+    // Stub 8's aggregate mitigation stage during its flood: engage ->
+    // quarantine -> probe back through rate-limit -> release.
     const std::uint32_t mitigation =
         sink.metric_id(core::kFleetMetricMitigation);
     const std::int64_t flood_start = kPeriods - 40;

@@ -87,9 +87,4 @@ std::vector<util::SimTime> generate_flood_times(const FloodSpec& spec,
   return out;
 }
 
-double expected_flood_syns(const FloodSpec& spec) {
-  spec.validate();
-  return spec.rate * spec.duration.to_seconds();
-}
-
 }  // namespace syndog::attack

@@ -44,7 +44,4 @@ struct FloodSpec {
 [[nodiscard]] std::vector<util::SimTime> generate_flood_times(
     const FloodSpec& spec, util::Rng& rng);
 
-/// Expected SYN count (mean) over the whole flood.
-[[nodiscard]] double expected_flood_syns(const FloodSpec& spec);
-
 }  // namespace syndog::attack

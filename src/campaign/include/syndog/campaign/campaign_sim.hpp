@@ -122,6 +122,7 @@ class CampaignSim {
   /// One full TCP handshake from host `host_index` of `stub` to
   /// `dst:port` at time `at` (a real TcpHost::connect, retransmissions
   /// and all). Drives the oracle-equivalence tests.
+  // syndog-lint: allow-next-line(api.test_only) -- test driver of CampaignOracleTest, which pins the cell loop against MultiStubSim
   void connect_background(int stub, std::uint32_t host_index,
                           util::SimTime at, net::Ipv4Address dst,
                           std::uint16_t port = 80);

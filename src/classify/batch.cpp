@@ -34,8 +34,6 @@ FlagSweep sweep_flags_scalar(std::span<const std::uint8_t> flags) {
 
 #if defined(SYNDOG_SWEEP_SSE2)
 
-std::string_view sweep_flags_backend() { return "sse2"; }
-
 FlagSweep sweep_flags(std::span<const std::uint8_t> flags) {
   FlagSweep out;
   const std::uint8_t* p = flags.data();
@@ -61,8 +59,6 @@ FlagSweep sweep_flags(std::span<const std::uint8_t> flags) {
 
 #elif defined(SYNDOG_SWEEP_NEON)
 
-std::string_view sweep_flags_backend() { return "neon"; }
-
 FlagSweep sweep_flags(std::span<const std::uint8_t> flags) {
   FlagSweep out;
   const std::uint8_t* p = flags.data();
@@ -84,8 +80,6 @@ FlagSweep sweep_flags(std::span<const std::uint8_t> flags) {
 }
 
 #else
-
-std::string_view sweep_flags_backend() { return "scalar"; }
 
 FlagSweep sweep_flags(std::span<const std::uint8_t> flags) {
   return sweep_flags_scalar(flags);

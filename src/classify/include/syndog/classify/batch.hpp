@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 namespace syndog::classify {
 
@@ -51,8 +50,5 @@ struct FlagSweep {
 /// Counts SYN / SYN-ACK bytes in `flags` using the best kernel the build
 /// target supports. Bit-identical to sweep_flags_scalar().
 [[nodiscard]] FlagSweep sweep_flags(std::span<const std::uint8_t> flags);
-
-/// Which kernel sweep_flags() compiles to: "sse2", "neon", or "scalar".
-[[nodiscard]] std::string_view sweep_flags_backend();
 
 }  // namespace syndog::classify

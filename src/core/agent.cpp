@@ -166,11 +166,6 @@ void SynDogAgent::on_period_end() {
 
   auto syns = static_cast<std::int64_t>(outbound_.harvest());
   auto syn_acks = static_cast<std::int64_t>(inbound_.harvest());
-  // In-prefix SYNs a downstream policer dropped never left the stub; see
-  // discount_outbound_syns. Applied before the gap rescale so the
-  // correction smears with the harvest it belongs to.
-  syns = std::max<std::int64_t>(0, syns - policed_discount_);
-  policed_discount_ = 0;
 
   // Late rollover (stalled process/timer): the harvest smears over the
   // whole stall. Rescale the counts to one period's worth so Δn and Xn
@@ -191,6 +186,16 @@ void SynDogAgent::on_period_end() {
 
 void SynDogAgent::close_period(util::SimTime at, std::int64_t syns,
                                std::int64_t syn_acks, std::int64_t missed) {
+  // In-prefix SYNs a downstream policer dropped never left the stub (see
+  // discount_outbound_syns). Every rollover sheds them here, the timer's
+  // and the count-level callers' alike, before any early return; a late
+  // harvest arrives already rescaled, so the discount is not divided by
+  // the stall.
+  if (policed_discount_ != 0) {
+    syns = std::max<std::int64_t>(0, syns - policed_discount_);
+    policed_discount_ = 0;
+  }
+
   // (a) Rollovers a stalled timer skipped are gaps, not quiet periods.
   if (missed > 0) {
     syndog_.note_gap_periods(missed);

@@ -131,7 +131,7 @@ class SynDogAgent {
 
   /// The one packet-counting path: `packet` crosses the stub's outbound
   /// (on_outbound) or inbound (on_inbound) interface at `at`.
-  /// counted_interfaces(mode()) picks the sniffer that sees it; in
+  /// counted_interfaces(mode) picks the sniffer that sees it; in
   /// first-mile mode the SYN side also feeds the locator.
   void on_outbound(util::SimTime at, const net::Packet& packet) {
     on_interface(Interface::kOutbound, at, packet);
@@ -175,7 +175,8 @@ class SynDogAgent {
   /// evidence and hold the statistic up forever (a quarantined station's
   /// legitimate SYNs + retransmissions can exceed the decay drift at a
   /// small site). The controller reports those here; the next rollover
-  /// deducts them from the period's SYN count.
+  /// (close_period, on either path) deducts them from the period's SYN
+  /// count, after a late harvest's rescale.
   void discount_outbound_syns(std::int64_t n = 1) {
     policed_discount_ += n;
   }
@@ -189,6 +190,7 @@ class SynDogAgent {
   /// Fault hook: delays the pending period rollover until `at` (no-op if
   /// `at` is not later), simulating a stalled/suspended agent process.
   /// The late rollover then triggers the gap-accounting path.
+  // syndog-lint: allow-next-line(api.test_only) -- fault hook, the only way into the stall rescale; no DES run stalls
   void stall_until(util::SimTime at);
 
   /// Count-level rollover: closes the observation period ending at `at`
@@ -203,7 +205,6 @@ class SynDogAgent {
   void close_period(util::SimTime at, std::int64_t syns,
                     std::int64_t syn_acks, std::int64_t missed);
 
-  [[nodiscard]] AgentMode mode() const { return mode_; }
   [[nodiscard]] const SynDog& detector() const { return syndog_; }
   /// The sniffer counting the watched SYNs (on the outbound interface in
   /// first-mile mode, the inbound interface in last-mile mode).
@@ -222,9 +223,6 @@ class SynDogAgent {
   }
 
   [[nodiscard]] AgentHealth health() const { return health_; }
-  [[nodiscard]] const AgentHealthPolicy& health_policy() const {
-    return policy_;
-  }
   /// Rollovers discarded because the sniffers were known-dead.
   [[nodiscard]] std::int64_t blind_periods() const { return blind_periods_; }
   /// Alarming periods whose alarm was withheld during quarantine.

@@ -39,8 +39,8 @@ inline constexpr std::string_view kFleetMetricK = "k";
 inline constexpr std::string_view kFleetMetricY = "y";
 inline constexpr std::string_view kFleetMetricAlarm = "alarm";
 inline constexpr std::string_view kFleetMetricHealth = "health";
-/// Aggregate mitigation stage of a stub (mitigate::Stage as 0/1/2;
-/// pushed on change by mitigate::MitigationRecorder::attach_sink).
+/// Aggregate mitigation stage of a stub (mitigate::Stage as 0/1/2), read
+/// by telemetry::stage_timeline. Only syndog_fleetctl's demo writes it.
 inline constexpr std::string_view kFleetMetricMitigation = "mitigation";
 
 class FleetRecorder {

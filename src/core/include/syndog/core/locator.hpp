@@ -43,6 +43,7 @@ class SourceLocator {
   [[nodiscard]] std::vector<Suspect> suspects() const;
   /// All stations that sent any SYN, ranked by total SYNs (descending,
   /// then MAC ascending).
+  // syndog-lint: allow-next-line(api.test_only) -- reference view tests check the station table and its index against
   [[nodiscard]] std::vector<Suspect> stations() const;
 
   [[nodiscard]] std::uint64_t spoofed_total() const { return spoofed_total_; }

@@ -23,7 +23,6 @@ class Sniffer {
  public:
   explicit Sniffer(SnifferRole role) : role_(role) {}
 
-  [[nodiscard]] SnifferRole role() const { return role_; }
 
   /// Classifies a logical packet (capture frames arrive decoded). Returns
   /// the classification so callers (e.g. the agent's telemetry) need not

@@ -26,15 +26,16 @@
 
 namespace syndog::core {
 
+/// Floor applied to K before dividing, so an idle link (K -> 0) degrades
+/// into "count raw SYNs" instead of dividing by zero.
+inline constexpr double kKFloor = 1.0;
+
 struct SynDogParams {
   double a = 0.35;           ///< upper bound on E[Xn] under normal operation
   double h = 0.70;           ///< assumed attack drift lower bound (= 2a)
   double threshold = 1.05;   ///< flooding threshold N
   double ewma_alpha = 0.9;   ///< memory of the K estimator (Eq. 1)
   util::SimTime observation_period = util::SimTime::seconds(20);  ///< t0
-  /// Floor applied to K before dividing, so an idle link (K -> 0) degrades
-  /// into "count raw SYNs" instead of dividing by zero.
-  double k_floor = 1.0;
   /// Bounded-CUSUM cap on yn (0 = unbounded, the paper's exact form).
   /// Capping at a few multiples of N bounds how long the alarm outlives a
   /// long flood without changing when it fires.

@@ -24,9 +24,6 @@ void SynDogParams::validate() const {
     throw std::invalid_argument(
         "SynDogParams: observation_period must be positive");
   }
-  if (!(k_floor > 0.0)) {
-    throw std::invalid_argument("SynDogParams: k_floor must be positive");
-  }
   if (x_clamp_negative < 0.0) {
     throw std::invalid_argument(
         "SynDogParams: x_clamp_negative must be >= 0 (0 disables)");
@@ -88,7 +85,7 @@ PeriodReport SynDog::observe_period(std::int64_t syn_count,
   const double k_prev = k_.primed()
                             ? k_.value()
                             : static_cast<double>(syn_ack_count);
-  report.x = report.delta / std::max(k_prev, params_.k_floor);
+  report.x = report.delta / std::max(k_prev, kKFloor);
   if (params_.x_clamp_negative > 0.0 &&
       report.x < -params_.x_clamp_negative) {
     report.x = -params_.x_clamp_negative;

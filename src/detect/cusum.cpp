@@ -25,13 +25,6 @@ void NonParametricCusum::reset() {
   reset_sample_count();
 }
 
-double NonParametricCusum::expected_delay_periods(double threshold, double h,
-                                                  double c, double a) {
-  const double drift = h - std::abs(c - a);
-  if (drift <= 0.0) return std::numeric_limits<double>::infinity();
-  return threshold / drift;
-}
-
 SiteDesign site_design(double c, double sigma) {
   SiteDesign design;
   design.a = std::clamp(c + 6.0 * sigma, 0.05, kUniversalDriftOffset);

@@ -59,14 +59,6 @@ class NonParametricCusum final : public ChangeDetector {
     return params_;
   }
 
-  /// Conservative normalized detection delay of Eq. (7):
-  ///   rho_N ~= N / (h - |c - a|)   observation periods,
-  /// where h is the post-change mean increase and c the pre-change mean.
-  /// Returns +inf when the attack drift does not exceed the offset.
-  [[nodiscard]] static double expected_delay_periods(double threshold,
-                                                     double h, double c,
-                                                     double a);
-
  private:
   NonParametricCusumParams params_;
   double y_ = 0.0;

@@ -44,7 +44,6 @@ class ChaosController {
 
   /// True when at least one fault was installed.
   [[nodiscard]] bool attached() const { return !schedule_.empty(); }
-  [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
 
   /// Registers the sink for tap-outage edges (e.g. the agent's
   /// notify_sniffer_outage). Must be set before the first window opens to

@@ -110,9 +110,6 @@ class ReplayEngine final {
   /// when run() finishes.
   void attach_observer(obs::Registry& registry);
 
-  /// Pacing seam for tests; nullptr restores the real monotonic clock.
-  void set_wall_clock(const obs::WallClock* clock);
-
   /// Streams the whole capture. Call once.
   const PipelineStats& run();
 
@@ -141,8 +138,7 @@ class ReplayEngine final {
   EpochRebase rebase_;
   PipelineStats stats_;
   obs::Registry* registry_ = nullptr;
-  obs::WallClock real_clock_;
-  const obs::WallClock* wall_;
+  obs::WallClock wall_;
   std::int64_t pace_wall0_ns_ = 0;
   util::SimTime pace_sim0_ = util::SimTime::zero();
   bool ran_ = false;

@@ -17,8 +17,7 @@ void ReplayConfig::validate() const {
 
 ReplayEngine::ReplayEngine(std::istream& in, ReplayConfig cfg)
     : cfg_((cfg.validate(), cfg)),
-      source_(in),
-      wall_(&real_clock_) {}
+      source_(in) {}
 
 void ReplayEngine::add_sink(ReplaySink& sink) { sinks_.push_back(&sink); }
 
@@ -27,16 +26,12 @@ void ReplayEngine::attach_observer(obs::Registry& registry) {
   scheduler_.attach_observer(&registry);
 }
 
-void ReplayEngine::set_wall_clock(const obs::WallClock* clock) {
-  wall_ = clock != nullptr ? clock : &real_clock_;
-}
-
 void ReplayEngine::pace(util::SimTime at) {
   const double capture_ns = static_cast<double>((at - pace_sim0_).ns());
   const std::int64_t target_wall_ns =
       pace_wall0_ns_ + static_cast<std::int64_t>(capture_ns / cfg_.speed);
   for (;;) {
-    const std::int64_t behind_ns = target_wall_ns - wall_->now_ns();
+    const std::int64_t behind_ns = target_wall_ns - wall_.now_ns();
     if (behind_ns <= 0) break;
     // Sleep most of the gap, then re-check; caps per-sleep latency so a
     // swapped-in test clock cannot strand us for the full capture span.
@@ -62,7 +57,7 @@ const PipelineStats& ReplayEngine::run() {
     stats_.bytes += record_.data.size();
     const util::SimTime at = rebase_(frame_.at);
     if (stats_.frames++ == 0) {
-      pace_wall0_ns_ = wall_->now_ns();
+      pace_wall0_ns_ = wall_.now_ns();
       pace_sim0_ = at;
     }
     if (cfg_.clock == ReplayClock::kPaced) pace(at);

@@ -28,11 +28,6 @@ void MitigationController::add_edge_listener(EdgeListener listener) {
   if (listener) edge_listeners_.push_back(std::move(listener));
 }
 
-Stage MitigationController::stage_of(net::MacAddress mac) const {
-  const auto it = targets_.find(mac);
-  return it == targets_.end() ? Stage::kObserve : it->second.stage;
-}
-
 Stage MitigationController::aggregate_stage() const {
   Stage worst = Stage::kObserve;
   for (const auto& [mac, target] : targets_) {

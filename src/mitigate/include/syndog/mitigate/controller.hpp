@@ -73,10 +73,7 @@ class MitigationController {
   /// Appends a stage-edge subscriber (MitigationRecorder uses this).
   void add_edge_listener(EdgeListener listener);
 
-  [[nodiscard]] const MitigationPolicy& policy() const { return policy_; }
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
-  /// Stage of one station (kObserve when untracked).
-  [[nodiscard]] Stage stage_of(net::MacAddress mac) const;
   /// Most severe stage across all tracked targets (the telemetry
   /// "mitigation" series value).
   [[nodiscard]] Stage aggregate_stage() const;

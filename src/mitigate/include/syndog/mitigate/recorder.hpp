@@ -3,20 +3,13 @@
 // Subscribes to a MitigationController's stage edges and keeps the
 // operator-facing accounting: when mitigation first engaged, when the
 // flood's last target was fully released (time-to-mitigate /
-// time-to-full-recovery), and how long the stub spent at each aggregate
-// stage. attach_sink() streams the aggregate stage into the fleet
-// telemetry schema (core::kFleetMetricMitigation), so syndog_fleetctl can
-// roll mitigation timelines up next to the alarm timelines they answer.
+// time-to-full-recovery), and every stage edge in order.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "syndog/mitigate/controller.hpp"
-#include "syndog/telemetry/sink.hpp"
 #include "syndog/util/time.hpp"
 
 namespace syndog::mitigate {
@@ -28,12 +21,6 @@ class MitigationRecorder {
 
   MitigationRecorder(const MitigationRecorder&) = delete;
   MitigationRecorder& operator=(const MitigationRecorder&) = delete;
-
-  /// Registers `name` with the sink (must outlive the recorder) and
-  /// pushes one sample per aggregate-stage change under the
-  /// core::kFleetMetricMitigation metric.
-  void attach_sink(telemetry::TelemetrySink& sink, std::string_view name,
-                   std::uint32_t as_number);
 
   /// First observe -> mitigating edge, if any (time-to-mitigate is this
   /// minus the attack onset the caller knows).
@@ -53,11 +40,6 @@ class MitigationRecorder {
     return aggregate_ != Stage::kObserve;
   }
 
-  /// Sim time spent with the aggregate stage at `stage`, evaluated at
-  /// `now` (includes the still-open interval).
-  [[nodiscard]] util::SimTime seconds_in(Stage stage,
-                                         util::SimTime now) const;
-
   /// Every stage edge seen, in order.
   [[nodiscard]] const std::vector<MitigationController::StageEdge>& edges()
       const {
@@ -70,14 +52,9 @@ class MitigationRecorder {
   MitigationController& controller_;
   std::vector<MitigationController::StageEdge> edges_;
   Stage aggregate_ = Stage::kObserve;
-  util::SimTime aggregate_since_;
-  std::array<util::SimTime, 3> stage_time_{};
   std::optional<util::SimTime> first_engaged_at_;
   std::optional<util::SimTime> first_quarantined_at_;
   std::optional<util::SimTime> fully_released_at_;
-
-  telemetry::TelemetrySink* sink_ = nullptr;
-  std::uint32_t series_ = 0;
 };
 
 }  // namespace syndog::mitigate

@@ -1,31 +1,11 @@
 #include "syndog/mitigate/recorder.hpp"
 
-#include "syndog/core/fleet.hpp"
-
 namespace syndog::mitigate {
 
 MitigationRecorder::MitigationRecorder(MitigationController& controller)
     : controller_(controller) {
   controller_.add_edge_listener(
       [this](const MitigationController::StageEdge& edge) { on_edge(edge); });
-}
-
-void MitigationRecorder::attach_sink(telemetry::TelemetrySink& sink,
-                                     std::string_view name,
-                                     std::uint32_t as_number) {
-  sink_ = &sink;
-  const std::uint32_t agent = sink.register_agent(name, as_number);
-  series_ =
-      sink.series_id(agent, sink.metric_id(core::kFleetMetricMitigation));
-}
-
-util::SimTime MitigationRecorder::seconds_in(Stage stage,
-                                             util::SimTime now) const {
-  util::SimTime total = stage_time_[static_cast<std::size_t>(stage)];
-  if (stage == aggregate_ && now > aggregate_since_) {
-    total = total + (now - aggregate_since_);
-  }
-  return total;
 }
 
 void MitigationRecorder::on_edge(
@@ -41,17 +21,8 @@ void MitigationRecorder::on_edge(
   // aggregate_stage() reflects the new per-target stages.
   const Stage aggregate = controller_.aggregate_stage();
   if (aggregate == aggregate_) return;
-  if (edge.at > aggregate_since_) {
-    auto& slot = stage_time_[static_cast<std::size_t>(aggregate_)];
-    slot = slot + (edge.at - aggregate_since_);
-  }
   aggregate_ = aggregate;
-  aggregate_since_ = edge.at;
   if (aggregate == Stage::kObserve) fully_released_at_ = edge.at;
-  if (sink_ != nullptr) {
-    sink_->push(series_, edge.at,
-                static_cast<double>(static_cast<std::uint8_t>(aggregate)));
-  }
 }
 
 }  // namespace syndog::mitigate

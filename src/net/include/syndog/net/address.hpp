@@ -22,9 +22,6 @@ class MacAddress {
   [[nodiscard]] static std::optional<MacAddress> parse(std::string_view text);
   /// Deterministic MAC for simulated host `index` (locally administered).
   [[nodiscard]] static MacAddress for_host(std::uint32_t index);
-  [[nodiscard]] static constexpr MacAddress broadcast() {
-    return MacAddress{{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}};
-  }
 
   [[nodiscard]] constexpr const std::array<std::uint8_t, 6>& bytes() const {
     return bytes_;

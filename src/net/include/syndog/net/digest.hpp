@@ -28,7 +28,7 @@ namespace syndog::net {
 /// One frame, reduced to what flow hashing and §2 flag counting need.
 struct FlowDigest {
   /// Flag byte standing in for "no TCP flags to classify". Never produced
-  /// by parse_tcp (which masks to the six low bits); masks to 0 under the
+  /// by read_tcp (which masks to the six low bits); masks to 0 under the
   /// SYN|ACK test, so flag sweeps count such frames as neither kind.
   static constexpr std::uint8_t kNoTcpFlags = 0x80;
 
@@ -62,7 +62,7 @@ struct FlowDigest {
   const bool ports = tcp || at.carries(IpProtocol::kUdp);
   out.src_port = ports ? read_u16(frame, at.transport) : 0;
   out.dst_port = ports ? read_u16(frame, at.transport + 2) : 0;
-  // The six RFC 793 flag bits, as parse_tcp keeps them.
+  // The six RFC 793 flag bits, as read_tcp keeps them.
   out.flags = tcp ? frame[at.transport + 13] & 0x3f : FlowDigest::kNoTcpFlags;
   return true;
 }

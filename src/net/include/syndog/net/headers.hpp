@@ -35,8 +35,6 @@ struct Ipv4Header {
   static constexpr std::size_t kMinSize = 20;
   /// Fragment-offset field mask within frag_flags_offset.
   static constexpr std::uint16_t kFragOffsetMask = 0x1fff;
-  static constexpr std::uint16_t kFlagDontFragment = 0x4000;
-  static constexpr std::uint16_t kFlagMoreFragments = 0x2000;
 
   std::uint8_t version = 4;
   std::uint8_t ihl = 5;  ///< header length in 32-bit words (5 = no options)
@@ -57,9 +55,6 @@ struct Ipv4Header {
   /// flags from packets with zero offset (first fragments), per paper §2.
   [[nodiscard]] std::uint16_t fragment_offset() const {
     return frag_flags_offset & kFragOffsetMask;
-  }
-  [[nodiscard]] bool more_fragments() const {
-    return (frag_flags_offset & kFlagMoreFragments) != 0;
   }
 };
 
@@ -92,9 +87,6 @@ struct TcpFlags {
   }
   [[nodiscard]] static constexpr TcpFlags rst_only() {
     return TcpFlags{kRst};
-  }
-  [[nodiscard]] static constexpr TcpFlags rst_ack() {
-    return TcpFlags{static_cast<std::uint8_t>(kRst | kAck)};
   }
   [[nodiscard]] static constexpr TcpFlags fin_ack() {
     return TcpFlags{static_cast<std::uint8_t>(kFin | kAck)};

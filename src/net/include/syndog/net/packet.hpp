@@ -2,12 +2,11 @@
 //
 // `Packet` is the logical unit the simulator, pcap writer, and classifier
 // exchange: an Ethernet/IPv4 frame with an optional transport header. The
-// builder fills lengths and checksums; `decode_frame` is the inverse.
+// builder fills lengths and checksums; `decode_frame_into` is the inverse.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "syndog/net/headers.hpp"
 #include "syndog/net/wire.hpp"
@@ -32,13 +31,10 @@ struct Packet {
   [[nodiscard]] bool is_syn_ack() const {
     return tcp && tcp->flags.syn() && tcp->flags.ack();
   }
-  [[nodiscard]] bool is_rst() const { return tcp && tcp->flags.rst(); }
   [[nodiscard]] bool is_fin() const { return tcp && tcp->flags.fin(); }
 
   /// Total frame size on the wire in bytes.
   [[nodiscard]] std::size_t frame_bytes() const;
-  /// One-line summary for logs: "10.0.0.1:1234 > 10.0.0.2:80 [SYN] ...".
-  [[nodiscard]] std::string summary() const;
 };
 
 /// Common parameters for building TCP test/simulation packets.
@@ -61,6 +57,7 @@ struct TcpPacketSpec {
 [[nodiscard]] Packet make_tcp_packet(const TcpPacketSpec& spec);
 [[nodiscard]] Packet make_syn(const TcpPacketSpec& spec);
 [[nodiscard]] Packet make_syn_ack(const TcpPacketSpec& spec);
+// syndog-lint: allow-next-line(api.test_only) -- fixture builder for the non-TCP frames tests feed the codec, classifier and router
 [[nodiscard]] Packet make_udp_packet(MacAddress src_mac, MacAddress dst_mac,
                                      Ipv4Address src_ip, Ipv4Address dst_ip,
                                      std::uint16_t src_port,
@@ -72,15 +69,12 @@ struct TcpPacketSpec {
 /// that rendering so the frames verify as valid captures.
 [[nodiscard]] ByteBuffer encode_frame(const Packet& packet);
 
-/// Parses a wire-format frame. Returns nullopt on the frames check_frame()
-/// refuses; a valid IPv4 packet with an unsupported transport protocol
-/// parses with all transport optionals empty.
-[[nodiscard]] std::optional<Packet> decode_frame(ByteSpan frame);
-
-/// In-place variant of decode_frame: overwrites `out` (resetting its
-/// transport optionals) and returns true on success, so streaming
-/// consumers can decode directly into recycled packet slots without a
-/// temporary. On failure `out` is left in an unspecified state.
+/// Parses a wire-format frame into `out` (resetting its transport
+/// optionals) and returns true on success, so streaming consumers decode
+/// directly into recycled packet slots. Returns false on the frames
+/// check_frame() refuses, leaving `out` in an unspecified state; a valid
+/// IPv4 packet with an unsupported transport protocol decodes with all
+/// transport optionals empty.
 [[nodiscard]] bool decode_frame_into(ByteSpan frame, Packet& out);
 
 }  // namespace syndog::net

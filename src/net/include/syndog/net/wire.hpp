@@ -8,7 +8,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,11 +27,6 @@ using ByteBuffer = std::vector<std::uint8_t>;
 [[nodiscard]] constexpr std::uint32_t byteswap32(std::uint32_t v) noexcept {
   return ((v & 0xffu) << 24) | ((v & 0xff00u) << 8) | ((v >> 8) & 0xff00u) |
          (v >> 24);
-}
-
-[[nodiscard]] constexpr std::uint64_t byteswap64(std::uint64_t v) noexcept {
-  return (std::uint64_t{byteswap32(static_cast<std::uint32_t>(v))} << 32) |
-         byteswap32(static_cast<std::uint32_t>(v >> 32));
 }
 
 // --- safe unaligned loads --------------------------------------------------
@@ -67,11 +61,6 @@ template <typename T>
 [[nodiscard]] inline std::uint32_t load_le32(const std::uint8_t* p) noexcept {
   const auto v = load_raw<std::uint32_t>(p);
   return std::endian::native == std::endian::little ? v : byteswap32(v);
-}
-
-[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  const auto v = load_raw<std::uint64_t>(p);
-  return std::endian::native == std::endian::little ? v : byteswap64(v);
 }
 
 // --- big-endian primitives -------------------------------------------------
@@ -210,22 +199,12 @@ struct FrameLayout {
 // --- parsing -----------------------------------------------------------
 //
 // read_* copy a header's fields and check nothing: the caller has already
-// accepted the bytes, by the rule above or by check_frame(). parse_* apply
-// the rule first and return nullopt when it refuses.
+// accepted the bytes, by the rules above or by check_frame().
 
 [[nodiscard]] EthernetHeader read_ethernet(ByteSpan frame);
 [[nodiscard]] Ipv4Header read_ipv4(ByteSpan packet);
 [[nodiscard]] TcpHeader read_tcp(ByteSpan segment);
 [[nodiscard]] UdpHeader read_udp(ByteSpan datagram);
 [[nodiscard]] IcmpHeader read_icmp(ByteSpan message);
-
-[[nodiscard]] std::optional<EthernetHeader> parse_ethernet(ByteSpan frame);
-[[nodiscard]] std::optional<Ipv4Header> parse_ipv4(ByteSpan packet);
-[[nodiscard]] std::optional<TcpHeader> parse_tcp(ByteSpan segment);
-[[nodiscard]] std::optional<UdpHeader> parse_udp(ByteSpan datagram);
-[[nodiscard]] std::optional<IcmpHeader> parse_icmp(ByteSpan message);
-
-/// Verifies the IPv4 header checksum of a serialized header.
-[[nodiscard]] bool verify_ipv4_checksum(ByteSpan packet);
 
 }  // namespace syndog::net

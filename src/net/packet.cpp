@@ -10,31 +10,6 @@ std::size_t Packet::frame_bytes() const {
   return EthernetHeader::kSize + ip.total_length;
 }
 
-std::string Packet::summary() const {
-  std::string transport;
-  if (tcp) {
-    transport = util::strprintf(
-        "%s:%u > %s:%u [%s] seq=%u ack=%u", ip.src.to_string().c_str(),
-        tcp->src_port, ip.dst.to_string().c_str(), tcp->dst_port,
-        tcp->flags.to_string().c_str(), tcp->seq, tcp->ack);
-  } else if (udp) {
-    transport = util::strprintf("%s:%u > %s:%u UDP len=%u",
-                                ip.src.to_string().c_str(), udp->src_port,
-                                ip.dst.to_string().c_str(), udp->dst_port,
-                                udp->length);
-  } else if (icmp) {
-    transport = util::strprintf("%s > %s ICMP type=%u code=%u",
-                                ip.src.to_string().c_str(),
-                                ip.dst.to_string().c_str(), icmp->type,
-                                icmp->code);
-  } else {
-    transport = util::strprintf("%s > %s proto=%u",
-                                ip.src.to_string().c_str(),
-                                ip.dst.to_string().c_str(), ip.protocol);
-  }
-  return transport + util::strprintf(" (%zu bytes)", frame_bytes());
-}
-
 Packet make_tcp_packet(const TcpPacketSpec& spec) {
   Packet pkt;
   pkt.eth.src = spec.src_mac;
@@ -173,12 +148,6 @@ bool decode_frame_into(ByteSpan frame, Packet& out) {
     out.icmp = read_icmp(transport);
   }
   return true;
-}
-
-std::optional<Packet> decode_frame(ByteSpan frame) {
-  Packet pkt;
-  if (!decode_frame_into(frame, pkt)) return std::nullopt;
-  return pkt;
 }
 
 }  // namespace syndog::net

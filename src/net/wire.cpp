@@ -159,35 +159,4 @@ IcmpHeader read_icmp(ByteSpan message) {
                     read_u32(message, 4)};
 }
 
-std::optional<EthernetHeader> parse_ethernet(ByteSpan frame) {
-  if (frame.size() < EthernetHeader::kSize) return std::nullopt;
-  return read_ethernet(frame);
-}
-
-std::optional<Ipv4Header> parse_ipv4(ByteSpan packet) {
-  if (ipv4_header_bytes(packet) == 0) return std::nullopt;
-  return read_ipv4(packet);
-}
-
-std::optional<TcpHeader> parse_tcp(ByteSpan segment) {
-  if (tcp_header_bytes(segment) == 0) return std::nullopt;
-  return read_tcp(segment);
-}
-
-std::optional<UdpHeader> parse_udp(ByteSpan datagram) {
-  if (udp_header_bytes(datagram) == 0) return std::nullopt;
-  return read_udp(datagram);
-}
-
-std::optional<IcmpHeader> parse_icmp(ByteSpan message) {
-  if (icmp_header_bytes(message) == 0) return std::nullopt;
-  return read_icmp(message);
-}
-
-bool verify_ipv4_checksum(ByteSpan packet) {
-  const std::size_t header = ipv4_header_bytes(packet);
-  // Sum over the header including the stored checksum must fold to zero.
-  return header != 0 && internet_checksum(packet.first(header)) == 0;
-}
-
 }  // namespace syndog::net

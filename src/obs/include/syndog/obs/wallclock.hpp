@@ -30,8 +30,8 @@ class WallClock {
 class ManualWallClock final : public WallClock {
  public:
   [[nodiscard]] std::int64_t now_ns() const override { return now_ns_; }
+  // syndog-lint: allow-next-line(api.test_only) -- fake clock that tests step to check timing code
   void advance_ns(std::int64_t delta) { now_ns_ += delta; }
-  void set_ns(std::int64_t now) { now_ns_ = now; }
 
  private:
   std::int64_t now_ns_ = 0;

@@ -86,11 +86,6 @@ class StubNetworkSim {
   /// the trace, not simulated.)
   void replay_at_router(util::SimTime at, const net::Packet& packet);
 
-  /// Trace-driven mode: replace the uplink with a sink so the cloud does
-  /// not synthesize replies to replayed packets (the trace already
-  /// contains the reverse direction). Taps still see every packet.
-  void set_uplink_sink();
-
   void run_until(util::SimTime end) { scheduler_.run_until(end); }
 
  private:

@@ -32,9 +32,6 @@ class LeafRouter {
  public:
   using Tap = PacketTap;
   using Deliver = PacketSink;
-  /// Called (once per drop) with the offending packet when the ingress
-  /// filter fires; gives the source locator its spoofed-source evidence.
-  using IngressViolation = PacketTap;
 
   LeafRouter(net::Ipv4Prefix stub_prefix, net::MacAddress mac);
 
@@ -57,7 +54,6 @@ class LeafRouter {
   /// continues but no tap fires — the monitoring span port is dead, so
   /// counters gap. Suppressed packets are counted in stats().
   void set_taps_enabled(bool enabled) { taps_enabled_ = enabled; }
-  [[nodiscard]] bool taps_enabled() const { return taps_enabled_; }
 
   /// Asymmetric-routing fault: packets for which `bypass` returns true are
   /// forwarded without firing the inbound taps, as if they returned via a
@@ -79,9 +75,6 @@ class LeafRouter {
 
   void set_ingress_filtering(bool enabled) { ingress_filtering_ = enabled; }
   [[nodiscard]] bool ingress_filtering() const { return ingress_filtering_; }
-  void set_ingress_violation_handler(IngressViolation handler) {
-    on_ingress_violation_ = std::move(handler);
-  }
 
   /// Entry points: a frame arriving from the intranet LAN / the uplink.
   void forward_from_intranet(util::SimTime now, const net::Packet& packet);
@@ -100,7 +93,6 @@ class LeafRouter {
   TapBypass inbound_tap_bypass_;
   EgressPolicer egress_policer_;
   bool ingress_filtering_ = false;
-  IngressViolation on_ingress_violation_;
   RouterStats stats_;
 };
 

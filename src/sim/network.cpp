@@ -85,10 +85,6 @@ void StubNetworkSim::launch_flood(std::uint32_t host_index,
                       flood_rng_);
 }
 
-void StubNetworkSim::set_uplink_sink() {
-  router().set_uplink([](const net::Packet&) {});
-}
-
 void StubNetworkSim::replay_at_router(util::SimTime at,
                                       const net::Packet& packet) {
   const bool from_intranet = params_.stub_prefix.contains(packet.ip.src) ||

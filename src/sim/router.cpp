@@ -57,7 +57,6 @@ void LeafRouter::forward_from_intranet(util::SimTime now,
   }
   if (ingress_filtering_ && !stub_prefix_.contains(packet.ip.src)) {
     ++stats_.dropped_ingress_filter;
-    if (on_ingress_violation_) on_ingress_violation_(now, packet);
     return;
   }
   if (uplink_) {

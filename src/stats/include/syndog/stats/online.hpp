@@ -32,10 +32,6 @@ class OnlineStats {
   [[nodiscard]] double variance() const {
     return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
   }
-  /// Sample variance (divide by n-1).
-  [[nodiscard]] double sample_variance() const {
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-  }
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const { return count_ == 0 ? 0.0 : max_; }
@@ -78,7 +74,6 @@ class Ewma {
 
   [[nodiscard]] bool primed() const { return primed_; }
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] std::int64_t count() const { return count_; }
 
   void reset() {

@@ -11,7 +11,6 @@
 namespace syndog::stats {
 
 [[nodiscard]] double series_mean(const std::vector<double>& xs);
-[[nodiscard]] double series_stddev(const std::vector<double>& xs);
 [[nodiscard]] double series_min(const std::vector<double>& xs);
 [[nodiscard]] double series_max(const std::vector<double>& xs);
 
@@ -20,22 +19,8 @@ namespace syndog::stats {
 [[nodiscard]] double pearson_correlation(const std::vector<double>& xs,
                                          const std::vector<double>& ys);
 
-/// Sample autocorrelation at lag `lag` (biased estimator, standard in
-/// change-detection literature). Returns 0 when lag >= size.
-[[nodiscard]] double autocorrelation(const std::vector<double>& xs,
-                                     std::size_t lag);
-
 /// Index of the first element strictly greater than `threshold`, or -1.
 [[nodiscard]] std::ptrdiff_t first_crossing(const std::vector<double>& xs,
                                             double threshold);
-
-/// Downsamples by averaging consecutive groups of `factor` samples; a
-/// trailing partial group is averaged over its own length.
-[[nodiscard]] std::vector<double> downsample_mean(
-    const std::vector<double>& xs, std::size_t factor);
-
-/// Element-wise difference xs - ys (sizes must match).
-[[nodiscard]] std::vector<double> series_difference(
-    const std::vector<double>& xs, const std::vector<double>& ys);
 
 }  // namespace syndog::stats

@@ -14,12 +14,6 @@ double series_mean(const std::vector<double>& xs) {
   return s.mean();
 }
 
-double series_stddev(const std::vector<double>& xs) {
-  OnlineStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 double series_min(const std::vector<double>& xs) {
   return xs.empty() ? 0.0 : *std::min_element(xs.begin(), xs.end());
 }
@@ -50,54 +44,12 @@ double pearson_correlation(const std::vector<double>& xs,
   return sxy / std::sqrt(sxx * syy);
 }
 
-double autocorrelation(const std::vector<double>& xs, std::size_t lag) {
-  if (lag >= xs.size()) return 0.0;
-  const double m = series_mean(xs);
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double d = xs[i] - m;
-    den += d * d;
-    if (i + lag < xs.size()) {
-      num += d * (xs[i + lag] - m);
-    }
-  }
-  if (den == 0.0) return 0.0;
-  return num / den;
-}
-
 std::ptrdiff_t first_crossing(const std::vector<double>& xs,
                               double threshold) {
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (xs[i] > threshold) return static_cast<std::ptrdiff_t>(i);
   }
   return -1;
-}
-
-std::vector<double> downsample_mean(const std::vector<double>& xs,
-                                    std::size_t factor) {
-  if (factor == 0) {
-    throw std::invalid_argument("downsample_mean: factor must be > 0");
-  }
-  std::vector<double> out;
-  out.reserve(xs.size() / factor + 1);
-  for (std::size_t i = 0; i < xs.size(); i += factor) {
-    const std::size_t end = std::min(i + factor, xs.size());
-    double acc = 0.0;
-    for (std::size_t j = i; j < end; ++j) acc += xs[j];
-    out.push_back(acc / static_cast<double>(end - i));
-  }
-  return out;
-}
-
-std::vector<double> series_difference(const std::vector<double>& xs,
-                                      const std::vector<double>& ys) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument("series_difference: size mismatch");
-  }
-  std::vector<double> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = xs[i] - ys[i];
-  return out;
 }
 
 }  // namespace syndog::stats

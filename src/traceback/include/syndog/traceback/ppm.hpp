@@ -39,31 +39,21 @@ class PpmMarker {
 
   /// Applies router `router`'s marking decision to the packet's mark.
   void process(Mark& mark, RouterId router, util::Rng& rng) const;
-  [[nodiscard]] double probability() const { return p_; }
 
  private:
   double p_;
 };
 
-/// Victim-side collection and path reconstruction.
+/// Victim-side collection of the marked edges.
 class PpmCollector {
  public:
   /// Records the mark of one received attack packet (unmarked packets
-  /// are counted but contribute nothing).
+  /// contribute nothing).
   void observe(const Mark& mark);
-
-  [[nodiscard]] std::uint64_t packets_observed() const { return packets_; }
-  [[nodiscard]] std::uint64_t marked_packets() const { return marked_; }
-  [[nodiscard]] std::size_t distinct_edges() const;
 
   /// True when the collected edges contain every edge of `path`
   /// (leaf-first router list, as AttackTopology::path_from returns).
   [[nodiscard]] bool covers_path(const std::vector<RouterId>& path) const;
-
-  /// Reconstructs a single linear path by chaining edges from distance 0
-  /// upward; nullopt while edges are missing or ambiguous.
-  [[nodiscard]] std::optional<std::vector<RouterId>> reconstruct_chain()
-      const;
 
   /// Savage et al.'s expected-packet bound for full reconstruction of a
   /// d-hop path with marking probability p.
@@ -76,8 +66,6 @@ class PpmCollector {
     auto operator<=>(const Edge&) const = default;
   };
   std::map<int, std::set<Edge>> edges_by_distance_;
-  std::uint64_t packets_ = 0;
-  std::uint64_t marked_ = 0;
 };
 
 /// Runs the full loop: attack packets flow from `leaf` to the victim

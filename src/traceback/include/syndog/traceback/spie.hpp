@@ -25,7 +25,6 @@ class BloomFilter {
 
   void insert(std::uint64_t digest);
   [[nodiscard]] bool maybe_contains(std::uint64_t digest) const;
-  [[nodiscard]] std::size_t bit_count() const { return bits_.size(); }
   [[nodiscard]] std::uint64_t inserted() const { return inserted_; }
   /// Fraction of bits set; drives the false-positive rate
   /// (~ fill^hash_count).

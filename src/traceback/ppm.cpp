@@ -28,22 +28,12 @@ void PpmMarker::process(Mark& mark, RouterId router, util::Rng& rng) const {
 }
 
 void PpmCollector::observe(const Mark& mark) {
-  ++packets_;
   if (!mark.valid()) return;
-  ++marked_;
   // distance counts hops since the marking router; the edge (start,end)
   // lies distance-1 .. distance hops from the victim (end == kNoRouter
   // means the marking router is the victim's direct neighbor).
   edges_by_distance_[mark.distance].insert(
       Edge{mark.edge_start, mark.edge_end});
-}
-
-std::size_t PpmCollector::distinct_edges() const {
-  std::size_t n = 0;
-  for (const auto& [distance, edges] : edges_by_distance_) {
-    n += edges.size();
-  }
-  return n;
 }
 
 bool PpmCollector::covers_path(const std::vector<RouterId>& path) const {
@@ -61,31 +51,6 @@ bool PpmCollector::covers_path(const std::vector<RouterId>& path) const {
     if (!it->second.contains(Edge{start, end})) return false;
   }
   return true;
-}
-
-std::optional<std::vector<RouterId>> PpmCollector::reconstruct_chain()
-    const {
-  std::vector<RouterId> path;  // victim-neighbor first
-  RouterId expect = kNoRouter;
-  for (int d = 0; ; ++d) {
-    const auto it = edges_by_distance_.find(d);
-    if (it == edges_by_distance_.end()) break;
-    // A clean chain has exactly one edge per distance whose end matches
-    // the previously discovered start.
-    const Edge* match = nullptr;
-    for (const Edge& e : it->second) {
-      if (d == 0 ? e.end == kNoRouter : e.end == expect) {
-        if (match != nullptr) return std::nullopt;  // ambiguous
-        match = &e;
-      }
-    }
-    if (match == nullptr) return std::nullopt;
-    path.push_back(match->start);
-    expect = match->start;
-  }
-  if (path.empty()) return std::nullopt;
-  // Return leaf-first like AttackTopology::path_from.
-  return std::vector<RouterId>(path.rbegin(), path.rend());
 }
 
 double PpmCollector::expected_packets_bound(double p, int hops) {

@@ -24,26 +24,6 @@ namespace {
 }
 }  // namespace
 
-Config Config::from_text(std::string_view text) {
-  Config cfg;
-  for (const std::string& raw : split(text, '\n')) {
-    std::string_view line = trim(raw);
-    if (const std::size_t hash = line.find('#');
-        hash != std::string_view::npos) {
-      line = trim(line.substr(0, hash));
-    }
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      throw std::invalid_argument("config: malformed line '" +
-                                  std::string(line) + "'");
-    }
-    cfg.set(std::string(trim(line.substr(0, eq))),
-            std::string(trim(line.substr(eq + 1))));
-  }
-  return cfg;
-}
-
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
   for (int i = 0; i < argc; ++i) {
@@ -109,21 +89,6 @@ double Config::get_double(std::string_view key, double fallback) const {
   } catch (const std::logic_error&) {
     bad_value(key, *v, "double");
   }
-}
-
-bool Config::get_bool(std::string_view key, bool fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  if (iequals(*v, "true") || *v == "1" || iequals(*v, "yes")) return true;
-  if (iequals(*v, "false") || *v == "0" || iequals(*v, "no")) return false;
-  bad_value(key, *v, "bool");
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, value] : entries_) out.push_back(key);
-  return out;
 }
 
 }  // namespace syndog::util

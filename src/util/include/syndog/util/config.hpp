@@ -1,7 +1,6 @@
 // Key-value configuration.
 //
-// Experiment binaries accept "key=value" overrides (from argv or a file with
-// one entry per line, '#' comments). Typed getters validate on read so a
+// Experiment binaries accept "key=value" overrides from argv. Typed getters validate on read so a
 // typo'd value fails loudly at startup instead of producing a silent default.
 #pragma once
 
@@ -10,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace syndog::util {
 
@@ -25,9 +23,6 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses "key=value" lines; '#' starts a comment, blank lines ignored.
-  /// Throws std::invalid_argument on a malformed line.
-  [[nodiscard]] static Config from_text(std::string_view text);
   /// Parses each argv element as one "key=value" entry.
   [[nodiscard]] static Config from_args(int argc, const char* const* argv);
 
@@ -45,9 +40,7 @@ class Config {
   [[nodiscard]] std::int64_t get_int(std::string_view key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
-  [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
 
-  [[nodiscard]] std::vector<std::string> keys() const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:

@@ -31,7 +31,6 @@ class Rng {
     return Rng{splitmix64(seed ^ splitmix64(index + 1))};
   }
 
-  std::mt19937_64& engine() { return engine_; }
 
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform() {
@@ -68,9 +67,6 @@ class Rng {
   /// Pareto (type I): support [xm, inf), shape alpha > 0. Heavy-tailed for
   /// alpha <= 2; the self-similar arrival model uses alpha in (1, 2).
   [[nodiscard]] double pareto(double alpha, double xm);
-  /// Bounded Pareto on [lo, hi]; used where an unbounded heavy tail would
-  /// make a single sample dominate an entire trace.
-  [[nodiscard]] double bounded_pareto(double alpha, double lo, double hi);
   /// Random 32-bit value (e.g. spoofed IPv4 addresses).
   [[nodiscard]] std::uint32_t next_u32() {
     return static_cast<std::uint32_t>(engine_());

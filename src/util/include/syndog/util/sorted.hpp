@@ -21,6 +21,7 @@ namespace syndog::util {
 /// mutable overload, modifiable — without copying them; the view is
 /// invalidated by any rehash of the underlying container.
 template <typename Map, typename Compare = std::less<typename Map::key_type>>
+// syndog-lint: allow-next-line(api.test_only) -- the ordered view determinism.unordered_iteration prescribes
 [[nodiscard]] std::vector<const typename Map::value_type*> sorted_items(
     const Map& map, Compare cmp = Compare{}) {
   std::vector<const typename Map::value_type*> view;
@@ -49,6 +50,7 @@ template <typename Map, typename Compare = std::less<typename Map::key_type>>
 /// Sorted copy of a set's keys (keys are value types small enough to copy
 /// wherever this matters: addresses, ports, ids).
 template <typename Set, typename Compare = std::less<typename Set::key_type>>
+// syndog-lint: allow-next-line(api.test_only) -- the ordered view determinism.unordered_iteration prescribes
 [[nodiscard]] std::vector<typename Set::key_type> sorted_keys(
     const Set& set, Compare cmp = Compare{}) {
   std::vector<typename Set::key_type> keys(set.begin(), set.end());

@@ -13,8 +13,6 @@ namespace syndog::util {
 /// Strips ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Case-insensitive ASCII comparison.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 

@@ -1,8 +1,8 @@
 // Presentation helpers for the experiment harness.
 //
 // Every bench binary reproduces a paper table or figure as text: tables are
-// rendered with TextTable, figure series with AsciiChart (a terminal line
-// chart), and everything can also be dumped as CSV for external plotting.
+// rendered with TextTable and figure series with AsciiChart (a terminal line
+// chart).
 #pragma once
 
 #include <cstdint>
@@ -17,12 +17,8 @@ class TextTable {
   explicit TextTable(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> cells);
-  /// Convenience: formats arithmetic cells with format_double.
-  void add_row_values(const std::vector<double>& cells, int digits = 4);
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> header_;
@@ -56,19 +52,6 @@ class AsciiChart {
   AsciiChartOptions options_;
   std::vector<std::pair<std::string, std::vector<double>>> series_;
   std::vector<std::pair<std::string, double>> thresholds_;
-};
-
-/// Writes rows of (label, values...) as CSV text.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-  void add_row(const std::vector<std::string>& cells);
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  static std::string escape(const std::string& cell);
-  std::string text_;
-  std::size_t columns_;
 };
 
 }  // namespace syndog::util

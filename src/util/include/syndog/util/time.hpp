@@ -51,9 +51,6 @@ class SimTime {
   [[nodiscard]] constexpr double to_seconds() const {
     return static_cast<double>(ns_) / 1e9;
   }
-  [[nodiscard]] constexpr double to_milliseconds() const {
-    return static_cast<double>(ns_) / 1e6;
-  }
   [[nodiscard]] constexpr double to_minutes() const {
     return to_seconds() / 60.0;
   }

@@ -15,15 +15,4 @@ double Rng::pareto(double alpha, double xm) {
   return xm / std::pow(1.0 - u, 1.0 / alpha);
 }
 
-double Rng::bounded_pareto(double alpha, double lo, double hi) {
-  if (alpha <= 0.0 || lo <= 0.0 || hi <= lo) {
-    throw std::invalid_argument("bounded_pareto: require alpha>0, 0<lo<hi");
-  }
-  // Inverse-CDF of the truncated Pareto.
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  const double u = uniform();
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 }  // namespace syndog::util

@@ -26,13 +26,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_values(const std::vector<double>& cells, int digits) {
-  std::vector<std::string> out;
-  out.reserve(cells.size());
-  for (double v : cells) out.push_back(format_double(v, digits));
-  add_row(std::move(out));
-}
-
 std::string TextTable::to_string() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) {
@@ -65,12 +58,6 @@ std::string TextTable::to_string() const {
   for (const auto& row : rows_) line(row);
   rule();
   return out.str();
-}
-
-std::string TextTable::to_csv() const {
-  CsvWriter csv{header_};
-  for (const auto& row : rows_) csv.add_row(row);
-  return csv.to_string();
 }
 
 void AsciiChart::add_series(std::string name, std::vector<double> values) {
@@ -163,42 +150,6 @@ std::string AsciiChart::to_string() const {
     out << "  - = " << name << " (" << format_double(value, 3) << ")\n";
   }
   return out.str();
-}
-
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : columns_(header.size()) {
-  if (header.empty()) {
-    throw std::invalid_argument("CsvWriter: header must not be empty");
-  }
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i != 0) text_ += ',';
-    text_ += escape(header[i]);
-  }
-  text_ += '\n';
-}
-
-void CsvWriter::add_row(const std::vector<std::string>& cells) {
-  if (cells.size() != columns_) {
-    throw std::invalid_argument("CsvWriter: wrong cell count");
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i != 0) text_ += ',';
-    text_ += escape(cells[i]);
-  }
-  text_ += '\n';
-}
-
-std::string CsvWriter::to_string() const { return text_; }
-
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace syndog::util

@@ -31,7 +31,8 @@ TEST(SegmentTest, FlagTaxonomy) {
   EXPECT_EQ(classify_flags(net::TcpFlags::syn_only()), SegmentKind::kSyn);
   EXPECT_EQ(classify_flags(net::TcpFlags::syn_ack()), SegmentKind::kSynAck);
   EXPECT_EQ(classify_flags(net::TcpFlags::rst_only()), SegmentKind::kRst);
-  EXPECT_EQ(classify_flags(net::TcpFlags::rst_ack()), SegmentKind::kRst);
+  EXPECT_EQ(classify_flags(net::TcpFlags{
+                static_cast<std::uint8_t>(net::TcpFlags::kRst | net::TcpFlags::kAck)}), SegmentKind::kRst);
   EXPECT_EQ(classify_flags(net::TcpFlags::fin_ack()), SegmentKind::kFin);
   EXPECT_EQ(classify_flags(net::TcpFlags::ack_only()),
             SegmentKind::kPureAck);
@@ -164,10 +165,8 @@ TEST(BatchSweepTest, SimdKernelMatchesScalarOnRandomBuffers) {
     for (std::uint8_t& b : flags) {
       b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    EXPECT_EQ(sweep_flags(flags), sweep_flags_scalar(flags))
-        << "n=" << n << " backend=" << sweep_flags_backend();
+    EXPECT_EQ(sweep_flags(flags), sweep_flags_scalar(flags)) << "n=" << n;
   }
-  EXPECT_FALSE(sweep_flags_backend().empty());
 }
 
 TEST(BatchSweepTest, KnownCountsEmptySpanAndVectorTails) {

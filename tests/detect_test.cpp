@@ -60,15 +60,6 @@ TEST(NpCusumTest, DetectsMeanShiftWithExpectedDelay) {
   EXPECT_EQ(steps + 1, 4);  // 3 full steps put y at exactly 1.05; 4th crosses
 }
 
-TEST(NpCusumTest, ExpectedDelayFormula) {
-  // Eq. (7): rho = N / (h - |c - a|).
-  EXPECT_DOUBLE_EQ(
-      NonParametricCusum::expected_delay_periods(1.05, 0.7, 0.0, 0.35),
-      3.0);
-  EXPECT_TRUE(std::isinf(
-      NonParametricCusum::expected_delay_periods(1.05, 0.3, 0.0, 0.35)));
-}
-
 TEST(NpCusumTest, SiteDesignClampsTheOffsetAndKeepsAThreePeriodDelay) {
   // A noisy site caps at the universal parameters (a = 0.35, N = 1.05),
   // a silent one floors at a = 0.05; in between a = c + 6 sigma.
@@ -79,9 +70,8 @@ TEST(NpCusumTest, SiteDesignClampsTheOffsetAndKeepsAThreePeriodDelay) {
   EXPECT_DOUBLE_EQ(unc.a, 0.2);
   EXPECT_EQ(unc.h, 2.0 * unc.a);
   EXPECT_EQ(unc.threshold, 3.0 * unc.a);
-  EXPECT_DOUBLE_EQ(NonParametricCusum::expected_delay_periods(
-                       unc.threshold, unc.h, 0.0, unc.a),
-                   3.0);
+  // Eq. (7) with c = 0: N / (h - a) = 3 periods.
+  EXPECT_DOUBLE_EQ(unc.threshold / (unc.h - unc.a), 3.0);
 }
 
 TEST(NpCusumTest, BoundedVariantCapsStatisticButNotDetection) {

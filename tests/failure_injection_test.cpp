@@ -63,7 +63,8 @@ TEST(FailureInjectionTest, CorruptFramesNeverPerturbTheDetector) {
   // the valid SYNs may count.
   core::Sniffer sniffer(core::SnifferRole::kOutbound);
   const auto capture = [&sniffer](const net::ByteBuffer& frame) {
-    if (const auto pkt = net::decode_frame(frame)) sniffer.on_packet(*pkt);
+    net::Packet pkt;
+    if (net::decode_frame_into(frame, pkt)) sniffer.on_packet(pkt);
   };
   util::Rng rng(3);
   net::TcpPacketSpec spec;
@@ -92,7 +93,9 @@ TEST(FailureInjectionTest, AgentSurvivesNonIpAndFragmentStorm) {
   sim::StubNetworkParams params;
   params.num_hosts = 2;
   sim::StubNetworkSim network(params);
-  network.set_uplink_sink();
+  // Trace-driven: a sink uplink keeps the cloud from answering replayed
+  // packets (the trace already holds the reverse direction).
+  network.router().set_uplink([](const net::Packet&) {});
   core::SynDogAgent agent(network.router(), network.scheduler(),
                           core::SynDogParams::paper_defaults());
 
@@ -161,7 +164,7 @@ TEST(FailureInjectionTest, NegativeDeltaIsClampedNotBanked) {
 
 TEST(FailureInjectionTest, IdleDecayRidesKFloorWithoutNanOrAlarm) {
   // A live site that goes fully idle: K decays geometrically toward 0 and
-  // the k_floor path takes over. Thousands of idle periods must produce
+  // the kKFloor path takes over. Thousands of idle periods must produce
   // no NaN/Inf, no alarm, and no drift in yn.
   core::SynDog dog(core::SynDogParams::paper_defaults());
   for (int n = 0; n < 50; ++n) (void)dog.observe_period(2000, 1950);

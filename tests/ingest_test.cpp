@@ -522,14 +522,14 @@ ManualResult manual_loop(const std::string& capture,
       close_period();
       period_end += t0;
     }
-    const auto pkt = net::decode_frame(rec->data);
-    if (!pkt) continue;
+    net::Packet pkt;
+    if (!net::decode_frame_into(rec->data, pkt)) continue;
     const bool outbound_dir =
-        stub.contains(pkt->ip.src) || !stub.contains(pkt->ip.dst);
+        stub.contains(pkt.ip.src) || !stub.contains(pkt.ip.dst);
     if (outbound_dir) {
-      outbound.on_packet(*pkt);
+      outbound.on_packet(pkt);
     } else {
-      inbound.on_packet(*pkt);
+      inbound.on_packet(pkt);
     }
   }
   close_period();

@@ -57,7 +57,9 @@ TEST(IntegrationTest, TraceDrivenReplayDetectsAndLocatesFlood) {
   net_params.stub_prefix = render_cfg.stub_prefix;
   net_params.num_hosts = 2;  // endpoints live in the trace, not the sim
   sim::StubNetworkSim network(net_params);
-  network.set_uplink_sink();
+  // Trace-driven: a sink uplink keeps the cloud from answering replayed
+  // packets (the trace already holds the reverse direction).
+  network.router().set_uplink([](const net::Packet&) {});
 
   std::vector<core::AlarmEvent> alarms;
   core::SynDogAgent agent(network.router(), network.scheduler(),
@@ -188,10 +190,10 @@ TEST(IntegrationTest, PcapRoundTripPreservesSnifferCounts) {
   core::Sniffer out_sniffer(core::SnifferRole::kOutbound);
   core::Sniffer in_sniffer(core::SnifferRole::kInbound);
   while (const auto rec = reader.next()) {
-    const auto pkt = net::decode_frame(rec->data);
-    ASSERT_TRUE(pkt.has_value());
-    out_sniffer.on_packet(*pkt);
-    in_sniffer.on_packet(*pkt);
+    net::Packet pkt;
+    ASSERT_TRUE(net::decode_frame_into(rec->data, pkt));
+    out_sniffer.on_packet(pkt);
+    in_sniffer.on_packet(pkt);
   }
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(out_sniffer.lifetime_count(), background.total_syns());

@@ -218,9 +218,6 @@ TEST(MitigationStateMachineTest, QuarantineReleasesThroughPassingProbe) {
   ASSERT_TRUE(recorder.first_quarantined_at().has_value());
   ASSERT_TRUE(recorder.fully_released_at().has_value());
   EXPECT_FALSE(recorder.mitigating());
-  const SimTime end = SimTime::minutes(12);
-  EXPECT_GT(recorder.seconds_in(Stage::kQuarantine, end), SimTime::zero());
-  EXPECT_GT(recorder.seconds_in(Stage::kRateLimit, end), SimTime::zero());
   EXPECT_EQ(controller.stats().engagements, 1u);
   EXPECT_EQ(controller.stats().escalations, 1u);
   EXPECT_EQ(controller.stats().releases, 2u);
@@ -418,7 +415,9 @@ TEST(MitigationSequenceTest, RandomSequencesKeepTheLadderInvariants) {
   // each period, stations 4 and 7 send SYNs through the router: spoofed
   // ones while they flood (the locator's evidence), in-prefix ones always
   // (collateral when policed). A twin agent on its own router sees the
-  // same traffic with no controller.
+  // same traffic with no controller. Every fed report's SYN count is the
+  // period's SYNs less that period's in-prefix policer drops: the agent
+  // sheds its policer's collateral on this path too.
   enum class Regime { kQuiet, kFlood, kDegraded, kBlind };
   const core::SynDogParams params = capped_params();
   const SimTime t0 = params.observation_period;
@@ -491,6 +490,8 @@ TEST(MitigationSequenceTest, RandomSequencesKeepTheLadderInvariants) {
                 : 0;
         const SimTime start = at;
         at = at + t0 * (missed + 1);
+        const std::uint64_t legit_drops_before =
+            controller.stats().dropped_legit_syns;
         const bool flooding = r == Regime::kFlood || r == Regime::kDegraded;
         for (const std::uint32_t host : stations) {
           const std::int64_t spoofed = flooding ? rng.uniform_int(0, 30) : 0;
@@ -537,6 +538,10 @@ TEST(MitigationSequenceTest, RandomSequencesKeepTheLadderInvariants) {
           ASSERT_EQ(edges.size(), edges_before);  // no report, no edge
           return;
         }
+        // The discount reaches the report, floored at zero.
+        const auto legit_drops = static_cast<std::int64_t>(
+            st.dropped_legit_syns - legit_drops_before);
+        ASSERT_EQ(fed->syn_count, std::max<std::int64_t>(0, syns - legit_drops));
         // No lock-in: a long enough quiet stretch after the flood
         // releases every station.
         quiet_run = r == Regime::kQuiet ? quiet_run + 1 : 0;

@@ -25,7 +25,7 @@ TEST(MacAddressTest, ParseRejectsMalformed) {
 }
 
 TEST(MacAddressTest, Broadcast) {
-  EXPECT_TRUE(MacAddress::broadcast().is_broadcast());
+  EXPECT_TRUE(MacAddress::parse("ff:ff:ff:ff:ff:ff")->is_broadcast());
   EXPECT_FALSE(MacAddress::for_host(1).is_broadcast());
 }
 
@@ -90,9 +90,11 @@ TEST(ChecksumTest, WrittenIpv4HeaderVerifies) {
   ip.dst = Ipv4Address(10, 0, 0, 2);
   ByteBuffer out;
   write_ipv4(out, ip);
-  EXPECT_TRUE(verify_ipv4_checksum(out));
+  // The sum over the header, stored checksum included, folds to zero.
+  ASSERT_EQ(ipv4_header_bytes(out), out.size());
+  EXPECT_EQ(internet_checksum(out), 0);
   out[8] ^= 0xff;  // corrupt TTL
-  EXPECT_FALSE(verify_ipv4_checksum(out));
+  EXPECT_NE(internet_checksum(out), 0);
 }
 
 // --- header round trips ------------------------------------------------------
@@ -109,16 +111,16 @@ TEST(WireTest, TcpHeaderRoundTrip) {
   tcp.urgent_pointer = 7;
   ByteBuffer out;
   write_tcp(out, tcp);
-  const auto parsed = parse_tcp(out);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->src_port, tcp.src_port);
-  EXPECT_EQ(parsed->dst_port, tcp.dst_port);
-  EXPECT_EQ(parsed->seq, tcp.seq);
-  EXPECT_EQ(parsed->ack, tcp.ack);
-  EXPECT_EQ(parsed->flags, tcp.flags);
-  EXPECT_EQ(parsed->window, tcp.window);
-  EXPECT_EQ(parsed->checksum, tcp.checksum);
-  EXPECT_EQ(parsed->urgent_pointer, tcp.urgent_pointer);
+  ASSERT_EQ(tcp_header_bytes(out), TcpHeader::kMinSize);
+  const TcpHeader parsed = read_tcp(out);
+  EXPECT_EQ(parsed.src_port, tcp.src_port);
+  EXPECT_EQ(parsed.dst_port, tcp.dst_port);
+  EXPECT_EQ(parsed.seq, tcp.seq);
+  EXPECT_EQ(parsed.ack, tcp.ack);
+  EXPECT_EQ(parsed.flags, tcp.flags);
+  EXPECT_EQ(parsed.window, tcp.window);
+  EXPECT_EQ(parsed.checksum, tcp.checksum);
+  EXPECT_EQ(parsed.urgent_pointer, tcp.urgent_pointer);
 }
 
 TEST(WireTest, ParseTcpRejectsTruncation) {
@@ -126,7 +128,7 @@ TEST(WireTest, ParseTcpRejectsTruncation) {
   ByteBuffer out;
   write_tcp(out, tcp);
   for (std::size_t len = 0; len < TcpHeader::kMinSize; ++len) {
-    EXPECT_FALSE(parse_tcp(ByteSpan{out.data(), len}).has_value());
+    EXPECT_EQ(tcp_header_bytes(ByteSpan{out.data(), len}), 0u);
   }
 }
 
@@ -137,14 +139,14 @@ TEST(WireTest, ParseIpv4RejectsBadVersionAndLengths) {
   write_ipv4(out, ip);
   ByteBuffer v6 = out;
   v6[0] = (6 << 4) | 5;
-  EXPECT_FALSE(parse_ipv4(v6).has_value());
+  EXPECT_EQ(ipv4_header_bytes(v6), 0u);
   ByteBuffer short_ihl = out;
   short_ihl[0] = (4 << 4) | 4;  // IHL < 5
-  EXPECT_FALSE(parse_ipv4(short_ihl).has_value());
+  EXPECT_EQ(ipv4_header_bytes(short_ihl), 0u);
   ByteBuffer bad_total = out;
   bad_total[2] = 0;
   bad_total[3] = 10;  // total_length < header
-  EXPECT_FALSE(parse_ipv4(bad_total).has_value());
+  EXPECT_EQ(ipv4_header_bytes(bad_total), 0u);
 }
 
 TEST(TcpFlagsTest, NamedSetsAndToString) {
@@ -186,16 +188,16 @@ TEST(PacketTest, EncodeDecodeRoundTrip) {
   const ByteBuffer wire = encode_frame(pkt);
   EXPECT_EQ(wire.size(), pkt.frame_bytes());
 
-  const auto decoded = decode_frame(wire);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->eth.src, spec.src_mac);
-  EXPECT_EQ(decoded->eth.dst, spec.dst_mac);
-  EXPECT_EQ(decoded->ip.src, spec.src_ip);
-  EXPECT_EQ(decoded->ip.dst, spec.dst_ip);
-  ASSERT_TRUE(decoded->tcp.has_value());
-  EXPECT_EQ(decoded->tcp->src_port, spec.src_port);
-  EXPECT_EQ(decoded->tcp->flags, spec.flags);
-  EXPECT_EQ(decoded->payload_bytes, 100u);
+  Packet decoded;
+  ASSERT_TRUE(decode_frame_into(wire, decoded));
+  EXPECT_EQ(decoded.eth.src, spec.src_mac);
+  EXPECT_EQ(decoded.eth.dst, spec.dst_mac);
+  EXPECT_EQ(decoded.ip.src, spec.src_ip);
+  EXPECT_EQ(decoded.ip.dst, spec.dst_ip);
+  ASSERT_TRUE(decoded.tcp.has_value());
+  EXPECT_EQ(decoded.tcp->src_port, spec.src_port);
+  EXPECT_EQ(decoded.tcp->flags, spec.flags);
+  EXPECT_EQ(decoded.payload_bytes, 100u);
 }
 
 TEST(PacketTest, EncodedTcpChecksumValidates) {
@@ -214,12 +216,12 @@ TEST(PacketTest, UdpRoundTrip) {
       MacAddress::for_host(1), MacAddress::for_host(2),
       Ipv4Address(10, 1, 0, 1), Ipv4Address(10, 1, 0, 2), 5000, 53, 64);
   const ByteBuffer wire = encode_frame(udp);
-  const auto decoded = decode_frame(wire);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_TRUE(decoded->udp.has_value());
-  EXPECT_EQ(decoded->udp->dst_port, 53);
-  EXPECT_EQ(decoded->payload_bytes, 64u);
-  EXPECT_FALSE(decoded->is_tcp());
+  Packet decoded;
+  ASSERT_TRUE(decode_frame_into(wire, decoded));
+  ASSERT_TRUE(decoded.udp.has_value());
+  EXPECT_EQ(decoded.udp->dst_port, 53);
+  EXPECT_EQ(decoded.payload_bytes, 64u);
+  EXPECT_FALSE(decoded.is_tcp());
 }
 
 TEST(PacketTest, DecodeRejectsNonIpv4AndTruncation) {
@@ -228,25 +230,19 @@ TEST(PacketTest, DecodeRejectsNonIpv4AndTruncation) {
   ByteBuffer arp = wire;
   arp[12] = 0x08;
   arp[13] = 0x06;  // EtherType ARP
-  EXPECT_FALSE(decode_frame(arp).has_value());
-  EXPECT_FALSE(decode_frame(ByteSpan{wire.data(), 10}).has_value());
-  EXPECT_FALSE(decode_frame(ByteSpan{wire.data(), 30}).has_value());
+  Packet out;
+  EXPECT_FALSE(decode_frame_into(arp, out));
+  EXPECT_FALSE(decode_frame_into(ByteSpan{wire.data(), 10}, out));
+  EXPECT_FALSE(decode_frame_into(ByteSpan{wire.data(), 30}, out));
 }
 
 TEST(PacketTest, FragmentedPacketKeepsNoTransportHeader) {
   Packet pkt = make_syn(sample_spec());
   pkt.ip.frag_flags_offset = 185;  // nonzero fragment offset
   const ByteBuffer wire = encode_frame(pkt);
-  const auto decoded = decode_frame(wire);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_FALSE(decoded->tcp.has_value());  // not first fragment
-}
-
-TEST(PacketTest, SummaryMentionsEndpointsAndFlags) {
-  const std::string s = make_syn(sample_spec()).summary();
-  EXPECT_NE(s.find("10.1.0.3:40000"), std::string::npos);
-  EXPECT_NE(s.find("192.0.2.1:443"), std::string::npos);
-  EXPECT_NE(s.find("SYN"), std::string::npos);
+  Packet decoded;
+  ASSERT_TRUE(decode_frame_into(wire, decoded));
+  EXPECT_FALSE(decoded.tcp.has_value());  // not first fragment
 }
 
 }  // namespace

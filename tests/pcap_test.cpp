@@ -170,9 +170,9 @@ TEST(PcapTest, FileHelpersRoundTrip) {
     EXPECT_EQ(back[i].data, records[i].data);
   }
   // The frames inside the file decode back into the original packets.
-  const auto decoded = net::decode_frame(back[0].data);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->is_syn());
+  net::Packet decoded;
+  ASSERT_TRUE(net::decode_frame_into(back[0].data, decoded));
+  EXPECT_TRUE(decoded.is_syn());
   std::remove(path.c_str());
 }
 

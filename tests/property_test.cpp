@@ -197,7 +197,8 @@ TEST(FuzzLiteTest, MutatedFramesNeverCrashDecoderOrClassifier) {
           rng.uniform_int(0, static_cast<std::int64_t>(frame.size()))));
     }
     // Must not crash; results are unconstrained.
-    (void)net::decode_frame(frame);
+    net::Packet packet;
+    (void)net::decode_frame_into(frame, packet);
     (void)classify::classify_frame_fast(frame);
   }
 }

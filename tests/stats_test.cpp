@@ -111,36 +111,11 @@ TEST(SeriesTest, PearsonCorrelation) {
   EXPECT_THROW((void)pearson_correlation(xs, {1.0}), std::invalid_argument);
 }
 
-TEST(SeriesTest, AutocorrelationOfAlternatingSeries) {
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(i % 2 == 0 ? 1.0 : -1.0);
-  EXPECT_NEAR(autocorrelation(xs, 1), -1.0, 0.02);
-  EXPECT_NEAR(autocorrelation(xs, 2), 1.0, 0.02);
-  EXPECT_EQ(autocorrelation(xs, 500), 0.0);  // lag beyond length
-}
-
 TEST(SeriesTest, FirstCrossing) {
   EXPECT_EQ(first_crossing({0.1, 0.5, 1.2, 0.3}, 1.0), 2);
   EXPECT_EQ(first_crossing({0.1, 0.5}, 1.0), -1);
   EXPECT_EQ(first_crossing({}, 1.0), -1);
   EXPECT_EQ(first_crossing({1.0}, 1.0), -1);  // strictly greater
-}
-
-TEST(SeriesTest, DownsampleMean) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  const std::vector<double> ds = downsample_mean(xs, 2);
-  ASSERT_EQ(ds.size(), 3u);
-  EXPECT_DOUBLE_EQ(ds[0], 1.5);
-  EXPECT_DOUBLE_EQ(ds[1], 3.5);
-  EXPECT_DOUBLE_EQ(ds[2], 5.0);  // trailing partial group
-  EXPECT_THROW((void)downsample_mean(xs, 0), std::invalid_argument);
-}
-
-TEST(SeriesTest, Difference) {
-  const auto d = series_difference({5, 7}, {2, 10});
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], -3.0);
 }
 
 }  // namespace

@@ -64,24 +64,6 @@ TEST(PpmTest, MarkedPacketCarriesConsistentEdge) {
   }
 }
 
-TEST(PpmTest, ReconstructsChainPath) {
-  const AttackTopology topo = AttackTopology::chain(8);
-  const auto path = topo.path_from(topo.attacker_leaves()[0]);
-  const PpmMarker marker(0.1);
-  PpmCollector collector;
-  util::Rng rng(5);
-  while (!collector.covers_path(path)) {
-    Mark mark;
-    for (const RouterId hop : path) marker.process(mark, hop, rng);
-    collector.observe(mark);
-    ASSERT_LT(collector.packets_observed(), 100000u);
-  }
-  const auto reconstructed = collector.reconstruct_chain();
-  ASSERT_TRUE(reconstructed.has_value());
-  EXPECT_EQ(*reconstructed, path);
-  EXPECT_EQ(collector.distinct_edges(), path.size());
-}
-
 TEST(PpmTest, PacketsNeededNearTheoreticalBound) {
   // E[X] <= ln(d)/(p(1-p)^(d-1)); measure the mean over a few runs and
   // require the right order of magnitude.

@@ -33,7 +33,9 @@ from syndoglint.model import all_rules  # noqa: E402
 from syndoglint.output import render_json, render_sarif  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent / "testdata" / "corpus"
-ALL_FAMILIES = {"determinism", "concurrency", "hotpath", "layering", "headers"}
+ALL_FAMILIES = {
+    "determinism", "concurrency", "hotpath", "layering", "headers", "api"
+}
 
 # Expectations that cannot live as in-file markers (CMakeLists.txt is not
 # a lexed source file).
@@ -116,6 +118,60 @@ class CorpusTest(unittest.TestCase):
         self.assertEqual(len(used), 4)  # all but the stale one
 
 
+class ApiTestOnlyTest(unittest.TestCase):
+    """api.test_only on the corpus: which fixture functions it reports
+    (src/detect/include/syndog/detect/api_surface.hpp), and that the
+    call-site-only root (perfbench/) is read but never linted."""
+
+    @classmethod
+    def setUpClass(cls):
+        cls.result = lint_corpus()
+        cls.reported = {
+            f.message.split("'")[1]
+            for f in cls.result.findings
+            if f.rule == "api.test_only"
+        }
+
+    def test_positive_fixtures_fire(self):
+        self.assertEqual(
+            self.reported,
+            {
+                "syndog::detect::corpus_test_only_free",  # tests-only free
+                "CorpusApi::bump",  # tests-only non-const member
+                "CorpusApi::unread",  # inline accessor nothing reads
+                "CorpusApi::digest",  # out-of-line const, tests only
+            },
+        )
+
+    def test_negative_fixtures_stay_silent(self):
+        for name in (
+            "CorpusApi::level",  # inline const accessor a test reads
+            "syndog::detect::corpus_perfbench_only",  # perfbench caller
+            "syndog::detect::corpus_program_call",  # another src/ module
+            "syndog::detect::corpus_waived_fake",  # justified waiver
+            "CorpusApi::reset",  # address taken by the program
+        ):
+            self.assertNotIn(name, self.reported)
+
+    def test_waiver_on_a_deleted_function_is_unused(self):
+        unused = {
+            (f.rel, f.line)
+            for f in self.result.findings
+            if f.rule == "waiver.unused"
+        }
+        self.assertIn(
+            ("src/detect/include/syndog/detect/api_surface.hpp", 26), unused
+        )
+
+    def test_call_site_roots_are_read_not_linted(self):
+        ctx = build_context(CORPUS, cxx="c++", jobs=1)
+        self.assertIn("perfbench/api_bench.cpp", ctx.call_site_files)
+        self.assertNotIn("perfbench/api_bench.cpp", ctx.files)
+        self.assertFalse(
+            [f for f in self.result.findings if f.rel.startswith("perfbench/")]
+        )
+
+
 class EngineEdgeTest(unittest.TestCase):
     def test_layer_cycle_detected(self):
         ctx = TreeContext(
@@ -168,6 +224,16 @@ class LexerTest(unittest.TestCase):
         self.assertEqual(
             [t.text for t in tokens], ["int", "live", ";"]
         )
+
+    def test_digit_separator_is_not_a_char_literal(self):
+        tokens = tokenize(strip_source("int a = 1'000'000; int b{2'0};\n"))
+        self.assertEqual(
+            [t.text for t in tokens if t.text in ("{", "}", ";")],
+            [";", "{", "}", ";"],
+        )
+        stripped = strip_source("char c = u8'}'; int d{0};\n")
+        self.assertIn("u8''", stripped)  # a prefixed char literal is blanked
+        self.assertIn("int d{0}", stripped)
 
     def test_brace_depth_tracks(self):
         tokens = tokenize("namespace n {\nint a;\n}\n")
@@ -222,6 +288,7 @@ class SarifTest(unittest.TestCase):
         self.assertEqual(driver["name"], "syndog_lint")
         ids = [r["id"] for r in driver["rules"]]
         self.assertEqual(len(ids), len(set(ids)))
+        self.assertIn("api.test_only", ids)
         for rule in driver["rules"]:
             self.assertTrue(rule["shortDescription"]["text"])
             self.assertTrue(rule["fullDescription"]["text"])
@@ -335,6 +402,14 @@ class CliTest(unittest.TestCase):
                 cli_main(["--explain", "determinism.unordered_iteration"]), 0
             )
         self.assertIn("sorted_items", out.getvalue())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(cli_main(["--explain", "api.test_only"]), 0)
+        self.assertIn("state accessor", out.getvalue())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(cli_main(["--list-rules"]), 0)
+        self.assertIn("api.test_only", out.getvalue())
         with contextlib.redirect_stderr(io.StringIO()):
             self.assertEqual(cli_main(["--explain", "no.such.rule"]), 2)
 

@@ -14,7 +14,7 @@ Layout:
               a token stream with brace/scope depth, waiver + pragma parsing
   model.py    Finding / Rule dataclasses and the rule registry
   rules_*.py  the rule families (determinism, concurrency, hotpath,
-              layering, headers)
+              layering, headers, api)
   engine.py   file iteration, two-pass analysis, waiver accounting
   cache.py    content-hash keyed incremental cache (file pass + header
               compiles)
@@ -24,7 +24,7 @@ Layout:
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.
 """
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 TOOL_NAME = "syndog_lint"
 TOOL_URI = "https://github.com/syndog/syndog/blob/main/docs/STATIC_ANALYSIS.md"

@@ -23,7 +23,9 @@ from .output import (
     render_text,
 )
 
-_CHECK_FAMILIES = ("determinism", "concurrency", "hotpath", "layering", "headers")
+_CHECK_FAMILIES = (
+    "determinism", "concurrency", "hotpath", "layering", "headers", "api"
+)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,9 @@ Two passes over the tree:
 
   1. lex every file under the scanned roots, collect the cross-file
      unordered-name pool (determinism.unordered_iteration needs member
-     names declared in headers when flagging loops in .cpp files);
+     names declared in headers when flagging loops in .cpp files), and
+     lex the call-site-only roots (perfbench/) that api.test_only reads
+     for callers but no rule lints;
   2. run per-file rules (cache-accelerated) and tree rules, then apply
      waivers centrally and emit the waiver-accounting findings
      (`waiver.missing_justification`, `waiver.unknown_rule`,
@@ -20,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from .cache import Cache
 from .lexer import SourceFile, lex_file
 from .model import ERROR, Finding, Rule, WaiverRecord, all_rules, get_rule, register
+from .rules_api import CALL_SITE_ROOTS
 from .rules_determinism import collect_unordered_names
 from .rules_layering import LAYER_DEPS
 
@@ -74,6 +77,7 @@ class TreeContext:
     cache: Optional[Cache] = None
     layer_deps: Dict[str, Set[str]] = field(default_factory=lambda: LAYER_DEPS)
     files: Dict[str, SourceFile] = field(default_factory=dict)
+    call_site_files: Dict[str, SourceFile] = field(default_factory=dict)
     unordered_names: Set[str] = field(default_factory=set)
     modules_on_disk: Set[str] = field(default_factory=set)
 
@@ -83,9 +87,9 @@ class TreeContext:
         ]
 
 
-def discover_files(root: Path) -> List[Path]:
+def discover_files(root: Path, roots: Iterable[str] = SCAN_ROOTS) -> List[Path]:
     paths: List[Path] = []
-    for sub in SCAN_ROOTS:
+    for sub in roots:
         base = root / sub
         if not base.is_dir():
             continue
@@ -102,6 +106,9 @@ def build_context(
     for path in discover_files(root):
         rel = path.relative_to(root).as_posix()
         ctx.files[rel] = lex_file(path, rel)
+    for path in discover_files(root, CALL_SITE_ROOTS):
+        rel = path.relative_to(root).as_posix()
+        ctx.call_site_files[rel] = lex_file(path, rel)
     for sf in ctx.files.values():
         ctx.unordered_names |= collect_unordered_names(sf)
     src = root / "src"

@@ -28,6 +28,20 @@ from typing import Dict, List, Optional, Set, Tuple
 _RAW_STRING_OPEN = re.compile(r'R"([^()\\ \t\v\f\n]{0,16})\(')
 
 
+def _is_digit_separator(text: str, i: int) -> bool:
+    """True when the `'` at `i` separates digits (`1'000'000`) rather than
+    opening a character literal (`'a'`, `u8'a'`): it sits between two
+    alphanumerics inside a token that starts with a digit."""
+    if i == 0 or i + 1 >= len(text):
+        return False
+    if not (text[i - 1].isalnum() and text[i + 1].isalnum()):
+        return False
+    j = i - 1
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return text[j].isdigit()
+
+
 def strip_source(text: str) -> str:
     """Blanks comments and literal contents while preserving line structure.
 
@@ -58,6 +72,9 @@ def strip_source(text: str) -> str:
             out.append('""')
             out.append("\n" * text.count("\n", i, end))
             i = end
+        elif ch == "'" and _is_digit_separator(text, i):
+            out.append(ch)
+            i += 1
         elif ch in "\"'":
             quote = ch
             j = i + 1

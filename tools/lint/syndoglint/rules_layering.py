@@ -39,7 +39,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     "core": {"classify", "detect", "net", "obs", "sim", "stats",
              "telemetry", "util"},
     "ingest": {"classify", "core", "net", "obs", "pcap", "sim", "util"},
-    "mitigate": {"core", "net", "sim", "telemetry", "util"},
+    "mitigate": {"core", "net", "sim", "util"},
     "campaign": {"core", "net", "sim", "util"},
 }
 
